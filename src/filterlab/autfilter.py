@@ -101,9 +101,6 @@ class AutMap:
             .compose(other)
         )
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(self.group.generators())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AutMap)

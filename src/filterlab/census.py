@@ -9,6 +9,7 @@ byte-identical summaries.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,30 +47,34 @@ class CensusSummary:
         }
 
 
-def analyze_file(path_str: str) -> GroupResult:
+def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResult:
+    """Refine one group; a group whose order is not ``order_filter`` (when
+    given) is parsed but not refined.  A failure while refining is returned
+    as the result's error, "<stage>: <message>", so the census goes on."""
     path = Path(path_str)
     try:
         G = parse_pcg_file(path)
     except (PcgError, OSError) as exc:
         return GroupResult(path.stem, 0, "", [], [], error=str(exc))
-    full = refine.refine_to_fixpoint(G, group_id=path.stem)
+    if order_filter is not None and G.order != order_filter:
+        return GroupResult(path.stem, G.order, "", [], [])
+    stage = "refine"
     flagged_by = []
-    if full.flagged:
-        for ring in BREAKDOWN_RINGS:
-            opts = refine.RefineOptions(
-                ring_kinds=(ring,), include_bimap_radicals=False
-            )
-            restricted = refine.refine_to_fixpoint(G, opts, group_id=path.stem)
-            if restricted.flagged:
-                flagged_by.append(ring)
-    steps = [
-        {
-            "grade": list(s.grade),
-            "provenance": s.provenance,
-            "new_index": s.new_index,
-        }
-        for s in full.steps
-    ]
+    try:
+        full = refine.refine_to_fixpoint(G, group_id=path.stem)
+        if full.flagged:
+            for ring in BREAKDOWN_RINGS:
+                stage = f"refine[{ring}]"
+                opts = refine.RefineOptions(
+                    ring_kinds=(ring,), include_bimap_radicals=False
+                )
+                restricted = refine.refine_to_fixpoint(G, opts, group_id=path.stem)
+                if restricted.flagged:
+                    flagged_by.append(ring)
+    # NonElementaryAbelianError and PcgError are ValueErrors
+    except (refine.RefinementError, ArithmeticError, ValueError) as exc:
+        return GroupResult(path.stem, G.order, "", [], [], error=f"{stage}: {exc}")
+    steps = refine.report_to_json(full)["steps"]
     return GroupResult(
         path.stem, G.order, full.classification, steps, flagged_by
     )
@@ -84,11 +89,18 @@ def run_census(
     paths = sorted(str(p) for p in directory.glob("**/*.pcg"))
     skipped: List[str] = []
     results: List[GroupResult] = []
+    # unfiltered runs call analyze_file with the path alone: perfbench's
+    # census workload swaps in a one-argument wrapper to time each group
+    analyze = (
+        analyze_file
+        if order_filter is None
+        else functools.partial(analyze_file, order_filter=order_filter)
+    )
     if jobs > 1 and len(paths) > 1:
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(analyze_file, paths)
+            results = pool.map(analyze, paths)
     else:
-        results = [analyze_file(p) for p in paths]
+        results = [analyze(p) for p in paths]
     per_order: Dict[int, dict] = {}
     groups: Dict[str, dict] = {}
     for res in sorted(results, key=lambda r: r.group):

@@ -1,8 +1,7 @@
 """Command-line surface: verify, report, census, aut.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error.  All JSON is
-emitted with sorted keys; everything is deterministic (the FILTERLAB_SEED
-environment variable is reserved but unused).
+emitted with sorted keys; everything is deterministic.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import monoid as mon
 from .monoid import MonoidElem
-from .pcgroup import Elem, Subgroup, comm_subgroup, depth, subgroup_from_gens
+from .pcgroup import Elem, Subgroup, comm_subgroup, depth, sift, subgroup_from_gens
 from .series import Filter, Layering, verify_sift
 
 
@@ -68,41 +68,36 @@ class CosetBasis:
             self.gens = reps
         for x in N.igs:
             tagged.append((x, np.zeros(len(self.gens), dtype=np.int64)))
-        self._table: Dict[int, Tuple[Elem, np.ndarray]] = {}
+        # echelon elements keyed by depth, each tagged with its coordinates
+        self._by_depth: Dict[int, Elem] = {}
+        self._vecs: Dict[int, np.ndarray] = {}
         for x, v in tagged:
-            self._insert(x, v.copy())
+            steps: List[Tuple[int, int]] = []
+            r = sift(G, self._by_depth, x, steps)
+            v = v - self._combine(steps)
+            if not integral:
+                v %= self.p
+            if r != G.identity:
+                self._by_depth[depth(r)] = r
+                self._vecs[depth(r)] = v
+            elif not integral and v.any():
+                raise ValueError("dependent representative in coset basis")
 
-    def _insert(self, x: Elem, v: np.ndarray) -> None:
-        G, p = self.group, self.p
-        while x != G.identity:
-            d = depth(x)
-            slot = self._table.get(d)
-            if slot is None:
-                self._table[d] = (x, v)
-                return
-            h, w = slot
-            k = (x[d - 1] * pow(h[d - 1], p - 2, p)) % p
-            x = G.multiply(G.power(G.inverse(h), k), x)
-            v = v - k * w
-            if not self.integral:
-                v %= p
-        if not self.integral and (v % p).any():
-            raise ValueError("dependent representative in coset basis")
+    def _combine(self, steps: List[Tuple[int, int]]) -> np.ndarray:
+        # x = prod h_d^k * (residue) over the sift steps of x
+        v = np.zeros(len(self.gens), dtype=np.int64)
+        for d, k in steps:
+            v = v + k * self._vecs[d]
+        return v
 
     def coords(self, y: Elem) -> np.ndarray:
         """Coordinates of the class of y (y must lie in H)."""
-        G, p = self.group, self.p
-        v = np.zeros(len(self.gens), dtype=np.int64)
-        while y != G.identity:
-            d = depth(y)
-            slot = self._table.get(d)
-            if slot is None:
-                raise ValueError(f"element {y} not in section subgroup")
-            h, w = slot
-            k = (y[d - 1] * pow(h[d - 1], p - 2, p)) % p
-            y = G.multiply(G.power(G.inverse(h), k), y)
-            v = v + k * w
-        return v % p if not self.integral else v
+        steps: List[Tuple[int, int]] = []
+        r = sift(self.group, self._by_depth, y, steps)
+        if r != self.group.identity:
+            raise ValueError(f"element {r} not in section subgroup")
+        v = self._combine(steps)
+        return v if self.integral else v % self.p
 
     def lift(self, v) -> Elem:
         """A representative of the class with the given coordinates."""

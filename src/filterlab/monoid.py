@@ -71,3 +71,8 @@ def box_iter(bound: MonoidElem) -> Iterator[MonoidElem]:
 
 def in_box(m: MonoidElem, bound: MonoidElem) -> bool:
     return len(m) == len(bound) and all(0 <= x <= b for x, b in zip(m, bound))
+
+
+def clamp(m: MonoidElem, bound: MonoidElem) -> MonoidElem:
+    """m with every coordinate cut down to the bound's."""
+    return tuple(min(x, b) for x, b in zip(m, bound))

@@ -280,6 +280,7 @@ class Subgroup:
     def __init__(self, group: PcGroup, igs: Sequence[Elem]):
         self.group = group
         self.igs: Tuple[Elem, ...] = tuple(igs)
+        self._by_depth: Dict[int, Elem] = {depth(h): h for h in self.igs}
 
     @property
     def order(self) -> int:
@@ -299,7 +300,7 @@ class Subgroup:
         return f"Subgroup(order={self.order})"
 
     def contains(self, x: Elem) -> bool:
-        return sift(self.group, self.igs, x) == self.group.identity
+        return sift(self.group, self._by_depth, x) == self.group.identity
 
     def is_subset(self, other: "Subgroup") -> bool:
         self._check_parent(other)
@@ -349,9 +350,16 @@ class Subgroup:
             raise PcgError("subgroups have different parent groups")
 
 
-def sift(G: PcGroup, igs: Sequence[Elem], x: Elem) -> Elem:
-    """Reduce x against an echelonised igs; identity iff x is in the span."""
-    by_depth = {depth(h): h for h in igs}
+def sift(
+    G: PcGroup,
+    by_depth: Dict[int, Elem],
+    x: Elem,
+    steps: Optional[List[Tuple[int, int]]] = None,
+) -> Elem:
+    """Reduce x against echelonised elements keyed by depth; identity iff x
+    is in their span.  Each step x <- h^-k x clears the leading exponent of x
+    against h = by_depth[d]; (d, k) is appended to ``steps`` when given.
+    """
     while x != G.identity:
         d = depth(x)
         h = by_depth.get(d)
@@ -359,6 +367,8 @@ def sift(G: PcGroup, igs: Sequence[Elem], x: Elem) -> Elem:
             return x
         k = (x[d - 1] * pow(h[d - 1], G.p - 2, G.p)) % G.p
         x = G.multiply(G.power(G.inverse(h), k), x)
+        if steps is not None:
+            steps.append((d, k))
     return x
 
 
@@ -386,7 +396,7 @@ def subgroup_from_gens(G: PcGroup, gens: Iterable[Elem]) -> Subgroup:
     queue: List[Elem] = [tuple(x) for x in gens]
     while queue:
         x = queue.pop()
-        x = sift(G, list(by_depth.values()), x)
+        x = sift(G, by_depth, x)
         if x == G.identity:
             continue
         d = depth(x)
@@ -440,7 +450,8 @@ def centralizer_mod(G: PcGroup, H: Subgroup, N: Subgroup) -> Subgroup:
         if all(N.contains(G.commutator(x, h)) for h in hgens)
     ]
     K = subgroup_from_gens(G, members)
-    assert comm_subgroup(K, H).is_subset(N)
+    if not comm_subgroup(K, H).is_subset(N):
+        raise ArithmeticError("centralizer check failed: [K, H] is not inside N")
     return K
 
 

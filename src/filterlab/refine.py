@@ -98,8 +98,7 @@ def _closure(
                         table[w] = table[w].join(c)
                         changed = True
                 else:
-                    wc = tuple(min(x, b) for x, b in zip(w, box))
-                    if not c.is_subset(table[wc]):
+                    if not c.is_subset(table[mon.clamp(w, box)]):
                         raise RefinementError(
                             f"closure escapes the box at {w}: enlarge the box"
                         )
@@ -137,7 +136,7 @@ def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
         big_box = tuple(b + 1 for b in box)
         big = _closure(G, big_box, seeds, comm_cache)
         stable = all(
-            big[w] == table[tuple(min(x, bb) for x, bb in zip(w, box))]
+            big[w] == table[mon.clamp(w, box)]
             for w in mon.box_iter(big_box)
         )
         if stable:

@@ -113,9 +113,6 @@ class AssocAlgebra:
     def has_identity(self) -> bool:
         return self.contains(linalg.identity(self.n))
 
-    def _power(self, m: np.ndarray, e: int) -> np.ndarray:
-        return _mat_power(m, e, self.p)
-
     def _radical_chain(self) -> List[np.ndarray]:
         # descending chain A = A_0 >= A_1 >= ... with
         #   A_{i+1} = {x in A_i : Tr((x~ y~)^{p^i}) = 0 mod p^{i+1}, all y in A_i}
@@ -135,7 +132,7 @@ class AssocAlgebra:
                 row = []
                 for b in cur:
                     prod = (b % p) @ (y % p) % mod
-                    val = int(np.trace(_int_power_mod(prod, pk, mod))) % mod
+                    val = int(np.trace(_mat_power(prod, pk, mod))) % mod
                     if val % pk:
                         raise ArithmeticError("radical chain divisibility failed")
                     row.append((val // pk) % p)
@@ -174,12 +171,12 @@ class AssocAlgebra:
         else:
             if cur.dim:
                 raise ArithmeticError("radical candidate is not nilpotent")
-        quot, _, _ = self.quotient(rad)
+        quot, _ = self.quotient(rad)
         if quot.dim and quot._radical_chain():
             raise ArithmeticError("quotient by radical is not semisimple")
 
     def quotient(self, ideal: "AssocAlgebra"):
-        """(A/ideal via left regular representation, project fn, lift fn)."""
+        """(A/ideal via left regular representation, lift fn)."""
         p = self.p
         # complement basis: rows of self.flat independent modulo ideal.flat
         lift_rows = []
@@ -220,7 +217,7 @@ class AssocAlgebra:
                 out = (out + int(c) * m) % p
             return out
 
-        return quot, project, lift
+        return quot, lift
 
     def center(self) -> "AssocAlgebra":
         if self.dim == 0:
@@ -255,8 +252,8 @@ class AssocAlgebra:
                 return [int(c) * inv % p for c in rel[: deg + 1]]
 
 
-def _int_power_mod(m: np.ndarray, e: int, mod: int) -> np.ndarray:
-    """m^e over Z reduced mod a small modulus (integral-lift arithmetic)."""
+def _mat_power(m: np.ndarray, e: int, mod: int) -> np.ndarray:
+    """m^e reduced mod a small modulus: p over GF(p), p^(k+1) for integral lifts."""
     out = np.eye(m.shape[0], dtype=np.int64)
     base = m % mod
     while e:
@@ -504,24 +501,33 @@ def split_idempotents(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     and the sum is the identity tuple.
     """
     assoc = alg.assoc()
-    return [alg.from_rep(r) for r in _lifted_idempotents(assoc)]
-
-
-def _lifted_idempotents(assoc: AssocAlgebra) -> List[np.ndarray]:
-    p, n = assoc.p, assoc.n
-    if assoc.dim == 0:
-        return []
-    rad = assoc.radical()
-    quot, project, lift = assoc.quotient(rad)
-    if quot.dim == 0:
-        return []
+    quot, lift = assoc.quotient(assoc.radical())
     for x in quot.basis:
         for y in quot.basis:
-            if ((x @ y - y @ x) % p).any():
+            if ((x @ y - y @ x) % alg.p).any():
                 raise ValueError("quotient by the radical is not commutative")
-    unit_q = _regular_identity(quot)
-    prim_q = _split_primitive(quot, unit_q)
-    # lift through the radical by p-th powering in shrinking corners
+    return [alg.from_rep(r) for r in _lift_central_idempotents(assoc, quot, lift)]
+
+
+def _mid_center_idempotents(mid: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
+    """Idempotents of Z(Mid/rad), lifted back into Mid through the radical."""
+    assoc = mid.assoc()
+    quot, lift = assoc.quotient(assoc.radical())
+    return [mid.from_rep(r) for r in _lift_central_idempotents(assoc, quot, lift)]
+
+
+def _lift_central_idempotents(assoc: AssocAlgebra, quot: AssocAlgebra, lift) -> List[np.ndarray]:
+    """Primitive idempotents of Z(A/J), lifted into A through the radical J.
+
+    ``quot`` and ``lift`` are what ``assoc.quotient(J)`` returns.  Each lift
+    is the p^K-th power, p^K > dim A, of a representative cut down to the
+    corner the earlier lifts leave free; the lifts are checked to be
+    idempotent, pairwise orthogonal and to sum to the identity.
+    """
+    p, n = assoc.p, assoc.n
+    if quot.dim == 0:
+        return []
+    prim_q = _split_primitive(quot.center(), _regular_identity(quot))
     K = 1
     while p ** K <= max(assoc.dim, 1):
         K += 1
@@ -530,7 +536,10 @@ def _lifted_idempotents(assoc: AssocAlgebra) -> List[np.ndarray]:
     lifted: List[np.ndarray] = []
     used = np.zeros((n, n), dtype=np.int64)
     for eq in prim_q:
-        e0 = lift(_coords_in(quot, eq))
+        c = quot.coords(eq)
+        if c is None:
+            raise ValueError("element outside algebra span")
+        e0 = lift(c)
         corner = (ident - used) % p
         e0 = corner @ e0 @ corner % p
         f = _mat_power(e0, exp, p)
@@ -545,13 +554,6 @@ def _lifted_idempotents(assoc: AssocAlgebra) -> List[np.ndarray]:
             if i != j and (a @ c % p).any():
                 raise ArithmeticError("lifted idempotents are not orthogonal")
     return lifted
-
-
-def _coords_in(assoc: AssocAlgebra, m: np.ndarray) -> np.ndarray:
-    c = assoc.coords(m)
-    if c is None:
-        raise ValueError("element outside algebra span")
-    return c
 
 
 def _regular_identity(assoc: AssocAlgebra) -> np.ndarray:
@@ -571,17 +573,6 @@ def _regular_identity(assoc: AssocAlgebra) -> np.ndarray:
     out = np.zeros((assoc.n, assoc.n), dtype=np.int64)
     for ci, m in zip(c, assoc.basis):
         out = (out + int(ci) * m) % p
-    return out
-
-
-def _mat_power(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = linalg.identity(m.shape[0])
-    base = m % p
-    while e:
-        if e & 1:
-            out = out @ base % p
-        base = base @ base % p
-        e >>= 1
     return out
 
 
@@ -683,6 +674,14 @@ def characteristic_subspaces(
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, d) if rows.size else np.zeros((0, d), dtype=np.int64)
         out.append(Emission(side, linalg.row_space(rows, p) if rows.size else rows, prov))
 
+    def emit_action(side: str, mats: List[np.ndarray], prov: str):
+        # images and kernels of radical elements acting on one side
+        emit(side, _image_rows(mats, p), prov)
+        emit(side, _common_kernel(mats, p), prov)
+        for m in mats:
+            emit(side, linalg.row_space(m, p), prov)
+            emit(side, linalg.nullspace(m.T, p), prov)
+
     # Der: radical of the associative envelope of each side's action
     if "Der" in kinds:
         for pos, side in enumerate(("U", "V", "W")):
@@ -691,13 +690,8 @@ def characteristic_subspaces(
                 continue
             env = envelope(p, d, [t[pos] for t in der.tuples()])
             rad = env.radical()
-            mats = list(rad.basis)
-            if mats:
-                emit(side, _image_rows(mats, p), "der")
-                emit(side, _common_kernel(mats, p), "der")
-                for m in mats:
-                    emit(side, linalg.row_space(m, p), "der")
-                    emit(side, linalg.nullspace(m.T, p), "der")
+            if rad.dim:
+                emit_action(side, list(rad.basis), "der")
 
     # associative kinds: radical elements acting on their sides
     for kind, prov in (("Mid", "mid"), ("Left", "left"), ("Right", "right"), ("Cent", "cent")):
@@ -708,22 +702,17 @@ def characteristic_subspaces(
         if rad_tuples:
             sides = KIND_SIDES[kind]
             for pos, side in enumerate(sides):
-                mats = [t[pos] for t in rad_tuples]
-                emit(side, _image_rows(mats, p), prov)
-                emit(side, _common_kernel(mats, p), prov)
-                for m in mats:
-                    emit(side, linalg.row_space(m, p), prov)
-                    emit(side, linalg.nullspace(m.T, p), prov)
+                emit_action(side, [t[pos] for t in rad_tuples], prov)
 
     # idempotent images: Cent, and Z(Mid/rad) pulled back
-    if "Cent" in kinds:
-        for e in split_idempotents(rings["Cent"]):
-            for pos, side in enumerate(KIND_SIDES["Cent"]):
-                emit(side, linalg.row_space(e[pos], p), "cent-idem")
-    if "Mid" in kinds:
-        for e in _mid_center_idempotents(rings["Mid"]):
-            for pos, side in enumerate(KIND_SIDES["Mid"]):
-                emit(side, linalg.row_space(e[pos], p), "mid-idem")
+    for kind, prov, idempotents in (
+        ("Cent", "cent-idem", split_idempotents),
+        ("Mid", "mid-idem", _mid_center_idempotents),
+    ):
+        if kind in kinds:
+            for e in idempotents(rings[kind]):
+                for pos, side in enumerate(KIND_SIDES[kind]):
+                    emit(side, linalg.row_space(e[pos], p), prov)
 
     # bimap radicals
     if include_bimap_radicals:
@@ -743,29 +732,3 @@ def characteristic_subspaces(
         seen.add(k)
         final.append(e)
     return final
-
-
-def _mid_center_idempotents(mid: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
-    """Idempotents of Z(Mid/rad), lifted back into Mid through the radical."""
-    assoc = mid.assoc()
-    p = assoc.p
-    rad = assoc.radical()
-    quot, project, lift = assoc.quotient(rad)
-    if quot.dim == 0:
-        return []
-    zen = quot.center()
-    unit_q = _regular_identity(quot)
-    prim = _split_primitive(zen, unit_q) if zen.dim else [unit_q]
-    # lift each central idempotent of the quotient into Mid
-    K = 1
-    while p ** K <= max(assoc.dim, 1):
-        K += 1
-    exp = p ** K
-    out = []
-    for eq in prim:
-        e0 = lift(_coords_in(quot, eq))
-        f = _mat_power(e0, exp, p)
-        if ((f @ f - f) % p).any():
-            raise ArithmeticError("central idempotent lift failed")
-        out.append(mid.from_rep(f))
-    return out

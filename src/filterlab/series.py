@@ -9,6 +9,7 @@ exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -40,7 +41,7 @@ class Violation:
 
 
 class _BoxMap:
-    """Shared storage for filters and layerings."""
+    """Shared storage, evaluation and boundaries for filters and layerings."""
 
     def __init__(
         self,
@@ -58,6 +59,8 @@ class _BoxMap:
         for m in mon.box_iter(box):
             if m not in self.table:
                 raise ValueError(f"missing table entry at {m}")
+        # translates t in the box reach every clamped target of s + t, t != 0
+        self._translates = [t for t in mon.box_iter(box) if t != monoid.zero]
 
     def grades(self) -> List[MonoidElem]:
         return mon.box_enumerate(self.box)
@@ -66,6 +69,25 @@ class _BoxMap:
         if len(m) != self.monoid.dim:
             raise ValueError(f"grade {m} does not match monoid dimension {self.monoid.dim}")
         return mon.in_box(m, self.box)
+
+    def value(self, m: MonoidElem) -> Subgroup:
+        if self.in_box(m):
+            return self.table[m]
+        return self.table[mon.clamp(m, self.box)]
+
+    def _fold_translates(self, s: MonoidElem, op, empty) -> Subgroup:
+        """The binary subgroup operation op folded over the values at s + t
+        for the translates t != 0, starting from the first; ``empty(group)``
+        when the box has no such t."""
+        values = [self.value(mon.add(s, t)) for t in self._translates]
+        return functools.reduce(op, values) if values else empty(self.group)
+
+    def boundary(self):
+        table = {s: self.boundary_at(s) for s in mon.box_iter(self.box)}
+        return type(self)(self.group, self.monoid, self.box, table)
+
+    def orders(self) -> List[int]:
+        return [self.value(m).order for m in self.grades()]
 
 
 class Filter(_BoxMap):
@@ -77,26 +99,9 @@ class Filter(_BoxMap):
     pointwise products).
     """
 
-    def value(self, m: MonoidElem) -> Subgroup:
-        if self.in_box(m):
-            return self.table[m]
-        return self.table[tuple(min(x, b) for x, b in zip(m, self.box))]
-
     def boundary_at(self, s: MonoidElem) -> Subgroup:
-        # translates t in the box reach every clamped target of s + t, t != 0
-        acc = trivial_subgroup(self.group)
-        for t in mon.box_iter(self.box):
-            if t == self.monoid.zero:
-                continue
-            acc = acc.join(self.value(mon.add(s, t)))
-        return acc
-
-    def boundary(self) -> "Filter":
-        table = {s: self.boundary_at(s) for s in mon.box_iter(self.box)}
-        return Filter(self.group, self.monoid, self.box, table)
-
-    def orders(self) -> List[int]:
-        return [self.value(m).order for m in self.grades()]
+        """The join of phi_{s+t} over t != 0."""
+        return self._fold_translates(s, Subgroup.join, trivial_subgroup)
 
 
 class Layering(_BoxMap):
@@ -106,28 +111,9 @@ class Layering(_BoxMap):
     this evaluates to the full group past stabilisation.
     """
 
-    def value(self, m: MonoidElem) -> Subgroup:
-        if self.in_box(m):
-            return self.table[m]
-        return self.table[tuple(min(x, b) for x, b in zip(m, self.box))]
-
     def boundary_at(self, s: MonoidElem) -> Subgroup:
-        acc: Optional[Subgroup] = None
-        for t in mon.box_iter(self.box):
-            if t == self.monoid.zero:
-                continue
-            v = self.value(mon.add(s, t))
-            acc = v if acc is None else acc.meet(v)
-        if acc is None:
-            return full_subgroup(self.group)
-        return acc
-
-    def boundary(self) -> "Layering":
-        table = {s: self.boundary_at(s) for s in mon.box_iter(self.box)}
-        return Layering(self.group, self.monoid, self.box, table)
-
-    def orders(self) -> List[int]:
-        return [self.value(m).order for m in self.grades()]
+        """The meet of pi^{s+t} over t != 0."""
+        return self._fold_translates(s, Subgroup.meet, full_subgroup)
 
 
 # -- constructors -----------------------------------------------------------

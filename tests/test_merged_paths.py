@@ -1,0 +1,194 @@
+"""Differential tests for the single copies of sift, boundary, matrix power
+and idempotent lift, each against the slow definition it stands for."""
+
+import random
+
+import numpy as np
+import pytest
+
+from filterlab import lie, scalars, series
+from filterlab import monoid as mon
+from filterlab.pcgroup import (
+    PcGroup,
+    Subgroup,
+    comm_subgroup,
+    direct_product,
+    full_subgroup,
+    trivial_subgroup,
+)
+
+from conftest import load
+
+
+# -- boundaries ----------------------------------------------------------------
+
+
+def _full_box_boundary(bm, s):
+    """Join (filter) or meet (layering) of the values at s + t over every
+    t != 0 in the box, folded from the trivial or the full group."""
+    if isinstance(bm, series.Filter):
+        acc, op = trivial_subgroup(bm.group), Subgroup.join
+    else:
+        acc, op = full_subgroup(bm.group), Subgroup.meet
+    for t in mon.box_iter(bm.box):
+        if t != bm.monoid.zero:
+            acc = op(acc, bm.value(mon.add(s, t)))
+    return acc
+
+
+def _box_maps(G):
+    C = PcGroup(G.p, 1, name=f"c{G.p}")
+    P = direct_product(G, C)
+    ep = series.exponent_p_lcs(G)
+    uc = series.upper_central(G)
+    return {
+        "lower central": series.lower_central(G),
+        "exponent-p": ep,
+        "upper central": uc,
+        "product filter": series.product_filter([ep, series.exponent_p_lcs(C)], P),
+        "product layering": series.product_layering([uc, series.upper_central(C)], P),
+    }
+
+
+def test_boundary_matches_full_box_fold(corpus_groups):
+    bad = []
+    for name, G in corpus_groups.items():
+        for label, bm in _box_maps(G).items():
+            for s in bm.grades():
+                if bm.boundary_at(s) != _full_box_boundary(bm, s):
+                    bad.append((name, label, s))
+    assert not bad
+
+
+def test_boundary_of_refined_lex_filter():
+    from filterlab.refine import refine_to_fixpoint
+
+    f = refine_to_fixpoint(load("g16_03_c2sq_rtimes_c4")).final
+    assert f.monoid.dim > 1 and f.monoid.order_kind == mon.LEX
+    for s in f.grades():
+        assert f.boundary_at(s) == _full_box_boundary(f, s)
+
+
+def test_boundary_of_trivial_group_box():
+    G = PcGroup(2, 0)
+    uc = series.upper_central(G)
+    assert uc.box == (0,)
+    assert uc.boundary_at((0,)) == full_subgroup(G)
+
+
+def test_clamp():
+    assert mon.clamp((3, 5), (2, 5)) == (2, 5)
+    assert mon.clamp((1, 7, 0), (2, 5, 4)) == (1, 5, 0)
+
+
+# -- coset coordinates ---------------------------------------------------------
+
+
+def _sections(G):
+    """(H, N, integral) sections: exponent-p factors in GF(p) mode, lower
+    central factors and G over [G, G] in integral mode."""
+    ep = series.exponent_p_lcs(G)
+    lc = series.lower_central(G)
+    full = full_subgroup(G)
+    out = [(ep.value(s), ep.boundary_at(s), False) for s in ep.grades() if s != (0,)]
+    out += [(lc.value(s), lc.boundary_at(s), True) for s in lc.grades() if s != (0,)]
+    out.append((full, comm_subgroup(full, full), True))
+    return out
+
+
+def _class_product(cb, v):
+    """The class of prod gens_i^v_i, with exponents taken over Z."""
+    G = cb.group
+    x = G.identity
+    for g, c in zip(cb.gens, v):
+        x = G.multiply(x, G.power(g, int(c)))
+    return x
+
+
+def _same_class(N, x, y):
+    G = N.group
+    return N.contains(G.multiply(G.inverse(x), y))
+
+
+@pytest.mark.parametrize(
+    "name", ["d8", "q8", "h27", "m27", "c9", "g16_05_c8xc2", "g16_08_sd16", "g81_10_m81", "g81_14_maxclass3"]
+)
+def test_coset_coords_lift_and_additive(name):
+    G = load(name)
+    rng = random.Random(name)
+    for H, N, integral in _sections(G):
+        cb = lie.CosetBasis(H, N, integral=integral)
+        for _ in range(15):
+            x, y = H.random_element(rng), H.random_element(rng)
+            cx, cy, cxy = cb.coords(x), cb.coords(y), cb.coords(G.multiply(x, y))
+            assert _same_class(N, cb.lift(cx), x)
+            if integral:
+                assert _same_class(N, _class_product(cb, cx + cy), _class_product(cb, cxy))
+            else:
+                assert np.array_equal(cxy, (cx + cy) % G.p)
+
+
+def test_coset_coords_reject_outside_element(d8):
+    lc = series.lower_central(d8)
+    cb = lie.CosetBasis(lc.value((2,)), lc.boundary_at((2,)))
+    with pytest.raises(ValueError, match="not in section subgroup"):
+        cb.coords(d8.generator(1))
+
+
+# -- matrix power --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mod", [2, 3, 4, 9, 25])
+def test_mat_power_matches_repeated_product(mod):
+    rng = np.random.default_rng(mod)
+    for n in (1, 3, 5):
+        m = rng.integers(0, mod, size=(n, n), dtype=np.int64)
+        acc = np.eye(n, dtype=np.int64)
+        for e in range(12):
+            assert np.array_equal(scalars._mat_power(m, e, mod), acc % mod)
+            acc = acc @ m % mod
+
+
+# -- idempotent lift -----------------------------------------------------------
+
+
+def _corpus_bimaps(groups):
+    for G in groups.values():
+        L = lie.graded_lie_ring(series.exponent_p_lcs(G))
+        for s in L.comps:
+            for t in L.comps:
+                if L.dim(s) and L.dim(t) and L.dim(mon.add(s, t)):
+                    yield scalars.bimap_from_lie_pair(L, s, t)
+
+
+def _check_lift(alg, idems, central_mod_radical):
+    p = alg.p
+    reps = [alg.to_rep(e) for e in idems]
+    n = alg.rep_size()
+    assert all(alg.contains_tuple(e) for e in idems)
+    for i, a in enumerate(reps):
+        assert not ((a @ a - a) % p).any()
+        for j, b in enumerate(reps):
+            if i != j:
+                assert not (a @ b % p).any()
+    assert not ((sum(reps, np.zeros((n, n), dtype=np.int64)) - np.eye(n, dtype=np.int64)) % p).any()
+    if central_mod_radical:
+        assoc = alg.assoc()
+        rad = assoc.radical()
+        for e in reps:
+            for a in assoc.basis:
+                assert rad.contains((e @ a - a @ e) % p)
+
+
+def test_single_lift_on_mid_and_cent_rings(corpus_groups):
+    multi = {"Mid": 0, "Cent": 0}
+    for b in _corpus_bimaps(corpus_groups):
+        rings = scalars.all_rings(b)
+        cent = scalars.split_idempotents(rings["Cent"])
+        mid = scalars._mid_center_idempotents(rings["Mid"])
+        _check_lift(rings["Cent"], cent, central_mod_radical=False)
+        _check_lift(rings["Mid"], mid, central_mod_radical=True)
+        multi["Cent"] += len(cent) > 1
+        multi["Mid"] += len(mid) > 1
+    # the corpus exercises proper splittings of both rings
+    assert multi["Mid"] > 0 and multi["Cent"] > 0

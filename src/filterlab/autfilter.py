@@ -163,7 +163,10 @@ def parse_aut_lines(G: PcGroup, lines: Sequence[str]) -> List[AutMap]:
         left = left.strip()
         if not left.startswith("g"):
             raise PcgError(f"line {line_no}: left side must be a generator")
-        idx = int(left[1:])
+        try:
+            idx = int(left[1:])
+        except ValueError:
+            raise PcgError(f"line {line_no}: bad generator {left!r}") from None
         if not (1 <= idx <= G.n):
             raise PcgError(f"line {line_no}: generator index out of range")
         if idx in current:

@@ -100,11 +100,13 @@ class CosetBasis:
         return v if self.integral else v % self.p
 
     def lift(self, v) -> Elem:
-        """A representative of the class with the given coordinates."""
+        """A representative of the class with the given coordinates: read
+        mod p in GF(p) mode, as integer exponents in integral mode."""
         G = self.group
         x = G.identity
         for rep, c in zip(self.gens, v):
-            x = G.multiply(x, G.power(rep, int(c) % G.p))
+            e = int(c) if self.integral else int(c) % G.p
+            x = G.multiply(x, G.power(rep, e))
         return x
 
     def is_exponent_p(self) -> bool:

@@ -32,6 +32,11 @@ class GradedMonoid:
     def zero(self) -> MonoidElem:
         return (0,) * self.dim
 
+    @property
+    def units(self) -> List[MonoidElem]:
+        """The unit vectors e_1, ..., e_d."""
+        return [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)]
+
     def preceq(self, a: MonoidElem, b: MonoidElem) -> bool:
         return preceq(a, b, self.order_kind)
 

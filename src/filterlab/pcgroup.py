@@ -311,7 +311,11 @@ class Subgroup:
         return subgroup_from_gens(self.group, list(self.igs) + list(other.igs))
 
     def meet(self, other: "Subgroup") -> "Subgroup":
-        """Intersection by enumerating the smaller subgroup's elements."""
+        """Intersection by enumerating the smaller subgroup's elements.
+
+        Only boundaries of multi-graded layerings call it; N-graded
+        boundaries are single lookups.
+        """
         self._check_parent(other)
         small, big = (self, other) if self.order <= other.order else (other, self)
         gens = [x for x in small.elements() if big.contains(x)]
@@ -581,7 +585,11 @@ def parse_pcg_file(path, check: bool = True) -> PcGroup:
     from pathlib import Path
 
     path = Path(path)
-    return parse_pcgroup(path.read_text(), name=path.stem, check=check)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PcgError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_pcgroup(text, name=path.stem, check=check)
 
 
 # -- direct products --------------------------------------------------------

@@ -144,11 +144,10 @@ class AssocAlgebra:
             i += 1
             pk *= p
 
-    def radical(self, verify: bool = True) -> "AssocAlgebra":
+    def radical(self) -> "AssocAlgebra":
         """Jacobson radical via the characteristic-p integral trace chain."""
         rad = AssocAlgebra(self.p, self.n, self._radical_chain())
-        if verify:
-            self._verify_radical(rad)
+        self._verify_radical(rad)
         return rad
 
     def _verify_radical(self, rad: "AssocAlgebra") -> None:
@@ -501,30 +500,38 @@ def split_idempotents(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     and the sum is the identity tuple.
     """
     assoc = alg.assoc()
-    quot, lift = assoc.quotient(assoc.radical())
-    for x in quot.basis:
-        for y in quot.basis:
-            if ((x @ y - y @ x) % alg.p).any():
-                raise ValueError("quotient by the radical is not commutative")
-    return [alg.from_rep(r) for r in _lift_central_idempotents(assoc, quot, lift)]
+    rad = assoc.radical()
+    _check_commutative_quotient(assoc, rad)
+    return _lift_central_idempotents(alg, assoc, rad)
 
 
 def _mid_center_idempotents(mid: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     """Idempotents of Z(Mid/rad), lifted back into Mid through the radical."""
     assoc = mid.assoc()
-    quot, lift = assoc.quotient(assoc.radical())
-    return [mid.from_rep(r) for r in _lift_central_idempotents(assoc, quot, lift)]
+    return _lift_central_idempotents(mid, assoc, assoc.radical())
 
 
-def _lift_central_idempotents(assoc: AssocAlgebra, quot: AssocAlgebra, lift) -> List[np.ndarray]:
+def _check_commutative_quotient(assoc: AssocAlgebra, rad: AssocAlgebra) -> None:
+    """Raise unless A/J is commutative, i.e. every commutator lies in J."""
+    for x in assoc.basis:
+        for y in assoc.basis:
+            if not rad.contains((x @ y - y @ x) % assoc.p):
+                raise ValueError("quotient by the radical is not commutative")
+
+
+def _lift_central_idempotents(
+    alg: ScalarAlgebra, assoc: AssocAlgebra, rad: AssocAlgebra
+) -> List[Tuple[np.ndarray, ...]]:
     """Primitive idempotents of Z(A/J), lifted into A through the radical J.
 
-    ``quot`` and ``lift`` are what ``assoc.quotient(J)`` returns.  Each lift
-    is the p^K-th power, p^K > dim A, of a representative cut down to the
-    corner the earlier lifts leave free; the lifts are checked to be
-    idempotent, pairwise orthogonal and to sum to the identity.
+    ``assoc`` is ``alg.assoc()`` and ``rad`` its radical; the lifts come
+    back as tuples of ``alg``.  Each lift is the p^K-th power, p^K > dim A,
+    of a representative cut down to the corner the earlier lifts leave free;
+    the lifts are checked to be idempotent, pairwise orthogonal and to sum
+    to the identity.
     """
     p, n = assoc.p, assoc.n
+    quot, lift = assoc.quotient(rad)
     if quot.dim == 0:
         return []
     prim_q = _split_primitive(quot.center(), _regular_identity(quot))
@@ -553,7 +560,7 @@ def _lift_central_idempotents(assoc: AssocAlgebra, quot: AssocAlgebra, lift) -> 
         for j, c in enumerate(lifted):
             if i != j and (a @ c % p).any():
                 raise ArithmeticError("lifted idempotents are not orthogonal")
-    return lifted
+    return [alg.from_rep(r) for r in lifted]
 
 
 def _regular_identity(assoc: AssocAlgebra) -> np.ndarray:
@@ -693,24 +700,28 @@ def characteristic_subspaces(
             if rad.dim:
                 emit_action(side, list(rad.basis), "der")
 
-    # associative kinds: radical elements acting on their sides
+    # associative kinds: radical elements acting on their sides; each ring's
+    # algebra A and radical J are built once and also lift the idempotents
+    radicals: Dict[str, Tuple[AssocAlgebra, AssocAlgebra]] = {}
     for kind, prov in (("Mid", "mid"), ("Left", "left"), ("Right", "right"), ("Cent", "cent")):
         if kind not in kinds:
             continue
         alg = rings[kind]
-        rad_tuples = radical(alg)
-        if rad_tuples:
-            sides = KIND_SIDES[kind]
-            for pos, side in enumerate(sides):
+        assoc = alg.assoc()
+        rad = assoc.radical()
+        radicals[kind] = assoc, rad
+        if rad.dim:
+            rad_tuples = [alg.from_rep(r) for r in rad.basis]
+            for pos, side in enumerate(KIND_SIDES[kind]):
                 emit_action(side, [t[pos] for t in rad_tuples], prov)
 
-    # idempotent images: Cent, and Z(Mid/rad) pulled back
-    for kind, prov, idempotents in (
-        ("Cent", "cent-idem", split_idempotents),
-        ("Mid", "mid-idem", _mid_center_idempotents),
-    ):
+    # idempotent images: Cent, whose A/J must be commutative, and Z(Mid/J)
+    # pulled back
+    if "Cent" in kinds:
+        _check_commutative_quotient(*radicals["Cent"])
+    for kind, prov in (("Cent", "cent-idem"), ("Mid", "mid-idem")):
         if kind in kinds:
-            for e in idempotents(rings[kind]):
+            for e in _lift_central_idempotents(rings[kind], *radicals[kind]):
                 for pos, side in enumerate(KIND_SIDES[kind]):
                     emit(side, linalg.row_space(e[pos], p), prov)
 

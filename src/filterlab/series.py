@@ -59,8 +59,6 @@ class _BoxMap:
         for m in mon.box_iter(box):
             if m not in self.table:
                 raise ValueError(f"missing table entry at {m}")
-        # translates t in the box reach every clamped target of s + t, t != 0
-        self._translates = [t for t in mon.box_iter(box) if t != monoid.zero]
 
     def grades(self) -> List[MonoidElem]:
         return mon.box_enumerate(self.box)
@@ -75,12 +73,20 @@ class _BoxMap:
             return self.table[m]
         return self.table[mon.clamp(m, self.box)]
 
-    def _fold_translates(self, s: MonoidElem, op, empty) -> Subgroup:
-        """The binary subgroup operation op folded over the values at s + t
-        for the translates t != 0, starting from the first; ``empty(group)``
-        when the box has no such t."""
-        values = [self.value(mon.add(s, t)) for t in self._translates]
-        return functools.reduce(op, values) if values else empty(self.group)
+    def _fold_successors(self, s: MonoidElem, op) -> Subgroup:
+        """The binary subgroup operation op folded over the values at the d
+        unit successors s + e_i; with d = 1 it is a single lookup.
+
+        This is the fold over every t != 0 in N^d.  For t != 0 take i with
+        t_i > 0: s + e_i <= s + t pointwise, clamping into the box keeps
+        that, and pointwise <= implies lex <=.  A table monotone in either
+        pre-order therefore has phi_{s+t} <= phi_{s+e_i} and
+        pi^{s+t} >= pi^{s+e_i}, so the term at t changes neither the join
+        nor the meet.  As clamp(s + e_i) = clamp(clamp(s) + e_i), an off-box
+        s has the boundary of clamp(s).
+        """
+        values = [self.value(mon.add(s, e)) for e in self.monoid.units]
+        return functools.reduce(op, values)
 
     def boundary(self):
         table = {s: self.boundary_at(s) for s in mon.box_iter(self.box)}
@@ -100,8 +106,8 @@ class Filter(_BoxMap):
     """
 
     def boundary_at(self, s: MonoidElem) -> Subgroup:
-        """The join of phi_{s+t} over t != 0."""
-        return self._fold_translates(s, Subgroup.join, trivial_subgroup)
+        """The join of phi_{s+t} over t != 0, that is of phi_{s+e_i}."""
+        return self._fold_successors(s, Subgroup.join)
 
 
 class Layering(_BoxMap):
@@ -112,8 +118,8 @@ class Layering(_BoxMap):
     """
 
     def boundary_at(self, s: MonoidElem) -> Subgroup:
-        """The meet of pi^{s+t} over t != 0."""
-        return self._fold_translates(s, Subgroup.meet, full_subgroup)
+        """The meet of pi^{s+t} over t != 0, that is of pi^{s+e_i}."""
+        return self._fold_successors(s, Subgroup.meet)
 
 
 # -- constructors -----------------------------------------------------------

@@ -192,3 +192,92 @@ def test_single_lift_on_mid_and_cent_rings(corpus_groups):
         multi["Mid"] += len(mid) > 1
     # the corpus exercises proper splittings of both rings
     assert multi["Mid"] > 0 and multi["Cent"] > 0
+
+
+# -- boundaries from the unit successors ---------------------------------------
+
+
+def test_boundary_of_refined_lex_filters_up_to_order_81(corpus_groups):
+    from filterlab.refine import refine_to_fixpoint
+
+    dims, bad = set(), []
+    for name, G in corpus_groups.items():
+        if G.order > 81:
+            continue
+        f = refine_to_fixpoint(G, group_id=name).final
+        dims.add(f.monoid.dim)
+        bad += [(name, s) for s in f.grades() if f.boundary_at(s) != _full_box_boundary(f, s)]
+    assert not bad
+    assert {2, 3} <= dims
+
+
+def test_boundary_of_three_factor_products():
+    parts = [load("d8"), load("q8"), load("c2")]
+    P = direct_product(direct_product(parts[0], parts[1]), parts[2])
+    pf = series.product_filter([series.lower_central(G) for G in parts], P)
+    pl = series.product_layering([series.upper_central(G) for G in parts], P)
+    for bm in (pf, pl):
+        assert bm.monoid.dim == 3 and bm.monoid.order_kind == mon.POINTWISE
+        for s in bm.grades():
+            assert bm.boundary_at(s) == _full_box_boundary(bm, s)
+        # off-box grades have the boundary of their clamp
+        for s in ((5, 0, 1), (0, 9, 9)):
+            assert bm.boundary_at(s) == bm.boundary_at(mon.clamp(s, bm.box))
+
+
+def test_n_graded_layering_paths_never_meet(corpus_groups, monkeypatch):
+    def no_meet(self, other):
+        raise AssertionError("Subgroup.meet called")
+
+    monkeypatch.setattr(Subgroup, "meet", no_meet)
+    for G in corpus_groups.values():
+        lc, ep, uc = series.lower_central(G), series.exponent_p_lcs(G), series.upper_central(G)
+        assert not series.verify_layering(uc)
+        try:
+            lie.graded_module(ep, uc)
+        except lie.NonElementaryAbelianError:
+            pass
+        assert not lie.check_module_law_integral(lc, uc, trials=20)
+
+
+# -- integral coset lifts ------------------------------------------------------
+
+
+def test_integral_lift_takes_exponents_over_z():
+    G = load("c4")
+    cb = lie.CosetBasis(full_subgroup(G), trivial_subgroup(G), integral=True)
+    g1, g2 = G.generator(1), G.generator(2)
+    assert cb.lift(2 * cb.coords(g1)) == g2
+    assert cb.lift(-1 * cb.coords(g1)) == G.inverse(g1)
+
+
+def test_integral_lift_of_multiples(corpus_groups):
+    rng = random.Random(3)
+    for G in corpus_groups.values():
+        for H, N, integral in _sections(G):
+            if not integral:
+                continue
+            cb = lie.CosetBasis(H, N, integral=True)
+            for y in (H.random_element(rng) for _ in range(2)):
+                c = cb.coords(y)
+                for k in range(-1, G.p**2 + 1):
+                    assert _same_class(N, cb.lift(k * c), G.power(y, k))
+
+
+# -- one radical per ring ------------------------------------------------------
+
+
+def test_characteristic_subspaces_build_each_radical_once(monkeypatch):
+    L = lie.graded_lie_ring(series.exponent_p_lcs(load("g81_12_maxclass1")))
+    b = scalars.bimap_from_lie_pair(L, (1,), (1,))
+    rings = scalars.all_rings(b)
+    calls = []
+    original = scalars.AssocAlgebra.radical
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(scalars.AssocAlgebra, "radical", counting)
+    scalars.characteristic_subspaces(b, rings)
+    assert len(calls) == 7  # Der on U, V, W; Mid, Left, Right, Cent

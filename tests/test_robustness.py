@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from filterlab import census, pcgroup, refine
+from filterlab.cli import main
 from filterlab.pcgroup import centralizer_mod, full_subgroup, trivial_subgroup
 
 from conftest import CORPUS, ROOT
@@ -98,3 +99,31 @@ def test_centralizer_check_raises_without_assert(d8, monkeypatch):
     monkeypatch.setattr(pcgroup, "comm_subgroup", lambda K, H: full_subgroup(d8))
     with pytest.raises(ArithmeticError, match="centralizer"):
         centralizer_mod(d8, full_subgroup(d8), trivial_subgroup(d8))
+
+
+# -- bad input -----------------------------------------------------------------
+
+NOT_UTF8 = b"p 2\nn 1\n# caf\xe9\n"
+
+
+def test_non_utf8_file_is_one_skipped_entry(tmp_path):
+    d = _census_dir(tmp_path, ["order16/g16_01_c16.pcg"])
+    (d / "latin1.pcg").write_bytes(NOT_UTF8)
+    out = census.run_census(d).to_json()
+    assert out["skipped"] == ["latin1: not UTF-8 text: invalid continuation byte at byte 13"]
+    assert out["groups"] == {"g16_01_c16": _artifact_groups()["g16_01_c16"]}
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.pcg"
+    bad.write_bytes(NOT_UTF8)
+    assert main([command, str(bad)]) == 2
+    assert "parse error: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_bad_automorphism_generator_is_an_automorphism_error(tmp_path, capsys):
+    sidecar = tmp_path / "bad.aut"
+    sidecar.write_text("aut: gx -> g1\n")
+    assert main(["aut", str(CORPUS / "basic" / "d8.pcg"), "--sidecar", str(sidecar)]) == 1
+    assert "automorphism error: line 1: bad generator 'gx'" in capsys.readouterr().err

@@ -180,7 +180,11 @@ def parse_aut_lines(G: PcGroup, lines: Sequence[str]) -> List[AutMap]:
 def load_sidecar(G: PcGroup, path) -> List[AutMap]:
     from pathlib import Path
 
-    return parse_aut_lines(G, Path(path).read_text().splitlines())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PcgError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_aut_lines(G, text.splitlines())
 
 
 # -- Delta filter --------------------------------------------------------------

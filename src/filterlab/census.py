@@ -97,7 +97,7 @@ def run_census(
         else functools.partial(analyze_file, order_filter=order_filter)
     )
     if jobs > 1 and len(paths) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(paths))) as pool:
             results = pool.map(analyze, paths)
     else:
         results = [analyze(p) for p in paths]

@@ -99,7 +99,7 @@ def cmd_verify(args) -> int:
 STAGES = ("series", "lie", "scalars", "aut", "refine")
 
 
-def _stage_payloads(G, stages, sidecar=None):
+def _stage_payloads(G, stages, sidecar_maps=()):
     out = {"group": G.name or "group", "order": G.order, "p": G.p}
     want = set(stages)
     # dependency resolution: lie and scalars need series objects anyway
@@ -158,9 +158,7 @@ def _stage_payloads(G, stages, sidecar=None):
                 }
         out["scalars"] = pairs
     if "aut" in want:
-        gens = central_automorphisms(G)
-        if sidecar:
-            gens = gens + load_sidecar(G, sidecar)
+        gens = central_automorphisms(G) + list(sidecar_maps)
         payload = {"central_generators": len(gens)}
         if gens:
             rep = delta_layer_dims(gens, ep)
@@ -188,7 +186,14 @@ def cmd_report(args) -> int:
         if s not in STAGES:
             print(f"unknown stage {s!r} (choose from {', '.join(STAGES)})", file=sys.stderr)
             return 2
-    payload = _stage_payloads(G, stages, sidecar=args.sidecar)
+    sidecar_maps = []
+    if args.sidecar and "aut" in stages:
+        try:
+            sidecar_maps = load_sidecar(G, args.sidecar)
+        except (PcgError, OSError) as exc:
+            print(f"sidecar error: {exc}", file=sys.stderr)
+            return 2
+    payload = _stage_payloads(G, stages, sidecar_maps)
     json.dump(payload, sys.stdout, sort_keys=True, indent=2)
     print()
     return 0
@@ -198,6 +203,9 @@ def cmd_census(args) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         print(f"not a directory: {directory}", file=sys.stderr)
+        return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     summary = census_mod.run_census(
         directory, jobs=args.jobs, order_filter=args.order_filter
@@ -224,6 +232,9 @@ def cmd_aut(args) -> int:
     except PcgError as exc:
         print(f"automorphism error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"sidecar error: {exc}", file=sys.stderr)
+        return 2
     if not maps:
         print("no automorphisms supplied", file=sys.stderr)
         return 2

@@ -88,29 +88,29 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return row_space(basis, p)
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of a @ x = b over GF(p), or None if inconsistent."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    b = mod_p(np.asarray(b).reshape(-1), p)
-    m, n = a.shape
-    aug = np.concatenate([mod_p(a, p), b.reshape(-1, 1)], axis=1)
-    r, piv = rref(aug, p)
-    if n in piv:
-        return None
-    x = zeros(n)
-    for i, c in enumerate(piv):
-        x[c] = r[i, n]
-    return x
+def row_coords(v: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray | None:
+    """Coordinates c with v = c @ basis over GF(p), or None if v is outside.
+
+    ``basis`` is in RREF, as ``row_space`` returns it, with pivot columns P.
+    Then basis[:, P] = I, so v = c @ basis forces c = v[P]; one product checks
+    it, with no elimination.  ``v`` is a vector or a matrix of row vectors
+    (None unless every row lies in the span).  Raises ValueError unless
+    basis[:, P] is the identity.
+    """
+    basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
+    v = mod_p(v, p)
+    if basis.shape[0] == 0:
+        return None if v.any() else zeros(v.shape[:-1] + (0,))
+    piv = (basis != 0).argmax(axis=1)
+    if not np.array_equal(basis[:, piv], identity(len(piv))):
+        raise ValueError("basis is not in reduced row echelon form")
+    c = v[..., piv]
+    return c if np.array_equal(c @ basis % p, v) else None
 
 
 def in_row_space(v: np.ndarray, basis: np.ndarray, p: int) -> bool:
-    basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
-    v = mod_p(np.asarray(v).reshape(-1), p)
-    if not v.any():
-        return True
-    if basis.shape[0] == 0:
-        return False
-    return solve(basis.T, v, p) is not None
+    """True iff v lies in the row space of an RREF ``basis``."""
+    return row_coords(np.asarray(v).reshape(-1), basis, p) is not None
 
 
 def sum_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -123,23 +123,7 @@ def sum_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return row_space(np.concatenate([a, b], axis=0), p)
 
 
-def intersect_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the intersection of two row spaces (Zassenhaus style)."""
-    a = row_space(a, p)
-    b = row_space(b, p)
-    n = a.shape[1] if a.size else b.shape[1]
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return zeros((0, n))
-    # x in both spaces: x = u @ a = v @ b; solve [a^T | -b^T] stacked kernel.
-    stacked = np.concatenate([a, (-b) % p], axis=0)
-    ker = nullspace(stacked.T, p)
-    if ker.shape[0] == 0:
-        return zeros((0, n))
-    combo = mod_p(ker[:, : a.shape[0]] @ a, p)
-    return row_space(combo, p)
-
-
 def is_subspace(a: np.ndarray, b: np.ndarray, p: int) -> bool:
     """True iff row space of a is contained in row space of b."""
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    return all(in_row_space(v, b, p) for v in a)
+    return row_coords(a, row_space(b, p), p) is not None

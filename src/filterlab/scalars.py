@@ -101,9 +101,7 @@ class AssocAlgebra:
         return linalg.in_row_space(m.reshape(-1), self.flat, self.p)
 
     def coords(self, m: np.ndarray) -> Optional[np.ndarray]:
-        if self.dim == 0:
-            return None if (m % self.p).any() else np.zeros(0, dtype=np.int64)
-        return linalg.solve(self.flat.T, m.reshape(-1), self.p)
+        return linalg.row_coords(m.reshape(-1), self.flat, self.p)
 
     def is_closed(self) -> bool:
         return all(
@@ -186,29 +184,26 @@ class AssocAlgebra:
                 span = linalg.sum_spaces(span, v.reshape(1, -1), p)
         q = len(lift_rows)
         lift_mats = [v.reshape(self.n, self.n) for v in lift_rows]
-        if q:
-            combined = np.concatenate(
-                [np.stack(lift_rows)] + ([ideal.flat] if ideal.dim else []), axis=0
-            )
-        else:
-            combined = ideal.flat
-
-        def project(m: np.ndarray) -> np.ndarray:
-            if q == 0:
-                return np.zeros(0, dtype=np.int64)
-            c = linalg.solve(combined.T, m.reshape(-1), p)
-            if c is None:
-                raise ValueError("element not in algebra")
-            return c[:q] % p
+        # the complement and ideal rows are a second basis of A: invert their
+        # coordinates over self.flat once, so a product's coordinates over
+        # them are a kernel read times that inverse
+        k = self.dim
+        combined = np.array(lift_rows + list(ideal.flat), dtype=np.int64)
+        combined = combined.reshape(self.flat.shape)
+        aug = np.concatenate(
+            [linalg.row_coords(combined, self.flat, p), linalg.identity(k)], axis=1
+        )
+        to_lift = linalg.rref(aug, p)[0][:, k : k + q]
 
         # left regular representation of the quotient
         reg = []
-        for i in range(q):
-            mat = np.zeros((q, q), dtype=np.int64)
-            for j in range(q):
-                mat[j] = project(lift_mats[i] @ lift_mats[j] % p)
-            reg.append(mat.T)  # column convention flip so x*regmat acts rightly
-        quot = AssocAlgebra(p, q, reg) if q else AssocAlgebra(p, 0, [])
+        for a in lift_mats:
+            prods = np.stack([(a @ b).reshape(-1) for b in lift_mats])
+            c = linalg.row_coords(prods, self.flat, p)
+            if c is None:
+                raise ValueError("element not in algebra")
+            reg.append((c @ to_lift % p).T)  # column convention flip so x*regmat acts rightly
+        quot = AssocAlgebra(p, q, reg)
 
         def lift(coords: np.ndarray) -> np.ndarray:
             out = np.zeros((self.n, self.n), dtype=np.int64)
@@ -534,7 +529,10 @@ def _lift_central_idempotents(
     quot, lift = assoc.quotient(rad)
     if quot.dim == 0:
         return []
-    prim_q = _split_primitive(quot.center(), _regular_identity(quot))
+    # A is unital, so the regular image of 1_A, I_q, is the identity of A/J
+    if not quot.has_identity():
+        raise ValueError("algebra has no identity element")
+    prim_q = _split_primitive(quot.center(), linalg.identity(quot.n))
     K = 1
     while p ** K <= max(assoc.dim, 1):
         K += 1
@@ -561,26 +559,6 @@ def _lift_central_idempotents(
             if i != j and (a @ c % p).any():
                 raise ArithmeticError("lifted idempotents are not orthogonal")
     return [alg.from_rep(r) for r in lifted]
-
-
-def _regular_identity(assoc: AssocAlgebra) -> np.ndarray:
-    """The identity element of a unital matrix algebra, found by linear solve."""
-    p = assoc.p
-    # e = sum c_i basis_i with e @ b = b and b @ e = b for every basis b
-    sys_rows = []
-    rhs_vec = []
-    for b in assoc.basis:
-        sys_rows.append(np.stack([(x @ b % p).reshape(-1) for x in assoc.basis], axis=1))
-        rhs_vec.append(b.reshape(-1))
-        sys_rows.append(np.stack([(b @ x % p).reshape(-1) for x in assoc.basis], axis=1))
-        rhs_vec.append(b.reshape(-1))
-    c = linalg.solve(np.concatenate(sys_rows, axis=0), np.concatenate(rhs_vec), p)
-    if c is None:
-        raise ValueError("algebra has no identity element")
-    out = np.zeros((assoc.n, assoc.n), dtype=np.int64)
-    for ci, m in zip(c, assoc.basis):
-        out = (out + int(ci) * m) % p
-    return out
 
 
 # -- characteristic subspace emission -----------------------------------------
@@ -612,17 +590,6 @@ PROVENANCE_RANK = {
     "bimap-radical": 5,
 }
 
-RING_OF_PROVENANCE = {
-    "der": "Der",
-    "mid": "Mid",
-    "mid-idem": "Mid",
-    "left": "Left",
-    "right": "Right",
-    "cent": "Cent",
-    "cent-idem": "Cent",
-    "bimap-radical": None,
-}
-
 
 def _side_dims(b: Bimap) -> Dict[str, int]:
     dU, dV, dW = b.dims
@@ -643,14 +610,8 @@ def _common_kernel(mats: List[np.ndarray], p: int) -> np.ndarray:
 def _der_invariant(emission: Emission, der: ScalarAlgebra) -> bool:
     side_pos = {"U": 0, "V": 1, "W": 2}[emission.side]
     p = der.p
-    s = emission.basis
-    if s.shape[0] == 0:
-        return True
-    for t in der.tuples():
-        m = t[side_pos]
-        if not linalg.is_subspace(s @ m % p, s, p):
-            return False
-    return True
+    s = emission.basis  # in RREF, as every emission basis is
+    return all(linalg.row_coords(s @ t[side_pos], s, p) is not None for t in der.tuples())
 
 
 def characteristic_subspaces(

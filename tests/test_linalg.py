@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,31 +56,79 @@ def test_rref_idempotent(case):
     assert np.array_equal(r1, r2)
 
 
-def test_solve_roundtrip():
+def test_row_coords_roundtrip():
     p = 7
-    a = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
-    x = np.array([1, 0, 2], dtype=np.int64)
-    b = (a @ x) % p
-    got = linalg.solve(a, b, p)
-    assert got is not None
-    assert np.array_equal((a @ got) % p, b)
+    basis = linalg.row_space(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64), p)
+    x = np.array([3, 5], dtype=np.int64)
+    v = x @ basis % p
+    got = linalg.row_coords(v, basis, p)
+    assert np.array_equal(got, x)
+    assert np.array_equal(got @ basis % p, v)
 
 
-def test_solve_inconsistent():
+def test_row_coords_outside_is_none():
     p = 2
-    a = np.array([[1, 1], [1, 1]], dtype=np.int64)
-    assert linalg.solve(a, np.array([1, 0]), p) is None
+    basis = linalg.row_space(np.array([[1, 1], [1, 1]], dtype=np.int64), p)
+    assert linalg.row_coords(np.array([1, 0]), basis, p) is None
+    assert not linalg.in_row_space(np.array([1, 0]), basis, p)
+    assert linalg.row_coords(np.array([[1, 1], [1, 0]]), basis, p) is None
 
 
-def test_intersect_and_sum():
+@pytest.mark.parametrize(
+    "basis", [[[1, 1], [0, 1]], [[2, 0]], [[0, 0]], [[1, 0], [1, 1]], [[0, 1], [1, 0], [1, 1]]]
+)
+def test_row_coords_rejects_non_rref_basis(basis):
+    with pytest.raises(ValueError, match="reduced row echelon"):
+        linalg.row_coords(np.array([1, 0]), np.array(basis, dtype=np.int64), 3)
+
+
+spans = st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+                min_size=0,
+                max_size=3,
+            ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, cols))
+        ),
+    )
+)
+
+
+@given(spans)
+@settings(max_examples=80, deadline=None)
+def test_row_coords_matches_enumerated_span(case):
+    """The kernel against every combination of the basis rows, on every
+    vector of GF(p)^n."""
+    p, a = case
+    n = a.shape[1]
+    basis = linalg.row_space(a, p)
+    k = basis.shape[0]
+    span = {}
+    for x in itertools.product(range(p), repeat=k):
+        span[tuple(np.array(x, dtype=np.int64) @ basis.reshape(k, n) % p)] = x
+    assert len(span) == p ** k  # the rows are independent
+    for v in itertools.product(range(p), repeat=n):
+        got = linalg.row_coords(np.array(v, dtype=np.int64), basis, p)
+        want = span.get(v)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert tuple(got) == want
+        assert linalg.in_row_space(np.array(v), basis, p) == (want is not None)
+    members = np.array(list(span), dtype=np.int64).reshape(-1, n)
+    assert np.array_equal(linalg.row_coords(members, basis, p), np.array(list(span.values()), dtype=np.int64).reshape(len(span), k))
+
+
+def test_sum_spaces():
     p = 3
     a = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
     b = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int64)
-    cap = linalg.intersect_spaces(a, b, p)
-    assert cap.shape[0] == 1
-    assert linalg.in_row_space(np.array([0, 1, 0]), cap, p)
+    assert linalg.in_row_space(np.array([0, 1, 0]), a, p)
+    assert not linalg.in_row_space(np.array([0, 0, 1]), a, p)
     total = linalg.sum_spaces(a, b, p)
     assert total.shape[0] == 3
+    assert linalg.in_row_space(np.array([0, 0, 1]), total, p)
 
 
 def test_subspace_predicate():

@@ -1,12 +1,13 @@
-"""Differential tests for the single copies of sift, boundary, matrix power
-and idempotent lift, each against the slow definition it stands for."""
+"""Differential tests for the single copies of sift, boundary, matrix power,
+idempotent lift and quotient, each against the slow definition it stands
+for."""
 
 import random
 
 import numpy as np
 import pytest
 
-from filterlab import lie, scalars, series
+from filterlab import lie, linalg, scalars, series
 from filterlab import monoid as mon
 from filterlab.pcgroup import (
     PcGroup,
@@ -192,6 +193,110 @@ def test_single_lift_on_mid_and_cent_rings(corpus_groups):
         multi["Mid"] += len(mid) > 1
     # the corpus exercises proper splittings of both rings
     assert multi["Mid"] > 0 and multi["Cent"] > 0
+
+
+# -- quotient and identity from the stored echelon form -----------------------
+
+
+def _solve(a, b, p):
+    """One solution x of a @ x = b over GF(p) by a fresh elimination, or None."""
+    b = np.asarray(b, dtype=np.int64).reshape(-1) % p
+    n = a.shape[1]
+    r, piv = linalg.rref(np.concatenate([a % p, b.reshape(-1, 1)], axis=1), p)
+    if n in piv:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for i, c in enumerate(piv):
+        x[c] = r[i, n]
+    return x
+
+
+def _solve_quotient(assoc, ideal):
+    """A/ideal with one solve per product over the complement + ideal rows."""
+    p, n = assoc.p, assoc.n
+    lift_rows, span = [], ideal.flat
+    for v in assoc.flat:
+        if _solve(span.T, v, p) is None:
+            lift_rows.append(v)
+            span = linalg.sum_spaces(span, v.reshape(1, -1), p)
+    q = len(lift_rows)
+    lift_mats = [v.reshape(n, n) for v in lift_rows]
+    combined = np.concatenate([np.stack(lift_rows), ideal.flat], axis=0) if q else ideal.flat
+
+    def project(m):
+        c = _solve(combined.T, m.reshape(-1), p)
+        assert c is not None, "element not in algebra"
+        return c[:q] % p
+
+    reg = []
+    for i in range(q):
+        mat = np.zeros((q, q), dtype=np.int64)
+        for j in range(q):
+            mat[j] = project(lift_mats[i] @ lift_mats[j] % p)
+        reg.append(mat.T)
+
+    def lift(coords):
+        out = np.zeros((n, n), dtype=np.int64)
+        for c, m in zip(coords, lift_mats):
+            out = (out + int(c) * m) % p
+        return out
+
+    return scalars.AssocAlgebra(p, q, reg), lift
+
+
+def _solve_identity(assoc):
+    """The e in A with e @ b = b = b @ e for every basis b, by one solve."""
+    p = assoc.p
+    rows, rhs = [], []
+    for b in assoc.basis:
+        rows.append(np.stack([(x @ b % p).reshape(-1) for x in assoc.basis], axis=1))
+        rows.append(np.stack([(b @ x % p).reshape(-1) for x in assoc.basis], axis=1))
+        rhs += [b.reshape(-1), b.reshape(-1)]
+    c = _solve(np.concatenate(rows, axis=0), np.concatenate(rhs), p)
+    assert c is not None, "algebra has no identity element"
+    out = np.zeros((assoc.n, assoc.n), dtype=np.int64)
+    for ci, m in zip(c, assoc.basis):
+        out = (out + int(ci) * m) % p
+    return out
+
+
+def _solve_lift(alg, assoc, rad, monkeypatch):
+    """The idempotent lift run on the solve-based quotient and identity."""
+    made = []
+
+    def quotient(self, ideal):
+        made.append(_solve_quotient(self, ideal))
+        return made[-1]
+
+    split = scalars._split_primitive
+    with monkeypatch.context() as m:
+        m.setattr(scalars.AssocAlgebra, "quotient", quotient)
+        m.setattr(scalars, "_split_primitive", lambda zq, unit: split(zq, _solve_identity(made[-1][0])))
+        return scalars._lift_central_idempotents(alg, assoc, rad)
+
+
+def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkeypatch):
+    checked = 0
+    for b in _corpus_bimaps(corpus_groups):
+        rings = scalars.all_rings(b)
+        for kind in ("Mid", "Cent"):
+            alg = rings[kind]
+            assoc = alg.assoc()
+            rad = assoc.radical()
+            quot, lift = assoc.quotient(rad)
+            ref, ref_lift = _solve_quotient(assoc, rad)
+            assert np.array_equal(quot.flat, ref.flat)
+            for c in linalg.identity(quot.n):
+                assert np.array_equal(lift(c), ref_lift(c))
+            if quot.dim:
+                assert np.array_equal(_solve_identity(ref), linalg.identity(quot.n))
+            got = scalars._lift_central_idempotents(alg, assoc, rad)
+            want = _solve_lift(alg, assoc, rad, monkeypatch)
+            assert len(got) == len(want)
+            for e, f in zip(got, want):
+                assert all(np.array_equal(x, y) for x, y in zip(e, f))
+            checked += quot.dim > 1
+    assert checked
 
 
 # -- boundaries from the unit successors ---------------------------------------

@@ -127,3 +127,83 @@ def test_bad_automorphism_generator_is_an_automorphism_error(tmp_path, capsys):
     sidecar.write_text("aut: gx -> g1\n")
     assert main(["aut", str(CORPUS / "basic" / "d8.pcg"), "--sidecar", str(sidecar)]) == 1
     assert "automorphism error: line 1: bad generator 'gx'" in capsys.readouterr().err
+
+
+def test_aut_sidecar_missing_or_not_utf8(tmp_path, capsys):
+    d8 = str(CORPUS / "basic" / "d8.pcg")
+    assert main(["aut", d8, "--sidecar", str(tmp_path / "missing.aut")]) == 2
+    assert "sidecar error:" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.aut"
+    latin1.write_bytes(b"# caf\xe9\n")
+    assert main(["aut", d8, "--sidecar", str(latin1)]) == 1
+    assert "automorphism error: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("missing.aut", None, "sidecar error:"),
+        ("latin1.aut", b"# caf\xe9\n", "sidecar error: not UTF-8 text"),
+        ("bad.aut", b"aut: gx -> g1\n", "sidecar error: line 1: bad generator 'gx'"),
+    ],
+)
+def test_report_aut_bad_sidecar_is_an_input_error(tmp_path, capsys, name, content, message):
+    sidecar = tmp_path / name
+    if content is not None:
+        sidecar.write_bytes(content)
+    argv = ["report", str(CORPUS / "basic" / "d8.pcg"), "--stages", "aut", "--sidecar", str(sidecar)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def test_load_sidecar_rejects_non_utf8(tmp_path, d8):
+    from filterlab.autfilter import load_sidecar
+
+    bad = tmp_path / "latin1.aut"
+    bad.write_bytes(b"aut: g1 -> g1\n# caf\xe9\n")
+    with pytest.raises(pcgroup.PcgError, match="not UTF-8 text: invalid continuation byte at byte 19"):
+        load_sidecar(d8, bad)
+
+
+# -- census workers ------------------------------------------------------------
+
+
+def _serial_pool(monkeypatch):
+    """Replace multiprocessing.Pool by one that records its requested size
+    and maps in this process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_jobs_below_one_is_an_input_error(tmp_path, capsys, monkeypatch, jobs):
+    sizes = _serial_pool(monkeypatch)
+    d = _census_dir(tmp_path, ["order16/g16_01_c16.pcg"])
+    assert main(["census", str(d), "--jobs", jobs]) == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert sizes == []
+
+
+def test_census_starts_no_more_workers_than_files(tmp_path, monkeypatch):
+    sizes = _serial_pool(monkeypatch)
+    d = _census_dir(tmp_path, [f"order16/{g}.pcg" for g in GROUPS[:2]])
+    out = census.run_census(d, jobs=8).to_json()
+    assert sizes == [2]
+    want = _artifact_groups()
+    assert out["groups"] == {g: want[g] for g in GROUPS[:2]}

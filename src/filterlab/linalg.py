@@ -64,13 +64,6 @@ def row_space(a: np.ndarray, p: int) -> np.ndarray:
     return r[: len(piv)]
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
-
-
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis (rows) of {x : a @ x = 0} over GF(p)."""
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
@@ -112,18 +105,3 @@ def in_row_space(v: np.ndarray, basis: np.ndarray, p: int) -> bool:
     """True iff v lies in the row space of an RREF ``basis``."""
     return row_coords(np.asarray(v).reshape(-1), basis, p) is not None
 
-
-def sum_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.int64))
-    if a.shape[0] == 0:
-        return row_space(b, p)
-    if b.shape[0] == 0:
-        return row_space(a, p)
-    return row_space(np.concatenate([a, b], axis=0), p)
-
-
-def is_subspace(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """True iff row space of a is contained in row space of b."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    return row_coords(a, row_space(b, p), p) is not None

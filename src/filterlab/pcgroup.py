@@ -175,12 +175,17 @@ class PcGroup:
         return x
 
     def inverse(self, x: Elem) -> Elem:
+        """Solve x * g1^y1 ... gn^yn = 1 one depth at a time: the accumulator
+        stays in G_k, where the k-th exponent is additive mod p, so y_k is
+        minus that exponent and no inverse words are needed."""
         self._check_elem(x)
-        acc = self.identity
-        for k in range(self.n, 0, -1):
-            for _ in range(x[k - 1]):
-                acc = self.mult_word(acc, self._inv_words[k])
-        return acc
+        y = []
+        for k in range(1, self.n + 1):
+            e = -x[k - 1] % self.p
+            for _ in range(e):
+                x = self._mult_gen(x, k)
+            y.append(e)
+        return tuple(y)
 
     def power(self, x: Elem, e: int) -> Elem:
         if e < 0:
@@ -439,6 +444,42 @@ def comm_subgroup(H: Subgroup, K: Subgroup) -> Subgroup:
                     S = subgroup_from_gens(G, list(S.igs) + [c])
                     changed = True
     return S
+
+
+class SubgroupOps:
+    """[A, B], A v B and A <= B for subgroups of G, each computed once per
+    pair of igs.  The symmetric two are stored for both argument orders.
+
+    An instance lives for one refinement or one axiom check, so it holds at
+    most k^2 entries per operation for the k distinct subgroups that call
+    meets.
+    """
+
+    def __init__(self, G: PcGroup):
+        self.group = G
+        self._comm: Dict[Tuple, Subgroup] = {}
+        self._join: Dict[Tuple, Subgroup] = {}
+        self._subset: Dict[Tuple, bool] = {}
+
+    def _memo(self, memo: Dict, A: Subgroup, B: Subgroup, op, symmetric: bool):
+        if A.group is not self.group or B.group is not self.group:
+            raise PcgError("subgroups have different parent groups")
+        key = (A.igs, B.igs)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = op(A, B)
+            if symmetric:
+                memo[(B.igs, A.igs)] = got
+        return got
+
+    def comm(self, A: Subgroup, B: Subgroup) -> Subgroup:
+        return self._memo(self._comm, A, B, comm_subgroup, True)
+
+    def join(self, A: Subgroup, B: Subgroup) -> Subgroup:
+        return self._memo(self._join, A, B, Subgroup.join, True)
+
+    def is_subset(self, A: Subgroup, B: Subgroup) -> bool:
+        return self._memo(self._subset, A, B, Subgroup.is_subset, False)
 
 
 def centralizer_mod(G: PcGroup, H: Subgroup, N: Subgroup) -> Subgroup:

@@ -18,7 +18,14 @@ import numpy as np
 from . import monoid as mon, scalars
 from .lie import GradedLieRing, graded_lie_ring
 from .monoid import GradedMonoid, MonoidElem
-from .pcgroup import Elem, PcGroup, Subgroup, comm_subgroup, subgroup_from_gens
+from .pcgroup import (
+    Elem,
+    PcGroup,
+    Subgroup,
+    SubgroupOps,
+    subgroup_from_gens,
+    trivial_subgroup,
+)
 from .series import Filter, exponent_p_lcs, verify_filter
 
 
@@ -53,25 +60,18 @@ def _closure(
     G: PcGroup,
     box: MonoidElem,
     seeds: Dict[MonoidElem, Subgroup],
-    comm_cache: Dict,
+    ops: SubgroupOps,
 ) -> Dict[MonoidElem, Subgroup]:
-    """Smallest box table containing the seeds and closed under both rules."""
-    from .pcgroup import trivial_subgroup
+    """Smallest box table containing the seeds and closed under both rules.
 
+    Each seed is a canonical subgroup and goes into its grade as it is.
+    """
     grades = mon.box_enumerate(box)
-    table: Dict[MonoidElem, Subgroup] = {m: trivial_subgroup(G) for m in grades}
+    trivial = trivial_subgroup(G)
+    table: Dict[MonoidElem, Subgroup] = {m: trivial for m in grades}
     for m, H in seeds.items():
         if mon.in_box(m, box):
-            table[m] = table[m].join(H)
-
-    def cached_comm(A: Subgroup, B: Subgroup) -> Subgroup:
-        key = (A.igs, B.igs)
-        got = comm_cache.get(key)
-        if got is None:
-            got = comm_subgroup(A, B)
-            comm_cache[key] = got
-            comm_cache[(B.igs, A.igs)] = got
-        return got
+            table[m] = H
 
     changed = True
     while changed:
@@ -79,8 +79,8 @@ def _closure(
         # order rule: descending lex cascade
         desc = sorted(grades, reverse=True)
         for prev, cur in zip(desc, desc[1:]):
-            if not table[prev].is_subset(table[cur]):
-                table[cur] = table[cur].join(table[prev])
+            if not ops.is_subset(table[prev], table[cur]):
+                table[cur] = ops.join(table[cur], table[prev])
                 changed = True
         # commutator rule
         for u in grades:
@@ -90,15 +90,15 @@ def _closure(
                 if table[v].order == 1:
                     continue
                 w = mon.add(u, v)
-                c = cached_comm(table[u], table[v])
+                c = ops.comm(table[u], table[v])
                 if c.order == 1:
                     continue
                 if mon.in_box(w, box):
-                    if not c.is_subset(table[w]):
-                        table[w] = table[w].join(c)
+                    if not ops.is_subset(c, table[w]):
+                        table[w] = ops.join(table[w], c)
                         changed = True
                 else:
-                    if not c.is_subset(table[mon.clamp(w, box)]):
+                    if not ops.is_subset(c, table[mon.clamp(w, box)]):
                         raise RefinementError(
                             f"closure escapes the box at {w}: enlarge the box"
                         )
@@ -108,6 +108,7 @@ def _closure(
 def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
     """Extend f over N^(d+1), lexicographic, with H threaded at grade (s, 1)."""
     G = f.group
+    H = subgroup_from_gens(G, H.igs)  # canonical, so the closure seeds it as is
     bound = f.boundary_at(s)
     val = f.value(s)
     if not (bound.is_subset(H) and H.is_subset(val)):
@@ -117,7 +118,7 @@ def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
     if not H.is_normal():
         raise RefinementError("inserted subgroup is not normal")
     d = f.monoid.dim
-    comm_cache: Dict = {}
+    ops = SubgroupOps(G)
     extra = 1
     while True:
         box = f.box + (extra,)
@@ -126,7 +127,7 @@ def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
             seeds[m + (0,)] = f.value(m)
         seeds[s + (1,)] = H
         try:
-            table = _closure(G, box, seeds, comm_cache)
+            table = _closure(G, box, seeds, ops)
         except RefinementError:
             extra += 1
             if extra > 2 * len(bin(G.order)):
@@ -134,7 +135,7 @@ def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
             continue
         # stabilisation: one-step larger box must agree under clamping
         big_box = tuple(b + 1 for b in box)
-        big = _closure(G, big_box, seeds, comm_cache)
+        big = _closure(G, big_box, seeds, ops)
         stable = all(
             big[w] == table[mon.clamp(w, box)]
             for w in mon.box_iter(big_box)

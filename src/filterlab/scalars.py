@@ -175,13 +175,12 @@ class AssocAlgebra:
     def quotient(self, ideal: "AssocAlgebra"):
         """(A/ideal via left regular representation, lift fn)."""
         p = self.p
-        # complement basis: rows of self.flat independent modulo ideal.flat
-        lift_rows = []
-        span = ideal.flat
-        for v in self.flat:
-            if not linalg.in_row_space(v, span, p):
-                lift_rows.append(v)
-                span = linalg.sum_spaces(span, v.reshape(1, -1), p)
+        # complement basis: the rows of self.flat outside the span of the
+        # ideal rows and the rows before them, that is the pivot columns of
+        # [ideal rows | A rows] past the (independent) ideal rows
+        m = ideal.dim
+        cols = np.concatenate([ideal.flat, self.flat], axis=0).T
+        lift_rows = [self.flat[c - m] for c in linalg.rref(cols, p)[1] if c >= m]
         q = len(lift_rows)
         lift_mats = [v.reshape(self.n, self.n) for v in lift_rows]
         # the complement and ideal rows are a second basis of A: invert their

@@ -19,6 +19,7 @@ from .pcgroup import (
     Elem,
     PcGroup,
     Subgroup,
+    SubgroupOps,
     centralizer_mod,
     comm_subgroup,
     embed,
@@ -185,13 +186,14 @@ def _containment_witness(G: PcGroup, C: Subgroup, target: Subgroup) -> Optional[
 
 def verify_filter(f: Filter) -> List[Violation]:
     """Exhaustive check of both filter clauses over the box."""
+    ops = SubgroupOps(f.group)
     out: List[Violation] = []
     grades = f.grades()
     for s in grades:
         for t in grades:
-            c = comm_subgroup(f.value(s), f.value(t))
+            c = ops.comm(f.value(s), f.value(t))
             target = f.value(mon.add(s, t))
-            if not c.is_subset(target):
+            if not ops.is_subset(c, target):
                 w = next(
                     (
                         f.group.commutator(x, y)
@@ -204,23 +206,25 @@ def verify_filter(f: Filter) -> List[Violation]:
                 out.append(Violation("[phi_s,phi_t] <= phi_{s+t}", s, t, w))
     for s in grades:
         for t in grades:
-            if f.monoid.preceq(s, t) and not f.value(t).is_subset(f.value(s)):
+            if f.monoid.preceq(s, t) and not ops.is_subset(f.value(t), f.value(s)):
                 out.append(Violation("s<t but phi_s < phi_t", s, t, None))
     return out
 
 
 def verify_layering(l: Layering) -> List[Violation]:
+    ops = SubgroupOps(l.group)
     out: List[Violation] = []
     grades = l.grades()
+    bounds = {t: l.boundary_at(t) for t in grades}
     for s in grades:
         for t in grades:
-            c = comm_subgroup(l.value(s), l.boundary_at(t))
-            if not c.is_subset(l.value(t)):
+            c = ops.comm(l.value(s), bounds[t])
+            if not ops.is_subset(c, l.value(t)):
                 w = _containment_witness(l.group, c, l.value(t))
                 out.append(Violation("[pi^s, d^t pi] <= pi^t", s, t, w))
     for s in grades:
         for t in grades:
-            if l.monoid.preceq(s, t) and not l.value(s).is_subset(l.value(t)):
+            if l.monoid.preceq(s, t) and not ops.is_subset(l.value(s), l.value(t)):
                 out.append(Violation("s<t but pi^s > pi^t", s, t, None))
     return out
 
@@ -231,12 +235,13 @@ def verify_sift(f: Filter, l: Layering) -> List[Violation]:
         raise ValueError("filter and layering live on different groups")
     if f.monoid != l.monoid:
         raise ValueError("monoid mismatch between filter and layering")
+    ops = SubgroupOps(f.group)
     out: List[Violation] = []
     grades = f.grades()
     for s in grades:
         for t in grades:
-            c = comm_subgroup(f.value(s), l.value(mon.add(s, t)))
-            if not c.is_subset(l.value(t)):
+            c = ops.comm(f.value(s), l.value(mon.add(s, t)))
+            if not ops.is_subset(c, l.value(t)):
                 w = _containment_witness(f.group, c, l.value(t))
                 out.append(Violation("[phi_s, pi^{s+t}] <= pi^t", s, t, w))
     return out

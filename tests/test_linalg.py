@@ -41,7 +41,7 @@ def test_nullspace_annihilates(case):
     ns = linalg.nullspace(a, p)
     for v in ns:
         assert not ((a @ v) % p).any()
-    assert linalg.rank(a, p) + ns.shape[0] == a.shape[1]
+    assert len(linalg.rref(a, p)[1]) + ns.shape[0] == a.shape[1]
 
 
 @given(mats)
@@ -120,13 +120,13 @@ def test_row_coords_matches_enumerated_span(case):
     assert np.array_equal(linalg.row_coords(members, basis, p), np.array(list(span.values()), dtype=np.int64).reshape(len(span), k))
 
 
-def test_sum_spaces():
+def test_in_row_space_of_stacked_rows():
     p = 3
     a = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
     b = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int64)
     assert linalg.in_row_space(np.array([0, 1, 0]), a, p)
     assert not linalg.in_row_space(np.array([0, 0, 1]), a, p)
-    total = linalg.sum_spaces(a, b, p)
+    total = linalg.row_space(np.concatenate([a, b]), p)
     assert total.shape[0] == 3
     assert linalg.in_row_space(np.array([0, 0, 1]), total, p)
 
@@ -135,5 +135,5 @@ def test_subspace_predicate():
     p = 5
     big = np.array([[1, 0], [0, 1]], dtype=np.int64)
     small = np.array([[2, 3]], dtype=np.int64)
-    assert linalg.is_subspace(small, big, p)
-    assert not linalg.is_subspace(big, small, p)
+    assert linalg.row_coords(small, linalg.row_space(big, p), p) is not None
+    assert linalg.row_coords(big, linalg.row_space(small, p), p) is None

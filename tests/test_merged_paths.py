@@ -218,7 +218,7 @@ def _solve_quotient(assoc, ideal):
     for v in assoc.flat:
         if _solve(span.T, v, p) is None:
             lift_rows.append(v)
-            span = linalg.sum_spaces(span, v.reshape(1, -1), p)
+            span = linalg.row_space(np.concatenate([span, v.reshape(1, -1)]), p)
     q = len(lift_rows)
     lift_mats = [v.reshape(n, n) for v in lift_rows]
     combined = np.concatenate([np.stack(lift_rows), ideal.flat], axis=0) if q else ideal.flat
@@ -286,6 +286,15 @@ def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkey
             quot, lift = assoc.quotient(rad)
             ref, ref_lift = _solve_quotient(assoc, rad)
             assert np.array_equal(quot.flat, ref.flat)
+            # the complement is the greedy choice, one elimination per row
+            greedy, span = [], rad.flat
+            for v in assoc.flat:
+                if not linalg.in_row_space(v, span, assoc.p):
+                    greedy.append(v.reshape(assoc.n, assoc.n))
+                    span = linalg.row_space(np.concatenate([span, v.reshape(1, -1)]), assoc.p)
+            assert len(greedy) == quot.dim
+            for c, m in zip(linalg.identity(quot.dim), greedy):
+                assert np.array_equal(lift(c), m)
             for c in linalg.identity(quot.n):
                 assert np.array_equal(lift(c), ref_lift(c))
             if quot.dim:

@@ -1,0 +1,295 @@
+"""Differential tests for the per-call subgroup memo (refinement closure and
+the axiom verifiers) and for the depth-by-depth inverse, each against the
+per-pair or word-based code it replaces."""
+
+import functools
+import itertools
+
+import pytest
+
+from filterlab import pcgroup, refine, series
+from filterlab import monoid as mon
+from filterlab.pcgroup import (
+    PcgError,
+    Subgroup,
+    SubgroupOps,
+    comm_subgroup,
+    direct_product,
+    full_subgroup,
+    parse_pcgroup,
+    subgroup_from_gens,
+    trivial_subgroup,
+)
+from filterlab.series import Layering, Violation
+
+from conftest import corpus_paths, load
+
+
+# -- per-pair references ---------------------------------------------------------
+
+
+def _ref_verify_filter(f):
+    out = []
+    grades = f.grades()
+    for s in grades:
+        for t in grades:
+            c = comm_subgroup(f.value(s), f.value(t))
+            target = f.value(mon.add(s, t))
+            if not c.is_subset(target):
+                w = next(
+                    (
+                        f.group.commutator(x, y)
+                        for x in f.value(s).igs
+                        for y in f.value(t).igs
+                        if not target.contains(f.group.commutator(x, y))
+                    ),
+                    series._containment_witness(f.group, c, target),
+                )
+                out.append(Violation("[phi_s,phi_t] <= phi_{s+t}", s, t, w))
+    for s in grades:
+        for t in grades:
+            if f.monoid.preceq(s, t) and not f.value(t).is_subset(f.value(s)):
+                out.append(Violation("s<t but phi_s < phi_t", s, t, None))
+    return out
+
+
+def _ref_verify_layering(l):
+    out = []
+    grades = l.grades()
+    for s in grades:
+        for t in grades:
+            c = comm_subgroup(l.value(s), l.boundary_at(t))
+            if not c.is_subset(l.value(t)):
+                w = series._containment_witness(l.group, c, l.value(t))
+                out.append(Violation("[pi^s, d^t pi] <= pi^t", s, t, w))
+    for s in grades:
+        for t in grades:
+            if l.monoid.preceq(s, t) and not l.value(s).is_subset(l.value(t)):
+                out.append(Violation("s<t but pi^s > pi^t", s, t, None))
+    return out
+
+
+def _ref_verify_sift(f, l):
+    out = []
+    grades = f.grades()
+    for s in grades:
+        for t in grades:
+            c = comm_subgroup(f.value(s), l.value(mon.add(s, t)))
+            if not c.is_subset(l.value(t)):
+                w = series._containment_witness(f.group, c, l.value(t))
+                out.append(Violation("[phi_s, pi^{s+t}] <= pi^t", s, t, w))
+    return out
+
+
+def _word_inverse(G, x):
+    """The inverse rebuilt from the inverse words of the generators."""
+    acc = G.identity
+    for k in range(G.n, 0, -1):
+        for _ in range(x[k - 1]):
+            acc = G.mult_word(acc, G._inv_words[k])
+    return acc
+
+
+# -- fault injection ---------------------------------------------------------------
+
+
+def _swapped(bm):
+    """The table with the values at the first two grades of different value
+    swapped, or None if every value is equal."""
+    grades = bm.grades()
+    for a, b in itertools.combinations(grades, 2):
+        if bm.table[a] != bm.table[b]:
+            table = dict(bm.table)
+            table[a], table[b] = table[b], table[a]
+            return type(bm)(bm.group, bm.monoid, bm.box, table)
+    return None
+
+
+def _shrunk(bm):
+    """The table with its largest proper value replaced by the subgroup its
+    igs tail generates (one generator fewer)."""
+    G = bm.group
+    grades = [m for m in bm.grades() if 1 < bm.table[m].order < G.order]
+    if not grades:
+        return None
+    m = max(grades, key=lambda g: (bm.table[g].order, g))
+    table = dict(bm.table)
+    table[m] = subgroup_from_gens(G, bm.table[m].igs[1:])
+    return type(bm)(bm.group, bm.monoid, bm.box, table)
+
+
+def _with_faults(bm):
+    return [x for x in (bm, _swapped(bm), _shrunk(bm)) if x is not None]
+
+
+@functools.lru_cache(maxsize=None)
+def _refined_up_to_81():
+    out = {}
+    for path in corpus_paths():
+        G = load(path.stem)
+        if G.order <= 81:
+            out[path.stem] = refine.refine_to_fixpoint(G, group_id=path.stem).final
+    return out
+
+
+# -- verifiers ---------------------------------------------------------------------
+
+
+def test_verifiers_match_per_pair_reference_on_corpus_maps(corpus_groups):
+    violations = 0
+    for name, G in corpus_groups.items():
+        lc, ep = series.lower_central(G), series.exponent_p_lcs(G)
+        uc = series.upper_central(G)
+        for f in _with_faults(lc) + _with_faults(ep):
+            got = series.verify_filter(f)
+            assert got == _ref_verify_filter(f), name
+            violations += len(got)
+            for l in _with_faults(uc):
+                assert series.verify_sift(f, l) == _ref_verify_sift(f, l), name
+        for l in _with_faults(uc):
+            got = series.verify_layering(l)
+            assert got == _ref_verify_layering(l), name
+            violations += len(got)
+    assert violations  # the faults were seen
+
+
+def test_verify_filter_matches_reference_on_refined_lex_filters():
+    filters = _refined_up_to_81()
+    assert {2, 3} <= {f.monoid.dim for f in filters.values()}
+    violations = 0
+    for name, f in filters.items():
+        for g in _with_faults(f):
+            got = series.verify_filter(g)
+            assert got == _ref_verify_filter(g), name
+            violations += len(got)
+    assert violations
+
+
+def test_verify_filter_computes_each_unordered_pair_once(monkeypatch):
+    f = max(_refined_up_to_81().values(), key=lambda f: len(f.grades()))
+    values = {f.value(m).igs for m in f.grades()}
+    assert len(f.grades()) >= 16 and len(values) < len(f.grades())
+    pairs = []
+    original = pcgroup.comm_subgroup
+
+    def counting(A, B):
+        pairs.append(frozenset((A.igs, B.igs)))
+        return original(A, B)
+
+    monkeypatch.setattr(pcgroup, "comm_subgroup", counting)
+    assert not series.verify_filter(f)
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= len(values) * (len(values) + 1) // 2
+
+
+def test_verify_layering_takes_each_boundary_once(corpus_groups, monkeypatch):
+    G = corpus_groups["g81_12_maxclass1"]
+    uc = series.upper_central(G)
+    calls = []
+    original = Layering.boundary_at
+
+    def counting(self, s):
+        calls.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(Layering, "boundary_at", counting)
+    assert not series.verify_layering(uc)
+    assert sorted(calls) == uc.grades()
+
+
+# -- refinement closure ------------------------------------------------------------
+
+
+def test_closure_puts_seeds_in_as_they_are(monkeypatch):
+    """A closed table seeds a closure that joins nothing and keeps every
+    seed object."""
+    f = _refined_up_to_81()["g16_03_c2sq_rtimes_c4"]
+    joins = []
+    original = Subgroup.join
+
+    def counting(self, other):
+        joins.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Subgroup, "join", counting)
+    seeds = dict(f.table)
+    table = refine._closure(f.group, f.box, seeds, SubgroupOps(f.group))
+    assert not joins
+    assert all(table[m] is seeds[m] for m in f.grades())
+
+
+def test_insert_refinement_canonicalises_a_hand_built_subgroup():
+    G = parse_pcgroup("p 3\nn 2\n", name="c3sq")
+    f = series.exponent_p_lcs(G)
+    H = subgroup_from_gens(G, [G.generator(1)])
+    hand = Subgroup(G, (G.power(G.generator(1), 2),))  # leading exponent 2
+    assert hand.igs != H.igs
+    assert refine.insert_refinement(f, (1,), hand).table == refine.insert_refinement(f, (1,), H).table
+
+
+# -- the memo ---------------------------------------------------------------------
+
+
+def test_subgroup_ops_match_direct_operations(corpus_groups):
+    for name in ("d8", "q8", "h27", "g16_11_d8xc2", "g81_08_h27_on_a9"):
+        G = corpus_groups[name]
+        subs = {G.identity: trivial_subgroup(G)}
+        for x in itertools.islice(G.elements(), 1, 40, 3):
+            subs[x] = subgroup_from_gens(G, [x])
+        subs = list(subs.values()) + [full_subgroup(G)]
+        ops = SubgroupOps(G)
+        for _ in range(2):  # the second round reads the memo
+            for A in subs:
+                for B in subs:
+                    assert ops.comm(A, B) == comm_subgroup(A, B)
+                    assert ops.join(A, B) == A.join(B)
+                    assert ops.is_subset(A, B) == A.is_subset(B)
+
+
+def test_subgroup_ops_store_symmetric_results_once(d8, monkeypatch):
+    A, B = subgroup_from_gens(d8, [d8.generator(1)]), subgroup_from_gens(d8, [d8.generator(2)])
+    comms, joins = [], []
+    comm, join = pcgroup.comm_subgroup, Subgroup.join
+    monkeypatch.setattr(pcgroup, "comm_subgroup", lambda X, Y: comms.append(1) or comm(X, Y))
+    monkeypatch.setattr(Subgroup, "join", lambda X, Y: joins.append(1) or join(X, Y))
+    ops = SubgroupOps(d8)
+    assert ops.comm(A, B) == ops.comm(B, A) == subgroup_from_gens(d8, [d8.generator(3)])
+    assert ops.join(A, B) == ops.join(B, A) == full_subgroup(d8)
+    assert len(comms) == 1 and len(joins) == 1
+
+
+def test_subgroup_ops_parent_mismatch(d8):
+    other = load("q8")
+    ops = SubgroupOps(d8)
+    with pytest.raises(PcgError):
+        ops.comm(full_subgroup(d8), full_subgroup(other))
+    with pytest.raises(PcgError):
+        ops.is_subset(full_subgroup(other), full_subgroup(other))
+
+
+# -- inverse ---------------------------------------------------------------------
+
+
+LADDER = (
+    ("g81_12_maxclass1", "c3"),
+    ("d8", "q8", "d8"),
+    ("h27", "h27"),
+    ("h27", "h27", "c3"),
+)
+
+
+def test_inverse_matches_word_inverse_on_corpus(corpus_groups):
+    for name, G in corpus_groups.items():
+        for x in G.elements():
+            y = G.inverse(x)
+            assert y == _word_inverse(G, x), (name, x)
+            assert G.multiply(x, y) == G.identity == G.multiply(y, x)
+
+
+@pytest.mark.parametrize("factors", LADDER, ids=["x".join(f) for f in LADDER])
+def test_inverse_matches_word_inverse_on_ladder(factors):
+    G = load(factors[0])
+    for name in factors[1:]:
+        G = direct_product(G, load(name))
+    for x in G.elements():
+        assert G.inverse(x) == _word_inverse(G, x), x

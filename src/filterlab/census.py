@@ -1,10 +1,12 @@
 """Census of refinement behaviour over a directory of .pcg files.
 
-Each group is refined with the full emission set and classified, then
-re-refined restricted to each of the Der, Mid, Cent toolkits for the
-per-ring breakdown.  Workers share nothing; aggregation is a deterministic
-fold over results sorted by group id, so serial and parallel runs produce
-byte-identical summaries.
+Each group is refined once with the full emission set and classified.  A
+flagged group counts for Der, Mid or Cent when some candidate of that ring
+refines the seed filter; a parsed group declares no direct factors, so that
+is the flag of a refinement restricted to the ring (``refine.seed_refined_by``).
+Workers share nothing; aggregation is a deterministic fold over results
+sorted by group id, so serial and parallel runs produce byte-identical
+summaries.
 """
 
 from __future__ import annotations
@@ -49,8 +51,11 @@ class CensusSummary:
 
 def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResult:
     """Refine one group; a group whose order is not ``order_filter`` (when
-    given) is parsed but not refined.  A failure while refining is returned
-    as the result's error, "<stage>: <message>", so the census goes on."""
+    given) is parsed but not refined.  A flagged group is flagged by each
+    breakdown ring some candidate of which refines the seed filter; the group
+    has no declared factors, so that is the flag of a refinement restricted
+    to the ring.  A failure while refining is returned as the result's
+    error, "<stage>: <message>", so the census goes on."""
     path = Path(path_str)
     try:
         G = parse_pcg_file(path)
@@ -65,11 +70,7 @@ def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResu
         if full.flagged:
             for ring in BREAKDOWN_RINGS:
                 stage = f"refine[{ring}]"
-                opts = refine.RefineOptions(
-                    ring_kinds=(ring,), include_bimap_radicals=False
-                )
-                restricted = refine.refine_to_fixpoint(G, opts, group_id=path.stem)
-                if restricted.flagged:
+                if refine.seed_refined_by(full, ring):
                     flagged_by.append(ring)
     # NonElementaryAbelianError and PcgError are ValueErrors
     except (refine.RefinementError, ArithmeticError, ValueError) as exc:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import monoid as mon, scalars
-from .lie import GradedLieRing, graded_lie_ring
+from .lie import CosetBasis, GradedLieRing, graded_lie_ring
 from .monoid import GradedMonoid, MonoidElem
 from .pcgroup import (
     Elem,
@@ -37,8 +37,6 @@ def lift_subspace(
     G: PcGroup, f: Filter, s: MonoidElem, subspace: np.ndarray
 ) -> Subgroup:
     """H = <boundary, lifts of the subspace basis>; strictly between boundary and phi_s."""
-    from .lie import CosetBasis
-
     bound = f.boundary_at(s)
     comp = CosetBasis(f.value(s), bound)
     rows = np.atleast_2d(np.asarray(subspace, dtype=np.int64)) % G.p
@@ -160,11 +158,7 @@ class RefinementStep:
     igs: Tuple[Elem, ...]
 
 
-@dataclass
-class RefineOptions:
-    ring_kinds: Tuple[str, ...] = scalars.KINDS
-    include_bimap_radicals: Optional[bool] = None
-    cap: int = 20
+CAP = 20  # insertions after which a refinement stops and records cap_hit
 
 
 @dataclass
@@ -178,6 +172,8 @@ class RefinementReport:
     ring_dims: Dict[str, Dict[str, int]]
     cap_hit: bool
     runtime_ms: int
+    seed: Filter  # the exponent-p filter the refinement starts from
+    seed_candidates: List[tuple]  # _gather_candidates on the seed, in order
 
     @property
     def flagged(self) -> bool:
@@ -193,13 +189,13 @@ def _candidate_sort_key(rank: int, grade: MonoidElem, basis: np.ndarray):
     )
 
 
-def _gather_candidates(L: GradedLieRing, opts: RefineOptions):
-    """All proper emitted subspaces over all in-box products, ordered."""
+def _gather_candidates(L: GradedLieRing):
+    """All proper emitted subspaces over all in-box products, ordered.
+
+    Each candidate is (sort key, grade, basis, provenances).
+    """
     out = []
     ring_dims: Dict[str, Dict[str, int]] = {}
-    include_rad = opts.include_bimap_radicals
-    if include_rad is None:
-        include_rad = set(opts.ring_kinds) == set(scalars.KINDS)
     grades = [s for s in L.comps if L.dim(s) > 0]
     for s in grades:
         for t in grades:
@@ -210,12 +206,7 @@ def _gather_candidates(L: GradedLieRing, opts: RefineOptions):
             rings = scalars.all_rings(b)
             key = ",".join(str(x) for x in s) + "|" + ",".join(str(x) for x in t)
             ring_dims[key] = {k: rings[k].dim for k in scalars.KINDS}
-            ems = scalars.characteristic_subspaces(
-                b,
-                rings,
-                kinds=opts.ring_kinds,
-                include_bimap_radicals=include_rad,
-            )
+            ems = scalars.characteristic_subspaces(b, rings)
             side_grade = {"U": s, "V": t, "W": u}
             for e in ems:
                 g = side_grade[e.side]
@@ -227,46 +218,41 @@ def _gather_candidates(L: GradedLieRing, opts: RefineOptions):
                             _candidate_sort_key(rank, g, e.basis),
                             g,
                             e.basis,
-                            e.provenance,
+                            e.provenances,
                         )
                     )
     out.sort(key=lambda c: c[0])
     return out, ring_dims
 
 
-def refine_to_fixpoint(
-    G: PcGroup, opts: Optional[RefineOptions] = None, group_id: str = ""
-) -> RefinementReport:
+def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
     """Seed with the exponent-p series, insert first emitted subspace, repeat."""
-    opts = opts or RefineOptions()
     t0 = time.monotonic()
-    f = exponent_p_lcs(G)
+    seed = f = exponent_p_lcs(G)
     L = graded_lie_ring(f)
     seed_dims = [L.dim(s) for s in L.grades()]
     steps: List[RefinementStep] = []
-    ring_dims: Dict[str, Dict[str, int]] = {}
+    seed_candidates, ring_dims = _gather_candidates(L)
+    candidates = seed_candidates
     cap_hit = False
     while True:
-        candidates, dims = _gather_candidates(L, opts)
-        if not ring_dims:
-            ring_dims = dims
         inserted = False
-        for _, grade, basis, prov in candidates:
+        for _, grade, basis, provs in candidates:
             try:
                 H = lift_subspace(G, f, grade, basis)
                 new_index = f.value(grade).order // H.order
                 f = insert_refinement(f, grade, H)
             except RefinementError:
                 continue
-            steps.append(RefinementStep(grade, prov, new_index, H.igs))
+            steps.append(RefinementStep(grade, provs[0], new_index, H.igs))
             inserted = True
             break
         if not inserted:
             break
-        if len(steps) >= opts.cap:
+        if len(steps) >= CAP:
             cap_hit = True
             break
-        L = graded_lie_ring(f)
+        candidates, _ = _gather_candidates(graded_lie_ring(f))
     report = RefinementReport(
         group=group_id or (G.name or "group"),
         order=G.order,
@@ -277,9 +263,48 @@ def refine_to_fixpoint(
         ring_dims=ring_dims,
         cap_hit=cap_hit,
         runtime_ms=int((time.monotonic() - t0) * 1000),
+        seed=seed,
+        seed_candidates=seed_candidates,
     )
     report.classification = classify(report, G)
     return report
+
+
+def seed_refined_by(report: RefinementReport, ring: str) -> bool:
+    """Whether some candidate emitted by ``ring`` refines the seed filter.
+
+    The candidates are the ring's among ``report.seed_candidates``, tried in
+    their order without the ring rank.  For a group without declared direct
+    factors this is the flag of a refinement restricted to the candidates
+    ``ring`` emits, without the bimap radicals:
+
+    1. A parsed ``.pcg`` group never declares direct factors: only
+       ``direct_product`` sets ``G.factors``.  So ``classify`` flags such a
+       group iff its refinement makes at least one step.
+    2. A restricted run starts from the same exponent-p seed filter as the
+       full run.  So it is flagged iff one of its first-table candidates
+       lifts and inserts; later steps cannot change the flag.
+    3. An emission of one ring depends only on the bimap, that ring, its
+       radical and Der, and Der is always built.  So the restricted run's
+       first-table candidates are the full run's seed emissions that the
+       ring emitted, without the bimap radicals.  A duplicate emitted by
+       several rings is merged into one emission that lists all their
+       provenances, so the ring is found there even when it is not first.
+       Within one ring the rank is constant, so the restricted order is the
+       candidate order without its rank.
+    """
+    f = report.seed
+    rank = scalars.PROVENANCE_RANK[ring.lower()]  # a ring's provenances share its rank
+    own = [
+        c for c in report.seed_candidates if any(scalars.PROVENANCE_RANK[p] == rank for p in c[3])
+    ]
+    for _, grade, basis, _ in sorted(own, key=lambda c: c[0][1:]):
+        try:
+            insert_refinement(f, grade, lift_subspace(f.group, f, grade, basis))
+        except RefinementError:
+            continue
+        return True
+    return False
 
 
 def _product_series_values(G: PcGroup) -> Optional[set]:

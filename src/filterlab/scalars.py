@@ -567,7 +567,11 @@ def _lift_central_idempotents(
 class Emission:
     side: str  # "U", "V", or "W"
     basis: np.ndarray  # echelon rows spanning the subspace
-    provenance: str
+    provenances: List[str]  # every provenance that emitted it, in rank order
+
+    @property
+    def provenance(self) -> str:
+        return self.provenances[0]
 
     @property
     def dim(self) -> int:
@@ -614,24 +618,18 @@ def _der_invariant(emission: Emission, der: ScalarAlgebra) -> bool:
 
 
 def characteristic_subspaces(
-    b: Bimap,
-    rings: Optional[Dict[str, ScalarAlgebra]] = None,
-    kinds: Optional[Sequence[str]] = None,
-    include_bimap_radicals: Optional[bool] = None,
+    b: Bimap, rings: Optional[Dict[str, ScalarAlgebra]] = None
 ) -> List[Emission]:
     """Subspaces of U, V, W cut out by the rings' radicals and idempotents.
 
-    Every returned subspace is verified invariant under the matching component
-    of Der(o); candidates failing that proxy for being characteristic are
-    dropped.  Duplicates (same side, same echelon form) keep their first
-    provenance in ring priority order.
+    Every ring emits, and so do the bimap radicals.  Every returned subspace
+    is verified invariant under the matching component of Der(o); candidates
+    failing that proxy for being characteristic are dropped.  Duplicates
+    (same side, same echelon form) are merged into the first in ring priority
+    order, which records every provenance that emitted it.
     """
     if rings is None:
         rings = all_rings(b)
-    if include_bimap_radicals is None:
-        include_bimap_radicals = kinds is None
-    if kinds is None:
-        kinds = KINDS
     p = b.p
     der = rings["Der"]
     out: List[Emission] = []
@@ -639,7 +637,7 @@ def characteristic_subspaces(
     def emit(side: str, rows: np.ndarray, prov: str):
         d = _side_dims(b)[side]
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, d) if rows.size else np.zeros((0, d), dtype=np.int64)
-        out.append(Emission(side, linalg.row_space(rows, p) if rows.size else rows, prov))
+        out.append(Emission(side, linalg.row_space(rows, p) if rows.size else rows, [prov]))
 
     def emit_action(side: str, mats: List[np.ndarray], prov: str):
         # images and kernels of radical elements acting on one side
@@ -650,22 +648,19 @@ def characteristic_subspaces(
             emit(side, linalg.nullspace(m.T, p), prov)
 
     # Der: radical of the associative envelope of each side's action
-    if "Der" in kinds:
-        for pos, side in enumerate(("U", "V", "W")):
-            d = _side_dims(b)[side]
-            if d == 0:
-                continue
-            env = envelope(p, d, [t[pos] for t in der.tuples()])
-            rad = env.radical()
-            if rad.dim:
-                emit_action(side, list(rad.basis), "der")
+    for pos, side in enumerate(("U", "V", "W")):
+        d = _side_dims(b)[side]
+        if d == 0:
+            continue
+        env = envelope(p, d, [t[pos] for t in der.tuples()])
+        rad = env.radical()
+        if rad.dim:
+            emit_action(side, list(rad.basis), "der")
 
     # associative kinds: radical elements acting on their sides; each ring's
     # algebra A and radical J are built once and also lift the idempotents
     radicals: Dict[str, Tuple[AssocAlgebra, AssocAlgebra]] = {}
     for kind, prov in (("Mid", "mid"), ("Left", "left"), ("Right", "right"), ("Cent", "cent")):
-        if kind not in kinds:
-            continue
         alg = rings[kind]
         assoc = alg.assoc()
         rad = assoc.radical()
@@ -677,29 +672,21 @@ def characteristic_subspaces(
 
     # idempotent images: Cent, whose A/J must be commutative, and Z(Mid/J)
     # pulled back
-    if "Cent" in kinds:
-        _check_commutative_quotient(*radicals["Cent"])
+    _check_commutative_quotient(*radicals["Cent"])
     for kind, prov in (("Cent", "cent-idem"), ("Mid", "mid-idem")):
-        if kind in kinds:
-            for e in _lift_central_idempotents(rings[kind], *radicals[kind]):
-                for pos, side in enumerate(KIND_SIDES[kind]):
-                    emit(side, linalg.row_space(e[pos], p), prov)
+        for e in _lift_central_idempotents(rings[kind], *radicals[kind]):
+            for pos, side in enumerate(KIND_SIDES[kind]):
+                emit(side, linalg.row_space(e[pos], p), prov)
 
-    # bimap radicals
-    if include_bimap_radicals:
-        emit("U", b.radical_u(), "bimap-radical")
-        emit("V", b.radical_v(), "bimap-radical")
+    emit("U", b.radical_u(), "bimap-radical")
+    emit("V", b.radical_v(), "bimap-radical")
 
-    # verify Der-invariance, dedupe keeping first occurrence in rank order
-    out.sort(key=lambda e: (PROVENANCE_RANK[e.provenance],))
-    seen = set()
-    final: List[Emission] = []
+    # merge duplicates into the first in rank order, then verify
+    # Der-invariance once per distinct subspace
+    out.sort(key=lambda e: PROVENANCE_RANK[e.provenance])
+    merged: Dict[Tuple, Emission] = {}
     for e in out:
-        if not _der_invariant(e, der):
-            continue
-        k = e.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        final.append(e)
-    return final
+        first = merged.setdefault(e.key(), e)
+        if e.provenance not in first.provenances:
+            first.provenances.append(e.provenance)
+    return [e for e in merged.values() if _der_invariant(e, der)]

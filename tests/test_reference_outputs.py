@@ -1,5 +1,6 @@
-"""The shipped census JSON and the recorded ladder refinement reports, checked
-byte for byte or field for field against a fresh run."""
+"""The shipped census JSON, the recorded ladder refinement reports and the
+recorded ``report --stages scalars`` payloads, checked byte for byte or field
+for field against a fresh run."""
 
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from filterlab import cli
 from filterlab.pcgroup import direct_product, parse_pcg_file
 from filterlab.refine import refine_to_fixpoint, report_to_json
 
@@ -37,3 +39,18 @@ def test_ladder_reports_match_reference(name, factors):
     report = report_to_json(refine_to_fixpoint(G, group_id=name))
     del report["runtime_ms"]
     assert report == reference[name]
+
+
+def test_scalars_stage_matches_reference():
+    """``scalars_stage_reference.json`` holds the scalars payload of every
+    file in corpus/{basic,order16,order81,products}, recorded before the
+    emissions of all rings were merged into one deduplicated list; the
+    ``emitted`` counts depend on that deduplication."""
+    reference = json.loads((ROOT / "tests" / "scalars_stage_reference.json").read_text())
+    got = {}
+    for d in ("basic", "order16", "order81", "products"):
+        for path in sorted((CORPUS / d).glob("*.pcg")):
+            G = parse_pcg_file(path)
+            got[f"{d}/{path.stem}"] = cli._stage_payloads(G, ["scalars"])["scalars"]
+    assert len(got) == 46
+    assert got == reference

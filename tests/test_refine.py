@@ -15,13 +15,13 @@ from filterlab.pcgroup import (
     trivial_subgroup,
 )
 from filterlab.refine import (
-    RefineOptions,
     RefinementError,
     classify,
     insert_refinement,
     lift_subspace,
     refine_to_fixpoint,
     report_to_json,
+    seed_refined_by,
 )
 from filterlab.series import Filter, exponent_p_lcs, verify_filter
 
@@ -152,19 +152,18 @@ def test_determinism_byte_for_byte(corpus_groups):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_cap_records_not_errors():
+def test_cap_records_not_errors(monkeypatch):
+    monkeypatch.setattr(refine, "CAP", 1)
     G = load("g16_07_d16")
-    r = refine_to_fixpoint(G, RefineOptions(cap=1))
+    r = refine_to_fixpoint(G)
     assert len(r.steps) <= 1
     assert r.cap_hit or len(r.steps) == 1
 
 
 def test_ring_restricted_runs():
-    G = load("g16_11_d8xc2")
-    der_only = refine_to_fixpoint(G, RefineOptions(ring_kinds=("Der",), include_bimap_radicals=False))
-    assert der_only.classification == "non-semi-classical"
-    cent_only = refine_to_fixpoint(G, RefineOptions(ring_kinds=("Cent",), include_bimap_radicals=False))
-    assert cent_only.classification in ("classical", "non-semi-classical")
+    r = refine_to_fixpoint(load("g16_11_d8xc2"))
+    assert r.classification == "non-semi-classical"
+    assert [seed_refined_by(r, ring) for ring in ("Der", "Mid", "Cent")] == [True, True, False]
 
 
 def test_report_json_schema():

@@ -28,17 +28,26 @@ def _census_dir(tmp_path, rel_paths):
 
 
 def _failing_refine(monkeypatch, group, ring=None):
-    """Make refine_to_fixpoint raise for one group, for one breakdown ring
-    (or for the full refinement when ring is None)."""
-    original = refine.refine_to_fixpoint
+    """Make the refinement of one group raise: its breakdown predicate for
+    one ring, or refine_to_fixpoint when ring is None."""
+    if ring is None:
+        original = refine.refine_to_fixpoint
 
-    def patched(G, opts=None, group_id=""):
-        kinds = opts.ring_kinds if opts is not None else None
-        if group_id == group and kinds == ((ring,) if ring else None):
+        def patched(G, group_id=""):
+            if group_id == group:
+                raise refine.RefinementError("injected failure")
+            return original(G, group_id=group_id)
+
+        monkeypatch.setattr(refine, "refine_to_fixpoint", patched)
+        return
+    original_by = refine.seed_refined_by
+
+    def patched_by(report, r):
+        if report.group == group and r == ring:
             raise refine.RefinementError("injected failure")
-        return original(G, opts, group_id=group_id)
+        return original_by(report, r)
 
-    monkeypatch.setattr(refine, "refine_to_fixpoint", patched)
+    monkeypatch.setattr(refine, "seed_refined_by", patched_by)
 
 
 @pytest.mark.parametrize(
@@ -61,7 +70,7 @@ def test_refine_failure_is_one_skipped_entry(tmp_path, monkeypatch, ring, stage)
 def test_other_refine_errors_are_recorded(tmp_path, monkeypatch, exc):
     d = _census_dir(tmp_path, ["order16/g16_01_c16.pcg"])
 
-    def boom(G, opts=None, group_id=""):
+    def boom(G, group_id=""):
         raise exc
 
     monkeypatch.setattr(refine, "refine_to_fixpoint", boom)
@@ -82,9 +91,9 @@ def test_order_filter_skips_refining_other_orders(tmp_path, monkeypatch):
     refined = []
     original = refine.refine_to_fixpoint
 
-    def counting(G, opts=None, group_id=""):
+    def counting(G, group_id=""):
         refined.append(group_id)
-        return original(G, opts, group_id=group_id)
+        return original(G, group_id=group_id)
 
     monkeypatch.setattr(refine, "refine_to_fixpoint", counting)
     got = census.run_census(mixed, order_filter=16).to_json()

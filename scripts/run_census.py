@@ -24,6 +24,9 @@ def main():
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default=str(ROOT / "artifacts"))
     args = ap.parse_args()
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        sys.exit(2)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in ("order16", "order81"):

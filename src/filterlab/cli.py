@@ -146,14 +146,19 @@ def _stage_payloads(G, stages, sidecar_maps=()):
                     continue
                 b = scalars.bimap_from_lie_pair(L, s, t)
                 rings = scalars.all_rings(b)
-                ems = scalars.characteristic_subspaces(b, rings)
+                radicals = scalars.ring_radicals(rings)
+                ems = scalars.characteristic_subspaces(b, rings, radicals)
+                # characteristic_subspaces checked that Cent's A/J is commutative
+                cent_assoc, _, cent_quot, cent_lift = radicals["Cent"]
+                idems = scalars._lift_central_idempotents(
+                    rings["Cent"], cent_assoc, cent_quot, cent_lift
+                )
                 pairs["|".join(map(str, s)) + ";" + "|".join(map(str, t))] = {
                     "dims": {k: rings[k].dim for k in scalars.KINDS},
                     "radical_dims": {
-                        k: len(scalars.radical(rings[k]))
-                        for k in ("Left", "Mid", "Right", "Cent")
+                        k: radicals[k][1].dim for k in ("Left", "Mid", "Right", "Cent")
                     },
-                    "cent_idempotents": len(scalars.split_idempotents(rings["Cent"])),
+                    "cent_idempotents": len(idems),
                     "emitted": len(ems),
                 }
         out["scalars"] = pairs

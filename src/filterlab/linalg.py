@@ -29,30 +29,33 @@ def inv_scalar(a: int, p: int) -> int:
 
 
 def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form over GF(p); returns (matrix, pivot columns)."""
-    m = mod_p(np.array(a, dtype=np.int64, copy=True), p)
-    rows, cols = m.shape
+    """Reduced row echelon form over GF(p); returns (matrix, pivot columns).
+
+    The elimination runs on Python int lists: most matrices here have one or
+    two rows and columns, where a numpy call per row costs more than the row.
+    """
+    rows, cols = np.shape(a)
+    m = mod_p(a, p).tolist()
     piv_cols: List[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r] = (m[r] * inv_scalar(m[r, c], p)) % p
-        for i in range(rows):
-            if i != r and m[i, c] % p:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[r], m[pivot] = m[pivot], m[r]
+        row = m[r]
+        if row[c] != 1:
+            inv = inv_scalar(row[c], p)
+            row = m[r] = [x * inv % p for x in row]
+        for i, mi in enumerate(m):
+            f = mi[c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(mi, row)]
         piv_cols.append(c)
         r += 1
-    return m, piv_cols
+    return np.array(m, dtype=np.int64).reshape(rows, cols), piv_cols
 
 
 def row_space(a: np.ndarray, p: int) -> np.ndarray:

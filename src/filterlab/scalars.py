@@ -84,12 +84,7 @@ class AssocAlgebra:
     def __init__(self, p: int, n: int, basis: Sequence[np.ndarray]):
         self.p = p
         self.n = n
-        mats = [np.asarray(b, dtype=np.int64) % p for b in basis]
-        flat = (
-            np.stack([m.reshape(-1) for m in mats])
-            if mats
-            else np.zeros((0, n * n), dtype=np.int64)
-        )
+        flat = np.asarray(basis, dtype=np.int64).reshape(len(basis), n * n) % p
         self.flat = linalg.row_space(flat, p)
         self.basis = [v.reshape(n, n) for v in self.flat]
 
@@ -97,16 +92,24 @@ class AssocAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def stack(self) -> np.ndarray:
+        """The basis as one (dim, n, n) array, a view of ``flat``."""
+        return self.flat.reshape(-1, self.n, self.n)
+
     def contains(self, m: np.ndarray) -> bool:
         return linalg.in_row_space(m.reshape(-1), self.flat, self.p)
+
+    def contains_all(self, ms: np.ndarray) -> bool:
+        """True iff every matrix of the stack ``ms`` lies in the algebra."""
+        return linalg.row_coords(ms.reshape(len(ms), self.n * self.n), self.flat, self.p) is not None
 
     def coords(self, m: np.ndarray) -> Optional[np.ndarray]:
         return linalg.row_coords(m.reshape(-1), self.flat, self.p)
 
     def is_closed(self) -> bool:
-        return all(
-            self.contains(a @ b % self.p) for a in self.basis for b in self.basis
-        )
+        # one row of the pair table, a @ B for the whole basis stack B, at a time
+        return all(self.contains_all(a @ self.stack) for a in self.basis)
 
     def has_identity(self) -> bool:
         return self.contains(linalg.identity(self.n))
@@ -118,42 +121,42 @@ class AssocAlgebra:
         # divisible by p^i on A_i, so dividing gives an F_p-linear system.
         # After the level with p^i >= n the chain equals the Jacobson radical.
         p, n = self.p, self.n
-        cur = [b % p for b in self.basis]
-        i = 0
+        cur = self.stack
         pk = 1
         while True:
-            if not cur:
+            if not len(cur):
                 return []
             mod = pk * p
             rows = []
             for y in cur:
-                row = []
-                for b in cur:
-                    prod = (b % p) @ (y % p) % mod
-                    val = int(np.trace(_mat_power(prod, pk, mod))) % mod
-                    if val % pk:
-                        raise ArithmeticError("radical chain divisibility failed")
-                    row.append((val // pk) % p)
-                rows.append(row)
+                vals = np.trace(_mat_power(cur @ y % mod, pk, mod), axis1=1, axis2=2) % mod
+                if (vals % pk).any():
+                    raise ArithmeticError("radical chain divisibility failed")
+                rows.append(vals // pk % p)
             ker = linalg.nullspace(np.array(rows, dtype=np.int64), p)
-            cur = [np.tensordot(c, np.stack(cur), axes=1) % p for c in ker]
+            cur = np.tensordot(ker, cur, axes=1) % p
             if pk >= n:
-                return cur
-            i += 1
+                return list(cur)
             pk *= p
 
     def radical(self) -> "AssocAlgebra":
         """Jacobson radical via the characteristic-p integral trace chain."""
-        rad = AssocAlgebra(self.p, self.n, self._radical_chain())
-        self._verify_radical(rad)
-        return rad
+        return self.radical_quotient()[0]
 
-    def _verify_radical(self, rad: "AssocAlgebra") -> None:
+    def radical_quotient(self):
+        """(J, A/J, lift): the verified radical J with the quotient and lift
+        that its verification built, as ``quotient`` returns them."""
+        rad = AssocAlgebra(self.p, self.n, self._radical_chain())
+        return (rad,) + self._verify_radical(rad)
+
+    def _verify_radical(self, rad: "AssocAlgebra"):
+        """Raise unless ``rad`` is a nilpotent two-sided ideal with semisimple
+        quotient; returns ``self.quotient(rad)``."""
         p = self.p
+        R = rad.stack
         for a in self.basis:
-            for r in rad.basis:
-                if not rad.contains(a @ r % p) or not rad.contains(r @ a % p):
-                    raise ArithmeticError("radical is not a two-sided ideal")
+            if not rad.contains_all(np.concatenate([a @ R, R @ a])):
+                raise ArithmeticError("radical is not a two-sided ideal")
         # nilpotency: J^k shrinks to zero within dim steps
         cur = rad
         for _ in range(rad.dim + 1):
@@ -168,9 +171,10 @@ class AssocAlgebra:
         else:
             if cur.dim:
                 raise ArithmeticError("radical candidate is not nilpotent")
-        quot, _ = self.quotient(rad)
+        quot, lift = self.quotient(rad)
         if quot.dim and quot._radical_chain():
             raise ArithmeticError("quotient by radical is not semisimple")
+        return quot, lift
 
     def quotient(self, ideal: "AssocAlgebra"):
         """(A/ideal via left regular representation, lift fn)."""
@@ -195,10 +199,10 @@ class AssocAlgebra:
         to_lift = linalg.rref(aug, p)[0][:, k : k + q]
 
         # left regular representation of the quotient
+        lift_stack = np.array(lift_mats, dtype=np.int64).reshape(q, self.n, self.n)
         reg = []
         for a in lift_mats:
-            prods = np.stack([(a @ b).reshape(-1) for b in lift_mats])
-            c = linalg.row_coords(prods, self.flat, p)
+            c = linalg.row_coords((a @ lift_stack).reshape(q, -1), self.flat, p)
             if c is None:
                 raise ValueError("element not in algebra")
             reg.append((c @ to_lift % p).T)  # column convention flip so x*regmat acts rightly
@@ -215,19 +219,11 @@ class AssocAlgebra:
     def center(self) -> "AssocAlgebra":
         if self.dim == 0:
             return self
-        p = self.p
-        rows = []
-        for b in self.basis:
-            block = []
-            for a in self.basis:
-                block.append(((a @ b - b @ a) % p).reshape(-1))
-            rows.append(np.concatenate(block))
-        sys = np.stack(rows).T  # unknowns = coefficients over basis
-        ker = linalg.nullspace(sys, p)
-        mats = [
-            np.tensordot(c, np.stack(self.basis), axes=1) % p for c in ker
-        ]
-        return AssocAlgebra(p, self.n, mats)
+        p, S = self.p, self.stack
+        # row b holds the blocks a @ b - b @ a over every basis element a
+        sys = np.stack([((S @ b - b @ S) % p).reshape(-1) for b in S]).T
+        ker = linalg.nullspace(sys, p)  # unknowns = coefficients over basis
+        return AssocAlgebra(p, self.n, (ker @ self.flat % p).reshape(-1, self.n, self.n))
 
     def min_poly(self, m: np.ndarray, unit: Optional[np.ndarray] = None) -> List[int]:
         """Monic minimal polynomial coefficients (low to high) of m."""
@@ -246,8 +242,11 @@ class AssocAlgebra:
 
 
 def _mat_power(m: np.ndarray, e: int, mod: int) -> np.ndarray:
-    """m^e reduced mod a small modulus: p over GF(p), p^(k+1) for integral lifts."""
-    out = np.eye(m.shape[0], dtype=np.int64)
+    """m^e reduced mod a small modulus: p over GF(p), p^(k+1) for integral lifts.
+
+    ``m`` is one matrix or a stack of them (powered one by one).
+    """
+    out = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape)
     base = m % mod
     while e:
         if e & 1:
@@ -261,15 +260,12 @@ def envelope(p: int, n: int, gens: Sequence[np.ndarray]) -> AssocAlgebra:
     """Unital associative subalgebra of M_n generated by the given matrices."""
     span = AssocAlgebra(p, n, list(gens) + [linalg.identity(n)])
     while True:
-        new = []
-        for a in span.basis:
-            for b in span.basis:
-                m = a @ b % p
-                if not span.contains(m):
-                    new.append(m)
+        S = span.stack
+        # the row a @ S of the product table joins the span unless it lies in it
+        new = [a @ S for a in span.basis if not span.contains_all(a @ S)]
         if not new:
             return span
-        span = AssocAlgebra(p, n, list(span.basis) + new)
+        span = AssocAlgebra(p, n, np.concatenate([S] + new))
 
 
 # -- the five rings -----------------------------------------------------------
@@ -296,15 +292,15 @@ class ScalarAlgebra:
         return self.flat.shape[0]
 
     def tuples(self) -> List[Tuple[np.ndarray, ...]]:
-        return [self.unflatten(v) for v in self.flat]
+        return list(zip(*self.side_stacks()))
 
-    def unflatten(self, v: np.ndarray) -> Tuple[np.ndarray, ...]:
-        out = []
-        pos = 0
+    def side_stacks(self) -> List[np.ndarray]:
+        """Per component, the (dim, d, d) stack of every basis element's matrix."""
+        out, pos = [], 0
         for d in self.sizes:
-            out.append(np.asarray(v[pos : pos + d * d]).reshape(d, d) % self.p)
+            out.append(self.flat[:, pos : pos + d * d].reshape(self.dim, d, d))
             pos += d * d
-        return tuple(out)
+        return out
 
     def identity_tuple(self) -> Tuple[np.ndarray, ...]:
         return tuple(linalg.identity(d) for d in self.sizes)
@@ -389,12 +385,14 @@ def derivation_algebra(b: Bimap) -> ScalarAlgebra:
     """Der(o): triples with (uf) o v + u o (vg) = (u o v) h, closed under bracket."""
     basis = linalg.nullspace(_condition_matrices(b, "Der"), b.p)
     alg = ScalarAlgebra("Der", b, basis)
-    p = b.p
-    for t1 in alg.tuples():
-        for t2 in alg.tuples():
-            br = tuple((m1 @ m2 - m2 @ m1) % p for m1, m2 in zip(t1, t2))
-            if not alg.contains_tuple(br):
-                raise ArithmeticError("derivation algebra not closed under bracket")
+    sides = alg.side_stacks()
+    for t in zip(*sides):
+        # brackets [t, x] for every basis element x, one flat row each
+        br = np.concatenate(
+            [(m @ S - S @ m).reshape(alg.dim, -1) for m, S in zip(t, sides)], axis=1
+        )
+        if linalg.row_coords(br, alg.flat, b.p) is None:
+            raise ArithmeticError("derivation algebra not closed under bracket")
     return alg
 
 
@@ -422,9 +420,8 @@ def centroid(b: Bimap) -> ScalarAlgebra:
     alg = ScalarAlgebra("Cent", b, flat)
     rep = alg.assoc()
     for x in rep.basis:
-        for y in rep.basis:
-            if ((x @ y - y @ x) % b.p).any():
-                raise ArithmeticError("centroid is not commutative")
+        if ((x @ rep.stack - rep.stack @ x) % b.p).any():
+            raise ArithmeticError("centroid is not commutative")
     if not alg.contains_tuple(alg.identity_tuple()):
         raise ArithmeticError("centroid does not contain the identity")
     return alg
@@ -465,6 +462,9 @@ def _split_primitive(assoc: AssocAlgebra, unit: np.ndarray) -> List[np.ndarray]:
         for e in idems:
             c = e @ b @ e % p
             mp = assoc.min_poly(c, unit=e)
+            if len(mp) == 2:  # a linear polynomial is irreducible: e stays whole
+                new.append(e)
+                continue
             poly = _poly_mod(mp, p)
             factors = poly.factor_list()[1]
             if len(factors) == 1:
@@ -494,38 +494,37 @@ def split_idempotents(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     and the sum is the identity tuple.
     """
     assoc = alg.assoc()
-    rad = assoc.radical()
+    rad, quot, lift = assoc.radical_quotient()
     _check_commutative_quotient(assoc, rad)
-    return _lift_central_idempotents(alg, assoc, rad)
+    return _lift_central_idempotents(alg, assoc, quot, lift)
 
 
 def _mid_center_idempotents(mid: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     """Idempotents of Z(Mid/rad), lifted back into Mid through the radical."""
     assoc = mid.assoc()
-    return _lift_central_idempotents(mid, assoc, assoc.radical())
+    return _lift_central_idempotents(mid, assoc, *assoc.radical_quotient()[1:])
 
 
 def _check_commutative_quotient(assoc: AssocAlgebra, rad: AssocAlgebra) -> None:
     """Raise unless A/J is commutative, i.e. every commutator lies in J."""
     for x in assoc.basis:
-        for y in assoc.basis:
-            if not rad.contains((x @ y - y @ x) % assoc.p):
-                raise ValueError("quotient by the radical is not commutative")
+        if not rad.contains_all(x @ assoc.stack - assoc.stack @ x):
+            raise ValueError("quotient by the radical is not commutative")
 
 
 def _lift_central_idempotents(
-    alg: ScalarAlgebra, assoc: AssocAlgebra, rad: AssocAlgebra
+    alg: ScalarAlgebra, assoc: AssocAlgebra, quot: AssocAlgebra, lift
 ) -> List[Tuple[np.ndarray, ...]]:
     """Primitive idempotents of Z(A/J), lifted into A through the radical J.
 
-    ``assoc`` is ``alg.assoc()`` and ``rad`` its radical; the lifts come
-    back as tuples of ``alg``.  Each lift is the p^K-th power, p^K > dim A,
-    of a representative cut down to the corner the earlier lifts leave free;
-    the lifts are checked to be idempotent, pairwise orthogonal and to sum
-    to the identity.
+    ``assoc`` is ``alg.assoc()``, and ``quot`` and ``lift`` are A/J and its
+    lift as ``assoc.radical_quotient()`` returns them; the lifts come back
+    as tuples of ``alg``.  Each lift is the p^K-th power, p^K > dim A, of a
+    representative cut down to the corner the earlier lifts leave free; the
+    lifts are checked to be idempotent, pairwise orthogonal and to sum to
+    the identity.
     """
     p, n = assoc.p, assoc.n
-    quot, lift = assoc.quotient(rad)
     if quot.dim == 0:
         return []
     # A is unital, so the regular image of 1_A, I_q, is the identity of A/J
@@ -610,15 +609,28 @@ def _common_kernel(mats: List[np.ndarray], p: int) -> np.ndarray:
     return linalg.nullspace(stacked, p)
 
 
-def _der_invariant(emission: Emission, der: ScalarAlgebra) -> bool:
-    side_pos = {"U": 0, "V": 1, "W": 2}[emission.side]
-    p = der.p
+def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> bool:
+    """True iff S x lies in S for every Der element x, with ``der_sides``
+    the Der side stacks (``side_stacks``)."""
     s = emission.basis  # in RREF, as every emission basis is
-    return all(linalg.row_coords(s @ t[side_pos], s, p) is not None for t in der.tuples())
+    images = s @ der_sides["UVW".index(emission.side)]
+    return linalg.row_coords(images.reshape(-1, s.shape[1]), s, p) is not None
+
+
+def ring_radicals(rings: Dict[str, ScalarAlgebra]) -> Dict[str, tuple]:
+    """(A, J, A/J, lift) per associative ring: each radical built and
+    verified once, its quotient kept for the idempotent lift."""
+    out = {}
+    for kind in ("Mid", "Left", "Right", "Cent"):
+        assoc = rings[kind].assoc()
+        out[kind] = (assoc,) + assoc.radical_quotient()
+    return out
 
 
 def characteristic_subspaces(
-    b: Bimap, rings: Optional[Dict[str, ScalarAlgebra]] = None
+    b: Bimap,
+    rings: Optional[Dict[str, ScalarAlgebra]] = None,
+    radicals: Optional[Dict[str, tuple]] = None,
 ) -> List[Emission]:
     """Subspaces of U, V, W cut out by the rings' radicals and idempotents.
 
@@ -626,12 +638,15 @@ def characteristic_subspaces(
     is verified invariant under the matching component of Der(o); candidates
     failing that proxy for being characteristic are dropped.  Duplicates
     (same side, same echelon form) are merged into the first in ring priority
-    order, which records every provenance that emitted it.
+    order, which records every provenance that emitted it.  ``radicals`` is
+    ``ring_radicals(rings)``, built here when not given.
     """
     if rings is None:
         rings = all_rings(b)
+    if radicals is None:
+        radicals = ring_radicals(rings)
     p = b.p
-    der = rings["Der"]
+    der_sides = rings["Der"].side_stacks()
     out: List[Emission] = []
 
     def emit(side: str, rows: np.ndarray, prov: str):
@@ -652,19 +667,15 @@ def characteristic_subspaces(
         d = _side_dims(b)[side]
         if d == 0:
             continue
-        env = envelope(p, d, [t[pos] for t in der.tuples()])
+        env = envelope(p, d, list(der_sides[pos]))
         rad = env.radical()
         if rad.dim:
             emit_action(side, list(rad.basis), "der")
 
     # associative kinds: radical elements acting on their sides; each ring's
-    # algebra A and radical J are built once and also lift the idempotents
-    radicals: Dict[str, Tuple[AssocAlgebra, AssocAlgebra]] = {}
+    # A/J from the radical's verification also lifts the idempotents
     for kind, prov in (("Mid", "mid"), ("Left", "left"), ("Right", "right"), ("Cent", "cent")):
-        alg = rings[kind]
-        assoc = alg.assoc()
-        rad = assoc.radical()
-        radicals[kind] = assoc, rad
+        alg, rad = rings[kind], radicals[kind][1]
         if rad.dim:
             rad_tuples = [alg.from_rep(r) for r in rad.basis]
             for pos, side in enumerate(KIND_SIDES[kind]):
@@ -672,9 +683,10 @@ def characteristic_subspaces(
 
     # idempotent images: Cent, whose A/J must be commutative, and Z(Mid/J)
     # pulled back
-    _check_commutative_quotient(*radicals["Cent"])
+    _check_commutative_quotient(*radicals["Cent"][:2])
     for kind, prov in (("Cent", "cent-idem"), ("Mid", "mid-idem")):
-        for e in _lift_central_idempotents(rings[kind], *radicals[kind]):
+        assoc, _, quot, lift = radicals[kind]
+        for e in _lift_central_idempotents(rings[kind], assoc, quot, lift):
             for pos, side in enumerate(KIND_SIDES[kind]):
                 emit(side, linalg.row_space(e[pos], p), prov)
 
@@ -689,4 +701,4 @@ def characteristic_subspaces(
         first = merged.setdefault(e.key(), e)
         if e.provenance not in first.provenances:
             first.provenances.append(e.provenance)
-    return [e for e in merged.values() if _der_invariant(e, der)]
+    return [e for e in merged.values() if _der_invariant(e, der_sides, p)]

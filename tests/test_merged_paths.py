@@ -262,17 +262,11 @@ def _solve_identity(assoc):
 
 def _solve_lift(alg, assoc, rad, monkeypatch):
     """The idempotent lift run on the solve-based quotient and identity."""
-    made = []
-
-    def quotient(self, ideal):
-        made.append(_solve_quotient(self, ideal))
-        return made[-1]
-
+    quot, lift = _solve_quotient(assoc, rad)
     split = scalars._split_primitive
     with monkeypatch.context() as m:
-        m.setattr(scalars.AssocAlgebra, "quotient", quotient)
-        m.setattr(scalars, "_split_primitive", lambda zq, unit: split(zq, _solve_identity(made[-1][0])))
-        return scalars._lift_central_idempotents(alg, assoc, rad)
+        m.setattr(scalars, "_split_primitive", lambda zq, unit: split(zq, _solve_identity(quot)))
+        return scalars._lift_central_idempotents(alg, assoc, quot, lift)
 
 
 def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkeypatch):
@@ -282,8 +276,7 @@ def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkey
         for kind in ("Mid", "Cent"):
             alg = rings[kind]
             assoc = alg.assoc()
-            rad = assoc.radical()
-            quot, lift = assoc.quotient(rad)
+            rad, quot, lift = assoc.radical_quotient()
             ref, ref_lift = _solve_quotient(assoc, rad)
             assert np.array_equal(quot.flat, ref.flat)
             # the complement is the greedy choice, one elimination per row
@@ -299,7 +292,7 @@ def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkey
                 assert np.array_equal(lift(c), ref_lift(c))
             if quot.dim:
                 assert np.array_equal(_solve_identity(ref), linalg.identity(quot.n))
-            got = scalars._lift_central_idempotents(alg, assoc, rad)
+            got = scalars._lift_central_idempotents(alg, assoc, quot, lift)
             want = _solve_lift(alg, assoc, rad, monkeypatch)
             assert len(got) == len(want)
             for e, f in zip(got, want):
@@ -386,12 +379,29 @@ def test_characteristic_subspaces_build_each_radical_once(monkeypatch):
     b = scalars.bimap_from_lie_pair(L, (1,), (1,))
     rings = scalars.all_rings(b)
     calls = []
-    original = scalars.AssocAlgebra.radical
+    original = scalars.AssocAlgebra.radical_quotient
 
     def counting(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(scalars.AssocAlgebra, "radical", counting)
+    # radical() goes through radical_quotient, so this counts every radical
+    monkeypatch.setattr(scalars.AssocAlgebra, "radical_quotient", counting)
     scalars.characteristic_subspaces(b, rings)
     assert len(calls) == 7  # Der on U, V, W; Mid, Left, Right, Cent
+
+
+def test_report_scalars_stage_builds_each_radical_once(monkeypatch):
+    from filterlab.cli import _stage_payloads
+
+    calls = []
+    original = scalars.AssocAlgebra.radical_quotient
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(scalars.AssocAlgebra, "radical_quotient", counting)
+    payload = _stage_payloads(load("g81_12_maxclass1"), ["scalars"])
+    assert len(payload["scalars"]) == 3
+    assert len(calls) == 21  # per bimap: Der on U, V, W; Mid, Left, Right, Cent

@@ -3,6 +3,8 @@ asserts or an aborted census."""
 
 import json
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +218,16 @@ def test_census_starts_no_more_workers_than_files(tmp_path, monkeypatch):
     assert sizes == [2]
     want = _artifact_groups()
     assert out["groups"] == {g: want[g] for g in GROUPS[:2]}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_census_script_jobs_below_one_is_an_input_error(tmp_path, jobs):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_census.py"), "--jobs", jobs, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert f"--jobs must be at least 1, got {jobs}" in proc.stderr
+    assert not out.exists()

@@ -1,0 +1,381 @@
+"""Differential tests for the batched scalar stage and the int-list rref.
+
+Each batched predicate or system is checked against a test-local copy of
+the per-pair loop it replaced, on every bimap of the seed tables (the
+graded Lie ring of the exponent-p lower central series) of the corpus; the
+rref against the numpy row-by-row elimination it replaced.  The last tests
+check that each batched post-check still fires, with its message.
+"""
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from filterlab import lie, linalg, monoid as mon, refine, scalars, series
+from filterlab.scalars import AssocAlgebra, Bimap, ScalarAlgebra
+
+from conftest import load
+
+
+# -- rref ----------------------------------------------------------------------
+
+
+def _numpy_rref(a, p):
+    """The numpy elimination, one row update at a time."""
+    m = linalg.mod_p(np.array(a, dtype=np.int64, copy=True), p)
+    rows, cols = m.shape
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = None
+        for i in range(r, rows):
+            if m[i, c] % p:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        m[r] = (m[r] * linalg.inv_scalar(m[r, c], p)) % p
+        for i in range(rows):
+            if i != r and m[i, c] % p:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        piv_cols.append(c)
+        r += 1
+    return m, piv_cols
+
+
+def _same_rref(a, p):
+    got, got_piv = linalg.rref(a, p)
+    want, want_piv = _numpy_rref(a, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want) and got_piv == want_piv
+
+
+@st.composite
+def _matrices(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    data = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=rows * cols, max_size=rows * cols))
+    return np.array(data, dtype=np.int64).reshape(rows, cols), p
+
+
+@given(_matrices())
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_rref_matches_numpy_elimination(case):
+    _same_rref(*case)
+
+
+def test_rref_matches_numpy_elimination_while_refining(monkeypatch):
+    seen = []
+    rref = linalg.rref
+
+    def recording(a, p):
+        seen.append((np.array(a, dtype=np.int64, copy=True), p))
+        return rref(a, p)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    G = load("g16_10_c4xc2xc2")
+    refine.refine_to_fixpoint(G, group_id=G.name)
+    monkeypatch.undo()
+    # the largest is the system of a centre of an 18-dim semisimple quotient
+    assert max(a.shape for a, _ in seen) == (5832, 18)
+    for a, p in seen:
+        _same_rref(a, p)
+
+
+# -- the per-pair loops, as they were -------------------------------------------
+
+
+def _loop_is_closed(A):
+    return all(A.contains(a @ b % A.p) for a in A.basis for b in A.basis)
+
+
+def _loop_is_ideal(A, J):
+    p = A.p
+    return all(J.contains(a @ r % p) and J.contains(r @ a % p) for a in A.basis for r in J.basis)
+
+
+def _loop_radical_chain(A):
+    p, n = A.p, A.n
+    cur = [b % p for b in A.basis]
+    pk = 1
+    while True:
+        if not cur:
+            return []
+        mod = pk * p
+        rows = []
+        for y in cur:
+            row = []
+            for b in cur:
+                prod = (b % p) @ (y % p) % mod
+                val = int(np.trace(scalars._mat_power(prod, pk, mod))) % mod
+                assert val % pk == 0
+                row.append((val // pk) % p)
+            rows.append(row)
+        ker = linalg.nullspace(np.array(rows, dtype=np.int64), p)
+        cur = [np.tensordot(c, np.stack(cur), axes=1) % p for c in ker]
+        if pk >= n:
+            return cur
+        pk *= p
+
+
+def _loop_bracket_closed(alg):
+    p = alg.p
+    return all(
+        alg.contains_tuple(tuple((m1 @ m2 - m2 @ m1) % p for m1, m2 in zip(t1, t2)))
+        for t1 in alg.tuples()
+        for t2 in alg.tuples()
+    )
+
+
+def _loop_commutative(A):
+    return not any(((x @ y - y @ x) % A.p).any() for x in A.basis for y in A.basis)
+
+
+def _loop_commutative_mod(A, J):
+    return all(J.contains((x @ y - y @ x) % A.p) for x in A.basis for y in A.basis)
+
+
+def _loop_center(A):
+    if A.dim == 0:
+        return A
+    p = A.p
+    rows = []
+    for b in A.basis:
+        rows.append(np.concatenate([((a @ b - b @ a) % p).reshape(-1) for a in A.basis]))
+    ker = linalg.nullspace(np.stack(rows).T, p)
+    return AssocAlgebra(p, A.n, [np.tensordot(c, np.stack(A.basis), axes=1) % p for c in ker])
+
+
+def _loop_regular_rep(A, J):
+    """A/J with the regular representation built one product at a time."""
+    p, n = A.p, A.n
+    m = J.dim
+    cols = np.concatenate([J.flat, A.flat], axis=0).T
+    lift_rows = [A.flat[c - m] for c in linalg.rref(cols, p)[1] if c >= m]
+    q = len(lift_rows)
+    lift_mats = [v.reshape(n, n) for v in lift_rows]
+    k = A.dim
+    combined = np.array(lift_rows + list(J.flat), dtype=np.int64).reshape(A.flat.shape)
+    aug = np.concatenate([linalg.row_coords(combined, A.flat, p), linalg.identity(k)], axis=1)
+    to_lift = linalg.rref(aug, p)[0][:, k : k + q]
+    reg = []
+    for a in lift_mats:
+        prods = np.stack([(a @ b).reshape(-1) for b in lift_mats])
+        reg.append((linalg.row_coords(prods, A.flat, p) @ to_lift % p).T)
+    return AssocAlgebra(p, q, reg)
+
+
+def _loop_envelope(p, n, gens):
+    span = AssocAlgebra(p, n, list(gens) + [linalg.identity(n)])
+    while True:
+        new = [a @ b % p for a in span.basis for b in span.basis if not span.contains(a @ b % p)]
+        if not new:
+            return span
+        span = AssocAlgebra(p, n, list(span.basis) + new)
+
+
+def _loop_der_invariant(basis, side, der):
+    pos = "UVW".index(side)
+    return all(linalg.row_coords(basis @ t[pos], basis, der.p) is not None for t in der.tuples())
+
+
+def _factoring_split(assoc, unit):
+    """_split_primitive with every minimal polynomial factored by sympy."""
+    p = assoc.p
+    idems = [unit % p]
+    for b in assoc.basis:
+        new = []
+        for e in idems:
+            c = e @ b @ e % p
+            poly = scalars._poly_mod(assoc.min_poly(c, unit=e), p)
+            factors = poly.factor_list()[1]
+            if len(factors) == 1:
+                new.append(e)
+                continue
+            for fac, mult in factors:
+                g = sympy.div(poly, fac ** mult, domain=sympy.GF(p))[0]
+                eps = (g * sympy.invert(g, fac ** mult)) % poly
+                val, power = np.zeros_like(unit), e
+                for cc in reversed(eps.all_coeffs()):
+                    val = (val + int(cc) % p * power) % p
+                    power = power @ c % p
+                new.append(val)
+        idems = new
+    return [e for e in idems if e.any()]
+
+
+# -- batched against the loops on every corpus bimap ------------------------------
+
+
+def _seed_bimaps(groups):
+    for G in groups.values():
+        L = lie.graded_lie_ring(series.exponent_p_lcs(G))
+        for s in L.comps:
+            for t in L.comps:
+                if L.dim(s) and L.dim(t) and L.dim(mon.add(s, t)):
+                    yield scalars.bimap_from_lie_pair(L, s, t)
+
+
+def _fires(fn, exc, message):
+    """True iff fn() raises exc with message (exc with another message: False)."""
+    try:
+        fn()
+    except exc as e:
+        if message in str(e):
+            return True
+    return False
+
+
+def _equal_algebras(A, B):
+    return A.n == B.n and np.array_equal(A.flat, B.flat)
+
+
+def _drop_first(A):
+    """A's span without its first basis row: often not closed, not an ideal."""
+    return AssocAlgebra(A.p, A.n, A.basis[1:])
+
+
+def test_batched_kernels_match_per_pair_loops(corpus_groups, monkeypatch):
+    seen = {"not closed": 0, "not ideal": 0, "not commutative": 0, "not invariant": 0}
+    degrees = set()
+    min_poly = AssocAlgebra.min_poly
+
+    def recording(self, m, unit=None):
+        degrees.add(len(min_poly(self, m, unit)) - 1)
+        return min_poly(self, m, unit)
+
+    monkeypatch.setattr(AssocAlgebra, "min_poly", recording)
+    bimaps = 0
+    for b in _seed_bimaps(corpus_groups):
+        bimaps += 1
+        p = b.p
+        rings = scalars.all_rings(b)
+        der = rings["Der"]
+        assert _loop_bracket_closed(der)
+        radicals = scalars.ring_radicals(rings)
+        algebras = []
+        for pos, d in enumerate(b.dims):
+            gens = [t[pos] for t in der.tuples()]
+            env = scalars.envelope(p, d, gens)
+            assert _equal_algebras(env, _loop_envelope(p, d, gens))
+            algebras.append(env)
+        for kind, (A, J, quot, _) in radicals.items():
+            assert _equal_algebras(quot, _loop_regular_rep(A, J))
+            algebras += [A, quot]
+            for cand in (J, _drop_first(A)):
+                ideal = _loop_is_ideal(A, cand)
+                seen["not ideal"] += not ideal
+                fired = _fires(lambda: A._verify_radical(cand), ArithmeticError, "not a two-sided ideal")
+                assert fired == (not ideal)
+            for J0 in (J, AssocAlgebra(p, A.n, [])):
+                ok = _loop_commutative_mod(A, J0)
+                seen["not commutative"] += not ok
+                fired = _fires(lambda: scalars._check_commutative_quotient(A, J0), ValueError, "not commutative")
+                assert fired == (not ok)
+        for A in algebras:
+            assert A.is_closed() and _loop_is_closed(A)
+            if A.dim > 1:
+                sub = _drop_first(A)
+                seen["not closed"] += not _loop_is_closed(sub)
+                assert sub.is_closed() == _loop_is_closed(sub)
+            got, want = A._radical_chain(), _loop_radical_chain(A)
+            assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
+            assert _equal_algebras(A.center(), _loop_center(A))
+        # Z(A/J) of Mid and Cent is where the lift splits idempotents
+        for kind in ("Mid", "Cent"):
+            zq = radicals[kind][2].center()
+            if zq.dim:
+                unit = linalg.identity(zq.n)
+                got, want = scalars._split_primitive(zq, unit), _factoring_split(zq, unit)
+                assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
+        # Der-invariance of every emission and of every coordinate line
+        sides = der.side_stacks()
+        subspaces = [(e.side, e.basis) for e in scalars.characteristic_subspaces(b, rings, radicals)]
+        for side, d in zip("UVW", b.dims):
+            subspaces += [(side, row.reshape(1, -1)) for row in linalg.identity(d)]
+        for side, basis in subspaces:
+            want = _loop_der_invariant(basis, side, der)
+            seen["not invariant"] += not want
+            assert scalars._der_invariant(scalars.Emission(side, basis, ["der"]), sides, p) == want
+    assert len(corpus_groups) == 46 and bimaps == 70
+    assert all(seen.values()), seen  # every predicate met both answers
+    assert {1, 2} <= degrees  # the split met linear and factored polynomials
+
+
+def test_bracket_and_commutativity_checks_match_loops_on_bigger_spans(corpus_groups, monkeypatch):
+    """derivation_algebra and centroid fed spans that may fail their checks."""
+    fired = {"bracket": 0, "centroid": 0}
+    nullspace = linalg.nullspace
+    for b in _seed_bimaps(corpus_groups):
+        der = nullspace(scalars._condition_matrices(b, "Der"), b.p)
+        # Der plus one coordinate triple: closed only if the triple's brackets are
+        extra = np.concatenate([der, linalg.identity(der.shape[1])[:1]])
+        want = _loop_bracket_closed(ScalarAlgebra("Der", b, extra))
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "nullspace", lambda a, p: extra)
+            got = _fires(lambda: scalars.derivation_algebra(b), ArithmeticError, "not closed under bracket")
+        fired["bracket"] += got
+        assert got == (not want)
+        # the centroid's check run on the whole double-condition ring
+        pre = ScalarAlgebra("Cent", b, nullspace(scalars._condition_matrices(b, "Cent"), b.p))
+        want = _loop_commutative(pre.assoc())
+        with monkeypatch.context() as m:
+            m.setattr(AssocAlgebra, "center", lambda self: self)
+            got = _fires(lambda: scalars.centroid(b), ArithmeticError, "centroid is not commutative")
+        fired["centroid"] += got
+        assert got == (not want)
+    assert all(fired.values()), fired
+
+
+# -- each batched check still fires ----------------------------------------------
+
+E = {(i, j): np.eye(1, 9, 3 * i + j, dtype=np.int64).reshape(3, 3) for i in range(3) for j in range(3)}
+E2 = {k: m[:2, :2] for k, m in E.items() if max(k) < 2}
+I2 = np.eye(2, dtype=np.int64)
+
+
+def test_is_closed_fires_off_and_on_the_diagonal():
+    assert not AssocAlgebra(3, 2, [E2[0, 1], E2[1, 0]]).is_closed()  # E12 E21 = E11
+    assert not AssocAlgebra(3, 2, [E2[0, 1] + E2[1, 0]]).is_closed()  # its square is 1
+    assert AssocAlgebra(3, 2, [I2, E2[0, 1]]).is_closed()
+
+
+def test_envelope_takes_squares():
+    shift = E[0, 1] + E[1, 2]  # only shift @ shift leaves span{1, shift}
+    env = scalars.envelope(3, 3, [shift])
+    assert env.dim == 3 and env.contains(E[0, 2])
+
+
+def test_commutative_quotient_check_fires_on_full_matrix_algebra():
+    m2 = AssocAlgebra(3, 2, [E2[k] for k in E2])
+    with pytest.raises(ValueError, match="quotient by the radical is not commutative"):
+        scalars._check_commutative_quotient(m2, AssocAlgebra(3, 2, []))
+
+
+@pytest.mark.parametrize("cand", [[E2[0, 0], E2[1, 0]], [E2[0, 0], E2[0, 1]]], ids=["left", "right"])
+def test_verify_radical_fires_on_one_sided_ideals(cand):
+    m2 = AssocAlgebra(3, 2, [E2[k] for k in E2])
+    with pytest.raises(ArithmeticError, match="radical is not a two-sided ideal"):
+        m2._verify_radical(AssocAlgebra(3, 2, cand))
+
+
+def test_verify_radical_fires_on_an_ideal_that_is_not_nilpotent():
+    upper = AssocAlgebra(3, 2, [E2[0, 0], E2[0, 1], E2[1, 1]])
+    top_row = AssocAlgebra(3, 2, [E2[0, 0], E2[0, 1]])  # a two-sided ideal holding E11
+    with pytest.raises(ArithmeticError, match="radical candidate is not nilpotent"):
+        upper._verify_radical(top_row)
+
+
+def test_derivation_algebra_fires_on_a_basis_not_closed(monkeypatch):
+    b = Bimap(3, np.zeros((2, 1, 1), dtype=np.int64))
+    # (E12, 0, 0) and (E21, 0, 0): their bracket (E11 - E22, 0, 0) is outside
+    basis = np.array([np.concatenate([E2[k].reshape(-1), [0, 0]]) for k in ((0, 1), (1, 0))])
+    monkeypatch.setattr(linalg, "nullspace", lambda a, p: basis)
+    with pytest.raises(ArithmeticError, match="derivation algebra not closed under bracket"):
+        scalars.derivation_algebra(b)

@@ -148,17 +148,13 @@ def _stage_payloads(G, stages, sidecar_maps=()):
                 rings = scalars.all_rings(b)
                 radicals = scalars.ring_radicals(rings)
                 ems = scalars.characteristic_subspaces(b, rings, radicals)
-                # characteristic_subspaces checked that Cent's A/J is commutative
-                cent_assoc, _, cent_quot, cent_lift = radicals["Cent"]
-                idems = scalars._lift_central_idempotents(
-                    rings["Cent"], cent_assoc, cent_quot, cent_lift
-                )
                 pairs["|".join(map(str, s)) + ";" + "|".join(map(str, t))] = {
                     "dims": {k: rings[k].dim for k in scalars.KINDS},
                     "radical_dims": {
                         k: radicals[k][1].dim for k in ("Left", "Mid", "Right", "Cent")
                     },
-                    "cent_idempotents": len(idems),
+                    # as many as dim B of Z(Cent/J), without a second lift
+                    "cent_idempotents": radicals["Cent"][2].center().frobenius_fixed().dim,
                     "emitted": len(ems),
                 }
         out["scalars"] = pairs

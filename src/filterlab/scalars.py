@@ -3,7 +3,8 @@
 Each ring is the nullspace of a linear system read off the bimap tensor.
 Associative kinds are handled through a faithful block-matrix representation
 (components acting oppositely are transposed), so closure checks, Jacobson
-radicals, quotients, and idempotent lifting all run on plain matrix algebra.
+radicals, quotients, and idempotent lifting all run on plain matrix algebra;
+the idempotents of Z(A/J) are split off its Frobenius-fixed algebra.
 
 The radical uses the characteristic-p trace chain: I_0 is the kernel of the
 ordinary trace form and I_{k+1} = {x in I_k : Tr((xy)^{p^{k+1}}) = 0 for all
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
 from . import linalg
 
@@ -219,26 +219,26 @@ class AssocAlgebra:
     def center(self) -> "AssocAlgebra":
         if self.dim == 0:
             return self
-        p, S = self.p, self.stack
-        # row b holds the blocks a @ b - b @ a over every basis element a
-        sys = np.stack([((S @ b - b @ S) % p).reshape(-1) for b in S]).T
-        ker = linalg.nullspace(sys, p)  # unknowns = coefficients over basis
+        p, k, S = self.p, self.dim, self.stack
+        # a commutator lies in A, so it is zero iff its coordinates are:
+        # column b of the system holds those of [a, b] for every basis a
+        comm = np.stack([S @ b - b @ S for b in S]).reshape(k * k, -1)
+        coords = linalg.row_coords(comm, self.flat, p)
+        if coords is None:
+            raise ArithmeticError("commutator outside the algebra")
+        ker = linalg.nullspace(coords.reshape(k, k * k).T, p)  # unknowns = coefficients over basis
         return AssocAlgebra(p, self.n, (ker @ self.flat % p).reshape(-1, self.n, self.n))
 
-    def min_poly(self, m: np.ndarray, unit: Optional[np.ndarray] = None) -> List[int]:
-        """Monic minimal polynomial coefficients (low to high) of m."""
-        p = self.p
-        unit = linalg.identity(self.n) if unit is None else unit
-        powers = [unit % p]
-        while True:
-            powers.append(powers[-1] @ m % p)
-            stack = np.stack([q.reshape(-1) for q in powers])
-            ker = linalg.nullspace(stack.T, p)
-            if ker.shape[0]:
-                rel = ker[0]
-                deg = max(i for i, c in enumerate(rel) if c)
-                inv = linalg.inv_scalar(int(rel[deg]), p)
-                return [int(c) * inv % p for c in rel[: deg + 1]]
+    def frobenius_fixed(self) -> "AssocAlgebra":
+        """{x in A : x^p = x} for a commutative A, where x -> x^p is linear: the
+        kernel of F - I, row i of F the coordinates of b_i^p.  Its basis is
+        the nullspace rows times ``flat``, in that order (already RREF)."""
+        p, k = self.p, self.dim
+        frob = linalg.row_coords(_mat_power(self.stack, p, p).reshape(k, -1), self.flat, p)
+        if frob is None:
+            raise ArithmeticError("p-th power outside the algebra")
+        fixed = linalg.nullspace((frob - linalg.identity(k)).T, p)
+        return AssocAlgebra(p, self.n, (fixed @ self.flat % p).reshape(-1, self.n, self.n))
 
 
 def _mat_power(m: np.ndarray, e: int, mod: int) -> np.ndarray:
@@ -448,42 +448,32 @@ def radical(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
 # -- idempotents ---------------------------------------------------------------
 
 
-def _poly_mod(coeffs: List[int], p: int) -> sympy.Poly:
-    x = sympy.Symbol("x")
-    return sympy.Poly(list(reversed(coeffs)), x, modulus=p)
-
-
 def _split_primitive(assoc: AssocAlgebra, unit: np.ndarray) -> List[np.ndarray]:
-    """Primitive orthogonal idempotents of a commutative semisimple algebra."""
+    """Primitive orthogonal idempotents of a commutative semisimple algebra.
+
+    ``unit`` is the identity of A.  Proof (Berlekamp 1967; Ronyai 1990): A is
+    a product of fields GF(p^d_1) x ... x GF(p^d_r) whose block units are
+    its primitive idempotents.  B = {x : x^p = x} is GF(p) in each block, so
+    B = GF(p)^r, spanned by the block units.  For e a sum of block units and
+    c in B, c e - l e is the scalar c - l on each block of e, so by Fermat
+    e - (c e - l e)^(p-1) is the sum of the blocks where c = l; over
+    l = 0, ..., p-1 these split e.  After every basis element c of B, blocks
+    sharing an idempotent agree on all of B, which holds each block unit:
+    each idempotent is one block unit, and there are dim B of them.
+    """
     p = assoc.p
+    fixed = assoc.frobenius_fixed()
+    lams = np.arange(p).reshape(p, 1, 1)
     idems = [unit % p]
-    for b in assoc.basis:
+    for c in fixed.basis:
         new: List[np.ndarray] = []
         for e in idems:
-            c = e @ b @ e % p
-            mp = assoc.min_poly(c, unit=e)
-            if len(mp) == 2:  # a linear polynomial is irreducible: e stays whole
-                new.append(e)
-                continue
-            poly = _poly_mod(mp, p)
-            factors = poly.factor_list()[1]
-            if len(factors) == 1:
-                new.append(e)
-                continue
-            for fac, mult in factors:
-                g = sympy.div(poly, fac ** mult, domain=sympy.GF(p))[0]
-                u = sympy.invert(g, fac ** mult)
-                eps = (g * u) % poly
-                coeffs = [int(cc) % p for cc in reversed(eps.all_coeffs())]
-                # evaluate eps at c inside the corner with unit e
-                val = np.zeros_like(unit)
-                power = e
-                for cc in coeffs:
-                    val = (val + cc * power) % p
-                    power = power @ c % p
-                new.append(val)
+            terms = (e - _mat_power(c @ e - lams * e, p - 1, p)) % p
+            new += [t for t in terms if t.any()]
         idems = new
-    return [e for e in idems if e.any()]
+    if len(idems) != fixed.dim:
+        raise ArithmeticError("idempotent count differs from the Frobenius-fixed dimension")
+    return idems
 
 
 def split_idempotents(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:

@@ -405,3 +405,19 @@ def test_report_scalars_stage_builds_each_radical_once(monkeypatch):
     payload = _stage_payloads(load("g81_12_maxclass1"), ["scalars"])
     assert len(payload["scalars"]) == 3
     assert len(calls) == 21  # per bimap: Der on U, V, W; Mid, Left, Right, Cent
+
+
+def test_report_scalars_stage_lifts_the_cent_idempotents_once(monkeypatch):
+    from filterlab.cli import _stage_payloads
+
+    calls = []
+    original = scalars._lift_central_idempotents
+
+    def counting(alg, *args):
+        calls.append(alg.kind)
+        return original(alg, *args)
+
+    monkeypatch.setattr(scalars, "_lift_central_idempotents", counting)
+    payload = _stage_payloads(load("g81_12_maxclass1"), ["scalars"])
+    assert len(payload["scalars"]) == 3
+    assert len(calls) == 6 and calls.count("Cent") == 3  # per bimap: Cent, Mid

@@ -3,8 +3,10 @@
 Each batched predicate or system is checked against a test-local copy of
 the per-pair loop it replaced, on every bimap of the seed tables (the
 graded Lie ring of the exponent-p lower central series) of the corpus; the
-rref against the numpy row-by-row elimination it replaced.  The last tests
-check that each batched post-check still fires, with its message.
+rref against the numpy row-by-row elimination it replaced; the
+Frobenius-fixed idempotent split against a sympy factoring reference, on the
+corpus and on generated split fields.  The last tests check that each
+batched post-check still fires, with its message.
 """
 
 import numpy as np
@@ -82,8 +84,11 @@ def test_rref_matches_numpy_elimination_while_refining(monkeypatch):
     G = load("g16_10_c4xc2xc2")
     refine.refine_to_fixpoint(G, group_id=G.name)
     monkeypatch.undo()
-    # the largest is the system of a centre of an 18-dim semisimple quotient
-    assert max(a.shape for a, _ in seen) == (5832, 18)
+    # centre systems hold k*k coordinate equations: the largest is that of the
+    # 19-dim double-condition ring of the centroid; the 18-dim semisimple Mid
+    # quotient gives 324 rows (k*n^2 = 5832 when read entrywise)
+    shapes = [a.shape for a, _ in seen]
+    assert max(shapes) == (361, 19) and (324, 18) in shapes
     for a, p in seen:
         _same_rref(a, p)
 
@@ -185,15 +190,35 @@ def _loop_der_invariant(basis, side, der):
     return all(linalg.row_coords(basis @ t[pos], basis, der.p) is not None for t in der.tuples())
 
 
+def _min_poly(assoc, m, unit):
+    """Monic minimal polynomial coefficients (low to high) of m in the corner
+    with identity ``unit``."""
+    p = assoc.p
+    powers = [unit % p]
+    while True:
+        powers.append(powers[-1] @ m % p)
+        ker = linalg.nullspace(np.stack([q.reshape(-1) for q in powers]).T, p)
+        if ker.shape[0]:
+            rel = ker[0]
+            deg = max(i for i, c in enumerate(rel) if c)
+            inv = linalg.inv_scalar(int(rel[deg]), p)
+            return [int(c) * inv % p for c in rel[: deg + 1]]
+
+
+def _poly_mod(coeffs, p):
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p)
+
+
 def _factoring_split(assoc, unit):
-    """_split_primitive with every minimal polynomial factored by sympy."""
+    """The primitive idempotents by factoring the minimal polynomial of each
+    basis element, cut to each corner, with sympy."""
     p = assoc.p
     idems = [unit % p]
     for b in assoc.basis:
         new = []
         for e in idems:
             c = e @ b @ e % p
-            poly = scalars._poly_mod(assoc.min_poly(c, unit=e), p)
+            poly = _poly_mod(_min_poly(assoc, c, e), p)
             factors = poly.factor_list()[1]
             if len(factors) == 1:
                 new.append(e)
@@ -208,6 +233,69 @@ def _factoring_split(assoc, unit):
                 new.append(val)
         idems = new
     return [e for e in idems if e.any()]
+
+
+# -- split fields, which the corpus never reaches -----------------------------------
+
+
+def _irreducible_quadratics(p):
+    """(a, b) with x^2 - a x - b irreducible over GF(p), that is without a root."""
+    return [(a, b) for a in range(p) for b in range(p) if all((x * x - a * x - b) % p for x in range(p))]
+
+
+@st.composite
+def _split_field_algebras(draw):
+    """A block sum of GF(p) and GF(p^2) (the companion matrix of an irreducible
+    quadratic), conjugated by a random invertible matrix; with its block units."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    blocks = draw(st.lists(st.sampled_from([None] + _irreducible_quadratics(p)), min_size=1, max_size=4))
+    n = sum(1 if q is None else 2 for q in blocks)
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    lower = np.tril(np.array(draw(entries), dtype=np.int64).reshape(n, n), -1) + linalg.identity(n)
+    upper = np.triu(np.array(draw(entries), dtype=np.int64).reshape(n, n), 1) + linalg.identity(n)
+    P = lower @ upper % p
+    P_inv = linalg.rref(np.concatenate([P, linalg.identity(n)], axis=1), p)[0][:, n:]
+    basis, units, pos = [], [], 0
+    for q in blocks:
+        d = 1 if q is None else 2
+        unit = np.zeros((n, n), dtype=np.int64)
+        unit[pos : pos + d, pos : pos + d] = linalg.identity(d)
+        basis.append(unit)
+        units.append(unit)
+        if q is not None:
+            comp = np.zeros((n, n), dtype=np.int64)
+            comp[pos : pos + 2, pos : pos + 2] = [[0, q[1]], [1, q[0]]]
+            basis.append(comp)
+        pos += d
+    return AssocAlgebra(p, n, [P @ m @ P_inv % p for m in basis]), [P @ u @ P_inv % p for u in units]
+
+
+def _matrix_set(ms):
+    return {tuple(m.reshape(-1).tolist()) for m in ms}
+
+
+@given(_split_field_algebras())
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_split_primitive_returns_the_block_units_of_split_fields(case):
+    A, units = case
+    unit = linalg.identity(A.n)
+    got = scalars._split_primitive(A, unit)
+    assert len(got) == len(units) == A.frobenius_fixed().dim
+    assert _matrix_set(got) == _matrix_set(units) == _matrix_set(_factoring_split(A, unit))
+
+
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: st.tuples(st.just(p), st.sampled_from(_irreducible_quadratics(p)))))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_centroid_of_a_field_multiplication_has_one_idempotent(case):
+    p, (a, b) = case
+    # GF(p^2) on the basis 1, t with t^2 = a t + b
+    T = np.zeros((2, 2, 2), dtype=np.int64)
+    T[0, 0, 0] = T[0, 1, 1] = T[1, 0, 1] = 1
+    T[1, 1] = [b, a]
+    cent = scalars.centroid(Bimap(p, T))
+    quot = cent.assoc().radical_quotient()[1]
+    assert cent.dim == 2 and quot.center().frobenius_fixed().dim == 1
+    assert len(scalars.split_idempotents(cent)) == 1
 
 
 # -- batched against the loops on every corpus bimap ------------------------------
@@ -241,16 +329,9 @@ def _drop_first(A):
     return AssocAlgebra(A.p, A.n, A.basis[1:])
 
 
-def test_batched_kernels_match_per_pair_loops(corpus_groups, monkeypatch):
+def test_batched_kernels_match_per_pair_loops(corpus_groups):
     seen = {"not closed": 0, "not ideal": 0, "not commutative": 0, "not invariant": 0}
-    degrees = set()
-    min_poly = AssocAlgebra.min_poly
-
-    def recording(self, m, unit=None):
-        degrees.add(len(min_poly(self, m, unit)) - 1)
-        return min_poly(self, m, unit)
-
-    monkeypatch.setattr(AssocAlgebra, "min_poly", recording)
+    split_sizes = set()
     bimaps = 0
     for b in _seed_bimaps(corpus_groups):
         bimaps += 1
@@ -294,6 +375,7 @@ def test_batched_kernels_match_per_pair_loops(corpus_groups, monkeypatch):
                 unit = linalg.identity(zq.n)
                 got, want = scalars._split_primitive(zq, unit), _factoring_split(zq, unit)
                 assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
+                split_sizes.add(min(len(got), 2))
         # Der-invariance of every emission and of every coordinate line
         sides = der.side_stacks()
         subspaces = [(e.side, e.basis) for e in scalars.characteristic_subspaces(b, rings, radicals)]
@@ -305,7 +387,7 @@ def test_batched_kernels_match_per_pair_loops(corpus_groups, monkeypatch):
             assert scalars._der_invariant(scalars.Emission(side, basis, ["der"]), sides, p) == want
     assert len(corpus_groups) == 46 and bimaps == 70
     assert all(seen.values()), seen  # every predicate met both answers
-    assert {1, 2} <= degrees  # the split met linear and factored polynomials
+    assert split_sizes == {1, 2}  # the split met a single idempotent and several
 
 
 def test_bracket_and_commutativity_checks_match_loops_on_bigger_spans(corpus_groups, monkeypatch):
@@ -379,3 +461,20 @@ def test_derivation_algebra_fires_on_a_basis_not_closed(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", lambda a, p: basis)
     with pytest.raises(ArithmeticError, match="derivation algebra not closed under bracket"):
         scalars.derivation_algebra(b)
+
+
+def test_center_fires_on_a_span_not_closed():
+    with pytest.raises(ArithmeticError, match="commutator outside the algebra"):
+        AssocAlgebra(3, 2, [E2[0, 1], E2[1, 0]]).center()  # [E12, E21] = E11 - E22
+
+
+def test_frobenius_fixed_fires_on_a_span_not_closed():
+    with pytest.raises(ArithmeticError, match="p-th power outside the algebra"):
+        AssocAlgebra(2, 2, [E2[0, 1] + E2[1, 0]]).frobenius_fixed()  # its square is 1
+
+
+def test_split_primitive_fires_when_the_count_differs_from_dim_b():
+    diagonal = AssocAlgebra(3, 2, [E2[0, 0], E2[1, 1]])
+    assert len(scalars._split_primitive(diagonal, I2)) == 2
+    with pytest.raises(ArithmeticError, match="idempotent count differs"):
+        scalars._split_primitive(diagonal, E2[0, 0])  # not the identity: one block only

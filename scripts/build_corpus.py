@@ -215,9 +215,8 @@ def main():
         G = write_group(path, src)
         groups16[name] = fingerprint(G)
     fps = list(groups16.values())
-    assert len(set(fps)) == 14, (
-        f"order-16 fingerprints not distinct: {len(set(fps))}"
-    )
+    if len(set(fps)) != 14:
+        raise SystemExit(f"order-16 fingerprints not distinct: {len(set(fps))}")
     print(f"order 16: {len(fps)} groups, all fingerprints distinct")
 
     # order 81: fixed presentations
@@ -227,7 +226,8 @@ def main():
         path = CORPUS / "order81" / f"{name}.pcg"
         G = write_group(path, src)
         groups81[name] = fingerprint(G)
-    assert len(set(groups81.values())) == len(groups81), "order-81 fixed set collides"
+    if len(set(groups81.values())) != len(groups81):
+        raise SystemExit("order-81 fixed set collides")
 
     # order 81: the four maximal-class groups by search
     mc = find_maximal_class_81()
@@ -235,7 +235,8 @@ def main():
         fp: data for fp, data in mc.items() if fp not in set(groups81.values())
     }
     print(f"maximal-class search: {len(mc)} classes, {len(fresh)} new")
-    assert len(fresh) == 4, f"expected 4 maximal-class groups, got {len(fresh)}"
+    if len(fresh) != 4:
+        raise SystemExit(f"expected 4 maximal-class groups, got {len(fresh)}")
     for idx, (fp, (pw, cw)) in enumerate(sorted(fresh.items()), start=12):
         lines = []
         for i in sorted(pw):
@@ -249,9 +250,8 @@ def main():
         path = CORPUS / "order81" / f"{name}.pcg"
         G = write_group(path, src)
         groups81[name] = fingerprint(G)
-    assert len(set(groups81.values())) == 15, (
-        f"order-81 fingerprints not distinct: {len(set(groups81.values()))}"
-    )
+    if len(set(groups81.values())) != 15:
+        raise SystemExit(f"order-81 fingerprints not distinct: {len(set(groups81.values()))}")
     print(f"order 81: {len(groups81)} groups, all fingerprints distinct")
 
     # basics

@@ -192,7 +192,20 @@ def _candidate_sort_key(rank: int, grade: MonoidElem, basis: np.ndarray):
 def _gather_candidates(L: GradedLieRing):
     """All proper emitted subspaces over all in-box products, ordered.
 
-    Each candidate is (sort key, grade, basis, provenances).
+    Each candidate is (sort key, grade, basis, provenances).  A bimap whose
+    Der acts with the full matrix algebra as envelope on every side
+    (``scalars.der_envelopes_full``) adds no candidate, so its emissions are
+    not computed:
+
+    1. ``characteristic_subspaces`` returns only emissions S with S x in S
+       for every Der element x (``scalars._der_invariant``).
+    2. So S is invariant under the unital algebra those x generate.  When
+       that algebra is M_d(GF(p)), s M_d = GF(p)^d for any s != 0 (Burnside;
+       Jacobson density), so S is 0 or the whole side.
+    3. Only emissions with 0 < dim < d are kept below, so such a bimap adds
+       nothing: the candidates, their order and their provenances are those
+       of the unpruned loop.  ``all_rings`` still runs for every bimap, so
+       ``ring_dims`` is unchanged.
     """
     out = []
     ring_dims: Dict[str, Dict[str, int]] = {}
@@ -206,6 +219,8 @@ def _gather_candidates(L: GradedLieRing):
             rings = scalars.all_rings(b)
             key = ",".join(str(x) for x in s) + "|" + ",".join(str(x) for x in t)
             ring_dims[key] = {k: rings[k].dim for k in scalars.KINDS}
+            if scalars.der_envelopes_full(rings["Der"]):
+                continue
             ems = scalars.characteristic_subspaces(b, rings)
             side_grade = {"U": s, "V": t, "W": u}
             for e in ems:

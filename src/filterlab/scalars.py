@@ -177,7 +177,8 @@ class AssocAlgebra:
         return quot, lift
 
     def quotient(self, ideal: "AssocAlgebra"):
-        """(A/ideal via left regular representation, lift fn)."""
+        """(A/ideal via left regular representation, lift fn); lift takes
+        coordinates over the quotient's stored basis, as ``coords`` gives them."""
         p = self.p
         # complement basis: the rows of self.flat outside the span of the
         # ideal rows and the rows before them, that is the pivot columns of
@@ -207,12 +208,18 @@ class AssocAlgebra:
                 raise ValueError("element not in algebra")
             reg.append((c @ to_lift % p).T)  # column convention flip so x*regmat acts rightly
         quot = AssocAlgebra(p, q, reg)
+        if q:
+            # quot keeps the RREF of the regular matrices, quot.flat = inv @ reg:
+            # put the lift rows through the same change of basis, so that lift
+            # reads coordinates over quot.flat
+            if quot.dim != q:
+                raise ArithmeticError("regular representation of the quotient is not faithful")
+            reg_coords = linalg.row_coords(np.array(reg).reshape(q, -1), quot.flat, p)
+            inv = linalg.rref(np.concatenate([reg_coords, linalg.identity(q)], axis=1), p)[0][:, q:]
+            lift_stack = np.tensordot(inv, lift_stack, axes=1) % p
 
         def lift(coords: np.ndarray) -> np.ndarray:
-            out = np.zeros((self.n, self.n), dtype=np.int64)
-            for c, m in zip(coords, lift_mats):
-                out = (out + int(c) * m) % p
-            return out
+            return np.tensordot(np.asarray(coords, dtype=np.int64), lift_stack, axes=1) % p
 
         return quot, lift
 
@@ -605,6 +612,19 @@ def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> b
     s = emission.basis  # in RREF, as every emission basis is
     images = s @ der_sides["UVW".index(emission.side)]
     return linalg.row_coords(images.reshape(-1, s.shape[1]), s, p) is not None
+
+
+def der_envelopes_full(der: ScalarAlgebra) -> bool:
+    """True iff on every side of dimension d the unital algebra generated by
+    Der's action is all of M_d(GF(p)); a side of dimension 1 always is.
+
+    Then no Der-invariant subspace of a side is proper (Burnside; Jacobson
+    density): for s != 0, s M_d is the whole side.
+    """
+    return all(
+        d <= 1 or envelope(der.p, d, stack).dim == d * d
+        for d, stack in zip(der.sizes, der.side_stacks())
+    )
 
 
 def ring_radicals(rings: Dict[str, ScalarAlgebra]) -> Dict[str, tuple]:

@@ -1,5 +1,6 @@
 """Every shipped presentation parses, is consistent, and the catalog counts hold."""
 
+import importlib.util
 from collections import Counter
 
 from filterlab.autfilter import load_sidecar
@@ -49,3 +50,22 @@ def test_sidecar_parses():
     d8 = parse_pcg_file(CORPUS / "basic" / "d8.pcg")
     maps = load_sidecar(d8, CORPUS / "basic" / "d8.aut")
     assert len(maps) == 2
+
+
+def _build_corpus_module():
+    path = CORPUS.parent / "scripts" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_corpus_reproduces_the_shipped_files(tmp_path, monkeypatch, capsys):
+    build = _build_corpus_module()
+    monkeypatch.setattr(build, "CORPUS", tmp_path)
+    build.main()
+    assert capsys.readouterr().out.endswith("corpus complete\n")
+    built = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    shipped = sorted(p.relative_to(CORPUS) for p in CORPUS.rglob("*") if p.is_file())
+    assert built == shipped and len(built) == 47
+    assert all((tmp_path / p).read_bytes() == (CORPUS / p).read_bytes() for p in built)

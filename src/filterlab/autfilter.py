@@ -43,26 +43,13 @@ class AutMap:
             raise PcgError("generator images do not define an automorphism")
 
     def apply(self, x: Elem) -> Elem:
-        G = self.group
-        out = G.identity
-        for k in range(1, G.n + 1):
-            e = x[k - 1]
-            if e:
-                for _ in range(e):
-                    out = G.multiply(out, self.images[k - 1])
-        return out
+        return self._word_image((k, e) for k, e in enumerate(x, 1) if e)
 
     def _word_image(self, word) -> Elem:
         G = self.group
         out = G.identity
         for k, e in word:
-            img = self.images[k - 1]
-            if e >= 0:
-                for _ in range(e):
-                    out = G.multiply(out, img)
-            else:
-                for _ in range(-e):
-                    out = G.multiply(out, G.inverse(img))
+            out = G.multiply(out, G.power(self.images[k - 1], e))
         return out
 
     def is_automorphism(self) -> bool:
@@ -122,8 +109,7 @@ def inner_automorphism(G: PcGroup, g: Elem) -> AutMap:
 
 def aut_commutator(x: Elem, a: AutMap) -> Elem:
     """[x, a] = x^-1 x^a."""
-    G = a.group
-    return G.multiply(G.inverse(x), a.apply(x))
+    return a.group.divide(x, a.apply(x))
 
 
 # -- sidecar parsing -----------------------------------------------------------

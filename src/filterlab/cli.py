@@ -39,14 +39,10 @@ def _verify_checks(G):
 
     rng = random.Random(2024)
     hw_bad = []
-    pool = list(G.elements()) if G.order <= 512 else None
     for _ in range(100):
-        if pool is not None:
-            x, y, z = (rng.choice(pool) for _ in range(3))
-        else:
-            x, y, z = (
-                tuple(rng.randrange(G.p) for _ in range(G.n)) for _ in range(3)
-            )
+        # normal forms are in bijection with GF(p)^n: a uniform vector is a
+        # uniform element
+        x, y, z = (tuple(rng.randrange(G.p) for _ in range(G.n)) for _ in range(3))
         a = G.conjugate(G.commutator(G.commutator(x, G.inverse(y)), z), y)
         b = G.conjugate(G.commutator(G.commutator(y, G.inverse(z)), x), z)
         c = G.conjugate(G.commutator(G.commutator(z, G.inverse(x)), y), x)

@@ -77,11 +77,6 @@ class PcGroup:
         self.identity: Elem = (0,) * n
         self.factors: List[Tuple[int, "PcGroup"]] = []  # (offset, factor) when built as a direct product
         self._mult_cache: Dict[Tuple[Elem, int], Elem] = {}
-        self._inv_words: Dict[int, Word] = {}
-        for k in range(n, 0, -1):
-            self._inv_words[k] = ((k, self.p - 1),) + self._invert_word(
-                self.pow_words.get(k, ())
-            )
         if check and n > 0:
             bad = self.consistency_violations()
             if bad:
@@ -101,18 +96,6 @@ class PcGroup:
         return self.p ** self.n
 
     # -- collection ------------------------------------------------------
-
-    def _invert_word(self, w: Word) -> Word:
-        # inverse of a word as positive letters; letters of w have indices whose
-        # _inv_words entries are already built (descending construction order)
-        out: List[Tuple[int, int]] = []
-        for k, e in reversed(w):
-            if e >= 0:
-                for _ in range(e):
-                    out.extend(self._inv_words[k])
-            else:
-                out.extend([(k, 1)] * (-e))
-        return tuple(out)
 
     def _mult_gen(self, x: Elem, k: int) -> Elem:
         """Normal form of x * g_k."""
@@ -151,10 +134,11 @@ class PcGroup:
                 for _ in range(e):
                     x = self._mult_gen(x, k)
             else:
+                # the solve for g_k^-1 only meets relation words of
+                # generators after k, so this recursion terminates
+                gi = self.inverse(self.generator(k))
                 for _ in range(-e):
-                    for m, f in self._inv_words[k]:
-                        for _ in range(f):
-                            x = self._mult_gen(x, m)
+                    x = self.multiply(x, gi)
         return x
 
     def collect(self, word: Iterable[Tuple[int, int]]) -> Elem:
@@ -174,18 +158,27 @@ class PcGroup:
                 x = self._mult_gen(x, k)
         return x
 
-    def inverse(self, x: Elem) -> Elem:
-        """Solve x * g1^y1 ... gn^yn = 1 one depth at a time: the accumulator
-        stays in G_k, where the k-th exponent is additive mod p, so y_k is
-        minus that exponent and no inverse words are needed."""
-        self._check_elem(x)
+    def divide(self, a: Elem, b: Elem) -> Elem:
+        """a^-1 b, found as the y with a * g1^y1 ... gn^yn = b.
+
+        Relation words use only generators after their left-hand side, so
+        right multiplication by g_k^e adds e mod p to exponent k and changes
+        no earlier exponent.  Once a * g1^y1 ... g(k-1)^y(k-1) agrees with b
+        before depth k, y_k = b_k - (its exponent k) mod p makes it agree up
+        to depth k, and later steps keep that; after depth n it equals b.
+        """
+        self._check_elem(a)
+        self._check_elem(b)
         y = []
         for k in range(1, self.n + 1):
-            e = -x[k - 1] % self.p
+            e = (b[k - 1] - a[k - 1]) % self.p
             for _ in range(e):
-                x = self._mult_gen(x, k)
+                a = self._mult_gen(a, k)
             y.append(e)
         return tuple(y)
+
+    def inverse(self, x: Elem) -> Elem:
+        return self.divide(x, self.identity)
 
     def power(self, x: Elem, e: int) -> Elem:
         if e < 0:
@@ -196,14 +189,12 @@ class PcGroup:
         return acc
 
     def commutator(self, x: Elem, y: Elem) -> Elem:
-        """[x, y] = x^-1 y^-1 x y."""
-        xi = self.inverse(x)
-        yi = self.inverse(y)
-        return self.multiply(self.multiply(self.multiply(xi, yi), x), y)
+        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy)."""
+        return self.divide(self.multiply(y, x), self.multiply(x, y))
 
     def conjugate(self, x: Elem, g: Elem) -> Elem:
         """x^g = g^-1 x g."""
-        return self.multiply(self.multiply(self.inverse(g), x), g)
+        return self.divide(g, self.multiply(x, g))
 
     def generator(self, k: int) -> Elem:
         if not (1 <= k <= self.n):
@@ -375,7 +366,7 @@ def sift(
         if h is None:
             return x
         k = (x[d - 1] * pow(h[d - 1], G.p - 2, G.p)) % G.p
-        x = G.multiply(G.power(G.inverse(h), k), x)
+        x = G.divide(G.power(h, k), x)
         if steps is not None:
             steps.append((d, k))
     return x
@@ -410,12 +401,15 @@ def subgroup_from_gens(G: PcGroup, gens: Iterable[Elem]) -> Subgroup:
             continue
         d = depth(x)
         by_depth[d] = x
-        # re-close: powers and commutators must sift through the new basis
+        # re-close: powers and commutators must sift through the new basis.
+        # One commutator per pair is enough: [x, h] lies deeper than both x
+        # and h, so sifting it uses only deeper members; by induction from
+        # the deepest member their span is a subgroup, which then also holds
+        # [h, x] = [x, h]^-1.
         queue.append(G.power(x, G.p))
         for h in list(by_depth.values()):
             if h != x:
                 queue.append(G.commutator(x, h))
-                queue.append(G.commutator(h, x))
     return Subgroup(G, _canonicalize_igs(G, by_depth))
 
 

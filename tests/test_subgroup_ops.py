@@ -1,9 +1,11 @@
 """Differential tests for the per-call subgroup memo (refinement closure and
-the axiom verifiers) and for the depth-by-depth inverse, each against the
-per-pair or word-based code it replaces."""
+the axiom verifiers), for the depth-by-depth solve (inverse, commutator,
+conjugate, collection with negative letters) and for the one-commutator
+subgroup closure, each against the per-pair or word-based code it replaces."""
 
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -81,12 +83,32 @@ def _ref_verify_sift(f, l):
     return out
 
 
+def _invert_word(inv_words, w):
+    """The inverse of the word w as positive letters, given the inverse words
+    of its generators."""
+    out = []
+    for k, e in reversed(w):
+        out.extend(inv_words[k] * e if e >= 0 else ((k, 1),) * -e)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_words(G):
+    """g_k^-1 = g_k^(p-1) w_k^-1 as positive words, w_k the power word of g_k,
+    built from the deepest generator up."""
+    inv = {}
+    for k in range(G.n, 0, -1):
+        inv[k] = ((k, G.p - 1),) + _invert_word(inv, G.pow_words.get(k, ()))
+    return inv
+
+
 def _word_inverse(G, x):
     """The inverse rebuilt from the inverse words of the generators."""
+    inv = _inverse_words(G)
     acc = G.identity
     for k in range(G.n, 0, -1):
         for _ in range(x[k - 1]):
-            acc = G.mult_word(acc, G._inv_words[k])
+            acc = G.mult_word(acc, inv[k])
     return acc
 
 
@@ -286,10 +308,161 @@ def test_inverse_matches_word_inverse_on_corpus(corpus_groups):
             assert G.multiply(x, y) == G.identity == G.multiply(y, x)
 
 
-@pytest.mark.parametrize("factors", LADDER, ids=["x".join(f) for f in LADDER])
-def test_inverse_matches_word_inverse_on_ladder(factors):
+@functools.lru_cache(maxsize=None)
+def _ladder_group(factors):
     G = load(factors[0])
     for name in factors[1:]:
         G = direct_product(G, load(name))
+    return G
+
+
+@pytest.mark.parametrize("factors", LADDER, ids=["x".join(f) for f in LADDER])
+def test_inverse_matches_word_inverse_on_ladder(factors):
+    G = _ladder_group(factors)
     for x in G.elements():
         assert G.inverse(x) == _word_inverse(G, x), x
+
+
+# -- the solve: divide, commutator, conjugate ----------------------------------------
+
+
+def _check_solve(G, a, b, ia, ib):
+    """divide, commutator and conjugate at (a, b) against the products of
+    the word inverses ia, ib that they replace."""
+    q = G.divide(a, b)
+    assert q == G.multiply(ia, b), (a, b)
+    assert G.multiply(a, q) == b, (a, b)
+    assert G.commutator(a, b) == G.multiply(G.multiply(G.multiply(ia, ib), a), b), (a, b)
+    assert G.conjugate(a, b) == G.multiply(G.multiply(ib, a), b), (a, b)
+
+
+def _random_elem(G, rng):
+    return tuple(rng.randrange(G.p) for _ in range(G.n))
+
+
+def test_solve_matches_word_inverse_on_every_pair_up_to_64(corpus_groups):
+    seen = 0
+    for name, G in corpus_groups.items():
+        if G.order > 64:
+            continue
+        inv = {x: _word_inverse(G, x) for x in G.elements()}
+        for a, ia in inv.items():
+            for b, ib in inv.items():
+                _check_solve(G, a, b, ia, ib)
+        seen += 1
+    assert seen >= 25
+
+
+def test_solve_matches_word_inverse_on_sampled_pairs(corpus_groups):
+    rng = random.Random(10)
+    groups = [G for G in corpus_groups.values() if G.order > 64]
+    groups += [_ladder_group(f) for f in LADDER]
+    for G in groups:
+        for _ in range(400):
+            a, b = _random_elem(G, rng), _random_elem(G, rng)
+            _check_solve(G, a, b, _word_inverse(G, a), _word_inverse(G, b))
+
+
+def test_divide_checks_both_arguments(d8):
+    with pytest.raises(PcgError):
+        d8.divide((1, 0), d8.identity)
+    with pytest.raises(PcgError):
+        d8.divide(d8.identity, (1, 0))
+
+
+# -- collection with negative letters --------------------------------------------------
+
+
+NEGATIVE_PRESENTATIONS = (
+    "p 3\nn 3\ncomm 2 1 = g3^-1\n",
+    "p 2\nn 3\npow 1 = g3^-1\npow 2 = g3\ncomm 2 1 = g3^-3\n",
+    "p 5\nn 3\npow 1 = g3^-2\ncomm 2 1 = g3^-1\n",
+)
+
+
+def _with_negative_letters(G):
+    """The same group with every relation letter g_k^e, g_k of order p,
+    written as g_k^(e-p)."""
+    def neg(w):
+        return tuple((k, e - G.p if k not in G.pow_words else e) for k, e in w)
+
+    return pcgroup.PcGroup(
+        G.p,
+        G.n,
+        {i: neg(w) for i, w in G.pow_words.items()},
+        {ji: neg(w) for ji, w in G.comm_words.items()},
+        name=G.name + "_neg",
+    )
+
+
+def _positive(inv_words, w):
+    """w with each negative letter g_k^-e written as e inverse words of g_k."""
+    return tuple(
+        letter
+        for k, e in w
+        for letter in (((k, e),) if e >= 0 else inv_words[k] * -e)
+    )
+
+
+def _positive_presentation(G):
+    """The same group with every relation word rewritten in positive letters,
+    so collecting in it never meets a negative letter."""
+    inv = _inverse_words(G)
+    return pcgroup.PcGroup(
+        G.p,
+        G.n,
+        {i: _positive(inv, w) for i, w in G.pow_words.items()},
+        {ji: _positive(inv, w) for ji, w in G.comm_words.items()},
+    )
+
+
+def test_collect_with_negative_letters_matches_positive_rewrite():
+    groups = [parse_pcgroup(text) for text in NEGATIVE_PRESENTATIONS]
+    groups += [
+        _with_negative_letters(load(name))
+        for name in ("g16_09_q16", "g81_12_maxclass1", "g81_08_h27_on_a9", "d8xq8")
+    ]
+    rng = random.Random(3)
+    for G in groups:
+        relations = list(G.pow_words.values()) + list(G.comm_words.values())
+        assert any(e < 0 for w in relations for _, e in w), G.name
+        P = _positive_presentation(G)
+        inv = _inverse_words(G)
+        for _ in range(200):
+            word = tuple(
+                (rng.randrange(1, G.n + 1), rng.randrange(-2 * G.p, 2 * G.p))
+                for _ in range(rng.randrange(1, 8))
+            )
+            assert G.collect(word) == P.collect(_positive(inv, word)), (G.name, word)
+
+
+# -- closure: one commutator per pair ---------------------------------------------------
+
+
+def _two_commutator_closure(G, gens):
+    """subgroup_from_gens queueing both [x, h] and [h, x] for each pair."""
+    by_depth = {}
+    queue = list(gens)
+    while queue:
+        x = pcgroup.sift(G, by_depth, queue.pop())
+        if x == G.identity:
+            continue
+        by_depth[pcgroup.depth(x)] = x
+        queue.append(G.power(x, G.p))
+        for h in list(by_depth.values()):
+            if h != x:
+                queue += [G.commutator(x, h), G.commutator(h, x)]
+    return pcgroup._canonicalize_igs(G, by_depth)
+
+
+def test_closure_matches_two_commutator_closure(corpus_groups):
+    rng = random.Random(11)
+    groups = list(corpus_groups.values()) + [_ladder_group(f) for f in LADDER]
+    proper = 0
+    for G in groups:
+        for _ in range(60):
+            gens = [_random_elem(G, rng) for _ in range(rng.randrange(1, 4))]
+            H = subgroup_from_gens(G, gens)
+            assert H.igs == _two_commutator_closure(G, gens), (G.name, gens)
+            proper += 1 < H.order < G.order
+    assert proper

@@ -1,9 +1,10 @@
 """Census of refinement behaviour over a directory of .pcg files.
 
 Each group is refined once with the full emission set and classified.  A
-flagged group counts for Der, Mid or Cent when some candidate of that ring
-refines the seed filter; a parsed group declares no direct factors, so that
-is the flag of a refinement restricted to the ring (``refine.seed_refined_by``).
+flagged group counts for Der, Mid or Cent when that ring emitted some
+candidate of the seed table.  Every candidate inserts and a parsed group
+declares no direct factors, so that is the flag of a refinement restricted to
+the ring (``refine.seed_refined_by``).
 Workers share nothing; aggregation is a deterministic fold over results
 sorted by group id, so serial and parallel runs produce byte-identical
 summaries.
@@ -52,10 +53,11 @@ class CensusSummary:
 def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResult:
     """Refine one group; a group whose order is not ``order_filter`` (when
     given) is parsed but not refined.  A flagged group is flagged by each
-    breakdown ring some candidate of which refines the seed filter; the group
-    has no declared factors, so that is the flag of a refinement restricted
-    to the ring.  A failure while refining is returned as the result's
-    error, "<stage>: <message>", so the census goes on."""
+    breakdown ring that emitted a seed candidate; every candidate inserts
+    and the group has no declared factors, so that is the flag of a
+    refinement restricted to the ring.  A failure while refining is
+    returned as the result's error, "refine: <message>", so the census goes
+    on."""
     path = Path(path_str)
     try:
         G = parse_pcg_file(path)
@@ -63,18 +65,14 @@ def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResu
         return GroupResult(path.stem, 0, "", [], [], error=str(exc))
     if order_filter is not None and G.order != order_filter:
         return GroupResult(path.stem, G.order, "", [], [])
-    stage = "refine"
-    flagged_by = []
     try:
         full = refine.refine_to_fixpoint(G, group_id=path.stem)
-        if full.flagged:
-            for ring in BREAKDOWN_RINGS:
-                stage = f"refine[{ring}]"
-                if refine.seed_refined_by(full, ring):
-                    flagged_by.append(ring)
     # NonElementaryAbelianError and PcgError are ValueErrors
     except (refine.RefinementError, ArithmeticError, ValueError) as exc:
-        return GroupResult(path.stem, G.order, "", [], [], error=f"{stage}: {exc}")
+        return GroupResult(path.stem, G.order, "", [], [], error=f"refine: {exc}")
+    flagged_by = [
+        ring for ring in BREAKDOWN_RINGS if full.flagged and refine.seed_refined_by(full, ring)
+    ]
     steps = refine.report_to_json(full)["steps"]
     return GroupResult(
         path.stem, G.order, full.classification, steps, flagged_by

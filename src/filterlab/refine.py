@@ -5,6 +5,8 @@ Each insertion extends the grading monoid by one lexicographic coordinate
 its boundary.  Grades for the extended filter are generated by the closure
 rules (order rule plus iterated commutator rule) and the result is verified
 against the filter axioms; closure failures raise instead of being patched.
+Every candidate inserts (proof in ``refine_to_fixpoint``), so a refinement
+inserts the first candidate of each table and tries no other.
 """
 
 from __future__ import annotations
@@ -172,7 +174,6 @@ class RefinementReport:
     ring_dims: Dict[str, Dict[str, int]]
     cap_hit: bool
     runtime_ms: int
-    seed: Filter  # the exponent-p filter the refinement starts from
     seed_candidates: List[tuple]  # _gather_candidates on the seed, in order
 
     @property
@@ -241,32 +242,40 @@ def _gather_candidates(L: GradedLieRing):
 
 
 def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
-    """Seed with the exponent-p series, insert first emitted subspace, repeat."""
+    """Seed with the exponent-p series, insert the first candidate, repeat.
+
+    Insertion is total, so the first candidate of each table is inserted with
+    no trial:
+
+    1. The exponent-p seed has phi_(1) = G.  Each insertion seeds (m, 0) with
+       f.value(m), and the closure only enlarges values, so phi_{e_1} = G in
+       every refined filter, e_1 = (1, 0, ..., 0).
+    2. By the filter axiom, [G, phi_s] = [phi_{e_1}, phi_s] <= phi_{s+e_1},
+       a term of the join boundary(phi_s).  So every H with
+       boundary(phi_s) <= H <= phi_s is normal: [G, H] <= boundary(phi_s) <= H.
+    3. A candidate has 0 < dim < dim L_s, so ``lift_subspace`` gives
+       boundary(phi_s) < H < phi_s.  None of ``insert_refinement``'s
+       containment, strictness or normality checks can fail on it.
+    4. What remains unproven is the closure's box growth (the ``extra``
+       loop).  Together with the ``verify_filter`` post-check, it is the only
+       way a candidate could fail.  A raise there is a defect: it propagates,
+       and the census records the group as skipped with stage ``refine``.
+
+    ``cap_hit`` means the run stopped after CAP steps with candidates left.
+    """
     t0 = time.monotonic()
-    seed = f = exponent_p_lcs(G)
+    f = exponent_p_lcs(G)
     L = graded_lie_ring(f)
     seed_dims = [L.dim(s) for s in L.grades()]
     steps: List[RefinementStep] = []
     seed_candidates, ring_dims = _gather_candidates(L)
     candidates = seed_candidates
-    cap_hit = False
-    while True:
-        inserted = False
-        for _, grade, basis, provs in candidates:
-            try:
-                H = lift_subspace(G, f, grade, basis)
-                new_index = f.value(grade).order // H.order
-                f = insert_refinement(f, grade, H)
-            except RefinementError:
-                continue
-            steps.append(RefinementStep(grade, provs[0], new_index, H.igs))
-            inserted = True
-            break
-        if not inserted:
-            break
-        if len(steps) >= CAP:
-            cap_hit = True
-            break
+    while candidates and len(steps) < CAP:
+        _, grade, basis, provs = candidates[0]
+        H = lift_subspace(G, f, grade, basis)
+        new_index = f.value(grade).order // H.order
+        f = insert_refinement(f, grade, H)
+        steps.append(RefinementStep(grade, provs[0], new_index, H.igs))
         candidates, _ = _gather_candidates(graded_lie_ring(f))
     report = RefinementReport(
         group=group_id or (G.name or "group"),
@@ -276,9 +285,8 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
         final=f,
         classification="",
         ring_dims=ring_dims,
-        cap_hit=cap_hit,
+        cap_hit=bool(candidates),
         runtime_ms=int((time.monotonic() - t0) * 1000),
-        seed=seed,
         seed_candidates=seed_candidates,
     )
     report.classification = classify(report, G)
@@ -286,12 +294,11 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
 
 
 def seed_refined_by(report: RefinementReport, ring: str) -> bool:
-    """Whether some candidate emitted by ``ring`` refines the seed filter.
+    """Whether ``ring`` emitted some candidate of the seed table.
 
-    The candidates are the ring's among ``report.seed_candidates``, tried in
-    their order without the ring rank.  For a group without declared direct
-    factors this is the flag of a refinement restricted to the candidates
-    ``ring`` emits, without the bimap radicals:
+    For a group without declared direct factors this is the flag of a
+    refinement restricted to the candidates ``ring`` emits, without the
+    bimap radicals:
 
     1. A parsed ``.pcg`` group never declares direct factors: only
        ``direct_product`` sets ``G.factors``.  So ``classify`` flags such a
@@ -305,21 +312,13 @@ def seed_refined_by(report: RefinementReport, ring: str) -> bool:
        ring emitted, without the bimap radicals.  A duplicate emitted by
        several rings is merged into one emission that lists all their
        provenances, so the ring is found there even when it is not first.
-       Within one ring the rank is constant, so the restricted order is the
-       candidate order without its rank.
+    4. Every candidate lifts and inserts (``refine_to_fixpoint``).  So the
+       restricted run is flagged iff it has a first-table candidate at all.
     """
-    f = report.seed
     rank = scalars.PROVENANCE_RANK[ring.lower()]  # a ring's provenances share its rank
-    own = [
-        c for c in report.seed_candidates if any(scalars.PROVENANCE_RANK[p] == rank for p in c[3])
-    ]
-    for _, grade, basis, _ in sorted(own, key=lambda c: c[0][1:]):
-        try:
-            insert_refinement(f, grade, lift_subspace(f.group, f, grade, basis))
-        except RefinementError:
-            continue
-        return True
-    return False
+    return any(
+        scalars.PROVENANCE_RANK[p] == rank for c in report.seed_candidates for p in c[3]
+    )
 
 
 def _product_series_values(G: PcGroup) -> Optional[set]:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from filterlab import refine, series
+from filterlab import census, refine, series
 from filterlab.autfilter import central_automorphisms
 from filterlab.monoid import GradedMonoid
 from filterlab.pcgroup import (
@@ -158,6 +158,23 @@ def test_cap_records_not_errors(monkeypatch):
     r = refine_to_fixpoint(G)
     assert len(r.steps) <= 1
     assert r.cap_hit or len(r.steps) == 1
+
+
+@pytest.mark.parametrize("cap, hit", [(1, True), (2, False), (3, False)])
+def test_cap_hit_means_candidates_left(monkeypatch, cap, hit):
+    monkeypatch.setattr(refine, "CAP", cap)
+    r = refine_to_fixpoint(load("d8xc4"))  # reaches its fixpoint in 2 steps
+    assert len(r.steps) == min(cap, 2)
+    assert r.cap_hit is hit
+
+
+def test_breakdown_only_for_flagged_groups(monkeypatch):
+    # a declared product has seed candidates yet is not flagged
+    G = direct_product(load("d8"), load("c4"))
+    monkeypatch.setattr(census, "parse_pcg_file", lambda path: G)
+    res = census.analyze_file("d8xc4_declared.pcg")
+    assert res.classification == "semi-classical" and len(res.steps) == 2
+    assert res.flagged_by == []
 
 
 def test_ring_restricted_runs():

@@ -29,10 +29,10 @@ def _census_dir(tmp_path, rel_paths):
     return d
 
 
-def _failing_refine(monkeypatch, group, ring=None):
-    """Make the refinement of one group raise: its breakdown predicate for
-    one ring, or refine_to_fixpoint when ring is None."""
-    if ring is None:
+def _failing_refine(monkeypatch, group, inner=None):
+    """Make the refinement of one group raise: in refine_to_fixpoint itself
+    when inner is None, else in the refine function ``inner`` it calls."""
+    if inner is None:
         original = refine.refine_to_fixpoint
 
         def patched(G, group_id=""):
@@ -42,23 +42,25 @@ def _failing_refine(monkeypatch, group, ring=None):
 
         monkeypatch.setattr(refine, "refine_to_fixpoint", patched)
         return
-    original_by = refine.seed_refined_by
+    original_inner = getattr(refine, inner)
 
-    def patched_by(report, r):
-        if report.group == group and r == ring:
+    def patched_inner(f, *args):
+        if f.group.name == group:
             raise refine.RefinementError("injected failure")
-        return original_by(report, r)
+        return original_inner(f, *args)
 
-    monkeypatch.setattr(refine, "seed_refined_by", patched_by)
+    monkeypatch.setattr(refine, inner, patched_inner)
 
 
+# A failed insertion is a defect, since every candidate inserts: it is recorded
+# as a skipped group, not passed over as if the candidate did not refine.
 @pytest.mark.parametrize(
-    "ring, stage", [(None, "refine"), ("Mid", "refine[Mid]")]
+    "inner, stage", [(None, "refine"), ("insert_refinement", "refine")]
 )
-def test_refine_failure_is_one_skipped_entry(tmp_path, monkeypatch, ring, stage):
+def test_refine_failure_is_one_skipped_entry(tmp_path, monkeypatch, inner, stage):
     d = _census_dir(tmp_path, [f"order16/{g}.pcg" for g in GROUPS])
-    bad = "g16_03_c2sq_rtimes_c4"  # flagged, so its Mid breakdown runs
-    _failing_refine(monkeypatch, bad, ring)
+    bad = "g16_03_c2sq_rtimes_c4"  # flagged, so an insertion runs
+    _failing_refine(monkeypatch, bad, inner)
     out = census.run_census(d).to_json()
     assert out["skipped"] == [f"{bad}: {stage}: injected failure"]
     want = _artifact_groups()

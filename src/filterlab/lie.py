@@ -45,7 +45,8 @@ class CosetBasis:
             raise ValueError("section subgroups have different parents")
         if not N.is_subset(H):
             raise ValueError("N is not contained in H")
-        if not comm_subgroup(H, H).is_subset(N):
+        # H = N is a zero section: [H, H] <= H = N holds without a commutator
+        if H.order > N.order and not comm_subgroup(H, H).is_subset(N):
             raise ValueError("section H/N is not abelian")
         self.group = G
         self.p = G.p
@@ -110,7 +111,10 @@ class CosetBasis:
         return x
 
     def is_exponent_p(self) -> bool:
-        return all(self.N.contains(self.group.power(h, self.p)) for h in self.H.igs)
+        """h^p in N for every h in H; at dim 0, H = N and it holds."""
+        return self.dim == 0 or all(
+            self.N.contains(self.group.power(h, self.p)) for h in self.H.igs
+        )
 
 
 def _component(f: Filter, s: MonoidElem) -> CosetBasis:

@@ -3,8 +3,10 @@
 Each insertion extends the grading monoid by one lexicographic coordinate
 (appended least-significant), threading the new subgroup between phi_s and
 its boundary.  Grades for the extended filter are generated by the closure
-rules (order rule plus iterated commutator rule) and the result is verified
-against the filter axioms; closure failures raise instead of being patched.
+rules (order rule plus iterated commutator rule), which touch each distinct
+value once per sweep and cannot leave the box (proof in ``_closure``); the
+result is verified against the filter axioms, and a table that fails them or
+does not stabilise raises instead of being patched.
 Every candidate inserts (proof in ``refine_to_fixpoint``), so a refinement
 inserts the first candidate of each table and tries no other.
 """
@@ -28,7 +30,14 @@ from .pcgroup import (
     subgroup_from_gens,
     trivial_subgroup,
 )
-from .series import Filter, exponent_p_lcs, verify_filter
+from .series import (
+    Filter,
+    distinct_codes,
+    exponent_p_lcs,
+    pair_index,
+    value_labels,
+    verify_filter,
+)
 
 
 class RefinementError(RuntimeError):
@@ -65,44 +74,59 @@ def _closure(
     """Smallest box table containing the seeds and closed under both rules.
 
     Each seed is a canonical subgroup and goes into its grade as it is.
+
+    A sweep runs the order rule as a descending lex cascade, then the
+    commutator rule as a Jacobi step: the values are labelled once, and for
+    each distinct (in-box target w, label a, label b) with both values
+    nontrivial, [A, B] is joined into the value at w.  Both rules are
+    monotone and inflationary on the finite lattice of tables.  So each join
+    keeps the table below the least table T that contains the seeds and is
+    closed under both rules (if X <= T then [X_u, X_v] <= [T_u, T_v] <= T_w),
+    and a sweep that changes nothing leaves a closed table, which is then T.
+    The order in which the rules are applied does not change the table.
+
+    A commutator whose grade w = u + v leaves the box is contained in
+    phi_{clamp(w)} once the sweeps end, so it needs no check.  The final
+    table is lex-monotone (the order rule), hence pointwise-monotone.  Set
+    u' = clamp(w) - v.  Then 0 <= u' <= u pointwise, as v <= clamp(w), and
+    u' + v = clamp(w) lies in the box, so
+    [phi_u, phi_v] <= [phi_u', phi_v] <= phi_{clamp(w)}.
+    ``verify_filter`` checks exactly these triples on the final table.
     """
     grades = mon.box_enumerate(box)
+    n = len(grades)
     trivial = trivial_subgroup(G)
-    table: Dict[MonoidElem, Subgroup] = {m: trivial for m in grades}
-    for m, H in seeds.items():
-        if mon.in_box(m, box):
-            table[m] = H
+    vals: List[Subgroup] = [trivial] * n
+    for i, m in enumerate(grades):
+        if m in seeds:
+            vals[i] = seeds[m]
+    idx, inbox = pair_index(box)
+    targets = idx[inbox]
+    rows, cols = np.nonzero(inbox)
 
     changed = True
     while changed:
         changed = False
         # order rule: descending lex cascade
-        desc = sorted(grades, reverse=True)
-        for prev, cur in zip(desc, desc[1:]):
-            if not ops.is_subset(table[prev], table[cur]):
-                table[cur] = ops.join(table[cur], table[prev])
+        for cur in range(n - 2, -1, -1):
+            if not ops.is_subset(vals[cur + 1], vals[cur]):
+                vals[cur] = ops.join(vals[cur], vals[cur + 1])
                 changed = True
-        # commutator rule
-        for u in grades:
-            if table[u].order == 1:
-                continue
-            for v in grades:
-                if table[v].order == 1:
-                    continue
-                w = mon.add(u, v)
-                c = ops.comm(table[u], table[v])
-                if c.order == 1:
-                    continue
-                if mon.in_box(w, box):
-                    if not ops.is_subset(c, table[w]):
-                        table[w] = ops.join(table[w], c)
-                        changed = True
-                else:
-                    if not ops.is_subset(c, table[mon.clamp(w, box)]):
-                        raise RefinementError(
-                            f"closure escapes the box at {w}: enlarge the box"
-                        )
-    return table
+        # commutator rule, one join per distinct (target, value, value)
+        labels, reps = value_labels(vals)
+        k = len(reps)
+        nontrivial = np.array([H.order > 1 for H in reps])
+        a, b = labels[rows], labels[cols]
+        live = nontrivial[a] & nontrivial[b]
+        codes = (targets[live].astype(np.int64) * k + a[live]) * k + b[live]
+        for code in distinct_codes(codes, n * k * k).tolist():
+            rest, y = divmod(code, k)
+            w, x = divmod(rest, k)
+            c = ops.comm(reps[x], reps[y])
+            if c.order > 1 and not ops.is_subset(c, vals[w]):
+                vals[w] = ops.join(vals[w], c)
+                changed = True
+    return dict(zip(grades, vals))
 
 
 def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
@@ -119,20 +143,12 @@ def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
         raise RefinementError("inserted subgroup is not normal")
     d = f.monoid.dim
     ops = SubgroupOps(G)
+    seeds: Dict[MonoidElem, Subgroup] = {m + (0,): f.value(m) for m in f.grades()}
+    seeds[s + (1,)] = H
     extra = 1
     while True:
         box = f.box + (extra,)
-        seeds: Dict[MonoidElem, Subgroup] = {}
-        for m in f.grades():
-            seeds[m + (0,)] = f.value(m)
-        seeds[s + (1,)] = H
-        try:
-            table = _closure(G, box, seeds, ops)
-        except RefinementError:
-            extra += 1
-            if extra > 2 * len(bin(G.order)):
-                raise
-            continue
+        table = _closure(G, box, seeds, ops)
         # stabilisation: one-step larger box must agree under clamping
         big_box = tuple(b + 1 for b in box)
         big = _closure(G, big_box, seeds, ops)
@@ -190,11 +206,13 @@ def _candidate_sort_key(rank: int, grade: MonoidElem, basis: np.ndarray):
     )
 
 
-def _gather_candidates(L: GradedLieRing):
+def _gather_candidates(L: GradedLieRing, seed: bool = False):
     """All proper emitted subspaces over all in-box products, ordered.
 
-    Each candidate is (sort key, grade, basis, provenances).  A bimap whose
-    Der acts with the full matrix algebra as envelope on every side
+    Each candidate is (sort key, grade, basis, provenances).  With ``seed``
+    the five ring dimensions of every bimap are returned too (keyed
+    "s|t"); otherwise that dict is empty.  A bimap whose Der acts with the
+    full matrix algebra as envelope on every side
     (``scalars.der_envelopes_full``) adds no candidate, so its emissions are
     not computed:
 
@@ -205,8 +223,8 @@ def _gather_candidates(L: GradedLieRing):
        Jacobson density), so S is 0 or the whole side.
     3. Only emissions with 0 < dim < d are kept below, so such a bimap adds
        nothing: the candidates, their order and their provenances are those
-       of the unpruned loop.  ``all_rings`` still runs for every bimap, so
-       ``ring_dims`` is unchanged.
+       of the unpruned loop.  Der is built first; the other four rings are
+       built only when the bimap emits or its ``ring_dims`` are asked for.
     """
     out = []
     ring_dims: Dict[str, Dict[str, int]] = {}
@@ -217,10 +235,15 @@ def _gather_candidates(L: GradedLieRing):
             if L.dim(u) == 0:
                 continue
             b = scalars.bimap_from_lie_pair(L, s, t)
-            rings = scalars.all_rings(b)
-            key = ",".join(str(x) for x in s) + "|" + ",".join(str(x) for x in t)
-            ring_dims[key] = {k: rings[k].dim for k in scalars.KINDS}
-            if scalars.der_envelopes_full(rings["Der"]):
+            der = scalars.derivation_algebra(b)
+            pruned = scalars.der_envelopes_full(der)
+            if pruned and not seed:
+                continue
+            rings = scalars.all_rings(b, der)
+            if seed:
+                key = ",".join(str(x) for x in s) + "|" + ",".join(str(x) for x in t)
+                ring_dims[key] = {k: rings[k].dim for k in scalars.KINDS}
+            if pruned:
                 continue
             ems = scalars.characteristic_subspaces(b, rings)
             side_grade = {"U": s, "V": t, "W": u}
@@ -268,7 +291,7 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
     L = graded_lie_ring(f)
     seed_dims = [L.dim(s) for s in L.grades()]
     steps: List[RefinementStep] = []
-    seed_candidates, ring_dims = _gather_candidates(L)
+    seed_candidates, ring_dims = _gather_candidates(L, seed=True)
     candidates = seed_candidates
     while candidates and len(steps) < CAP:
         _, grade, basis, provs = candidates[0]

@@ -434,9 +434,10 @@ def centroid(b: Bimap) -> ScalarAlgebra:
     return alg
 
 
-def all_rings(b: Bimap) -> Dict[str, ScalarAlgebra]:
+def all_rings(b: Bimap, der: Optional[ScalarAlgebra] = None) -> Dict[str, ScalarAlgebra]:
+    """The five rings of ``b``; ``der``, when given, is its Der, built earlier."""
     return {
-        "Der": derivation_algebra(b),
+        "Der": derivation_algebra(b) if der is None else der,
         "Left": scalar_ring(b, "Left"),
         "Mid": scalar_ring(b, "Mid"),
         "Right": scalar_ring(b, "Right"),

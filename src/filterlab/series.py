@@ -13,6 +13,8 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from . import monoid as mon
 from .monoid import GradedMonoid, MonoidElem
 from .pcgroup import (
@@ -184,9 +186,105 @@ def _containment_witness(G: PcGroup, C: Subgroup, target: Subgroup) -> Optional[
     return None
 
 
+def pair_index(box: MonoidElem, target: Optional[MonoidElem] = None):
+    """For the grades g_0, ..., g_{n-1} of ``box_enumerate(box)`` (lex order):
+    ``idx[i, j]`` is the index in ``box_enumerate(target)`` of
+    clamp(g_i + g_j, target) and ``inbox[i, j]`` marks the sums that lie in
+    ``target``, which defaults to ``box``.  As g_0 = 0, row 0 indexes the
+    clamped grades themselves.
+
+    Built one coordinate at a time in int32: a grade's index is the sum of
+    its coordinates times the lex strides, and clamping works per coordinate.
+    """
+    target = box if target is None else target
+    grades = np.array(mon.box_enumerate(box), dtype=np.int32).reshape(-1, len(box))
+    n = grades.shape[0]
+    idx = np.zeros((n, n), dtype=np.int32)
+    inbox = np.ones((n, n), dtype=bool)
+    stride = 1
+    for k in reversed(range(len(box))):
+        c = grades[:, k]
+        total = c[:, None] + c[None, :]
+        inbox &= total <= target[k]
+        idx += np.minimum(total, target[k]) * np.int32(stride)
+        stride *= target[k] + 1
+    return idx, inbox
+
+
+def value_labels(values: List[Subgroup]):
+    """Int labels of ``values`` by igs, numbered in order of first
+    appearance, and one representative subgroup per label."""
+    label: Dict[tuple, int] = {}
+    reps: List[Subgroup] = []
+    out = np.empty(len(values), dtype=np.int32)
+    for i, H in enumerate(values):
+        got = label.get(H.igs)
+        if got is None:
+            got = label[H.igs] = len(reps)
+            reps.append(H)
+        out[i] = got
+    return out, reps
+
+
+def distinct_codes(codes: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``codes``, all in range(size), ascending."""
+    mark = np.zeros(size, dtype=bool)
+    mark[codes] = True
+    return np.flatnonzero(mark)
+
+
+def _triples_hold(ops: SubgroupOps, a, b, c, reps: List[Subgroup]) -> bool:
+    """[A, B] <= C for every distinct triple of labels (a, b, c), given as
+    arrays that broadcast to one shape."""
+    k = len(reps)
+    codes = (a.astype(np.int64) * k + b) * k + c
+    for code in distinct_codes(codes.ravel(), k**3).tolist():
+        rest, z = divmod(code, k)
+        x, y = divmod(rest, k)
+        if not ops.is_subset(ops.comm(reps[x], reps[y]), reps[z]):
+            return False
+    return True
+
+
+def _preceq_matrix(monoid: GradedMonoid, grades: List[MonoidElem]) -> np.ndarray:
+    """``le[i, j]`` iff grades[i] precedes-or-equals grades[j]; the grades
+    are distinct and in lex order."""
+    n = len(grades)
+    if monoid.order_kind == mon.LEX:
+        return np.triu(np.ones((n, n), dtype=bool))
+    coords = np.array(grades, dtype=np.int32).reshape(n, monoid.dim)
+    le = np.ones((n, n), dtype=bool)
+    for k in range(monoid.dim):
+        le &= coords[:, k, None] <= coords[None, :, k]
+    return le
+
+
 def verify_filter(f: Filter) -> List[Violation]:
-    """Exhaustive check of both filter clauses over the box."""
+    """Exhaustive check of both filter clauses over the box.
+
+    Each clause depends on the grades only through their values, so it is
+    checked once per distinct label triple (phi_s, phi_t, phi_{s+t}) and
+    once per distinct pair (phi_s, phi_t) with s <= t.  Only when one of
+    those fails does the per-pair loop run, to list every violation with its
+    grades and witness in grade order.
+    """
     ops = SubgroupOps(f.group)
+    grades = f.grades()
+    idx, _ = pair_index(f.box)
+    labels, reps = value_labels([f.table[m] for m in grades])
+    k = len(reps)
+    if not _triples_hold(ops, labels[:, None], labels[None, :], labels[idx], reps):
+        return _verify_filter_pairs(f, ops)
+    le = _preceq_matrix(f.monoid, grades)
+    pairs = labels[:, None].astype(np.int64) * k + labels[None, :]
+    for code in distinct_codes(pairs[le], k * k).tolist():
+        a, b = divmod(code, k)
+        if not ops.is_subset(reps[b], reps[a]):
+            return _verify_filter_pairs(f, ops)
+    return []
+
+
+def _verify_filter_pairs(f: Filter, ops: SubgroupOps) -> List[Violation]:
     out: List[Violation] = []
     grades = f.grades()
     for s in grades:
@@ -230,14 +328,26 @@ def verify_layering(l: Layering) -> List[Violation]:
 
 
 def verify_sift(f: Filter, l: Layering) -> List[Violation]:
-    """[phi_s, pi^{s+t}] <= pi^t for all box grades s, t."""
+    """[phi_s, pi^{s+t}] <= pi^t for all box grades s, t.
+
+    Checked once per distinct label triple (phi_s, pi^{s+t}, pi^t); only
+    when one fails does the per-pair loop run, to list every violation.
+    """
     if f.group is not l.group:
         raise ValueError("filter and layering live on different groups")
     if f.monoid != l.monoid:
         raise ValueError("monoid mismatch between filter and layering")
     ops = SubgroupOps(f.group)
-    out: List[Violation] = []
     grades = f.grades()
+    idx, _ = pair_index(f.box, l.box)
+    fl, f_reps = value_labels([f.table[m] for m in grades])
+    ll, l_reps = value_labels([l.table[m] for m in l.grades()])
+    # one label space for both maps' values, phi's first
+    reps = f_reps + l_reps
+    ll = ll + len(f_reps)
+    if _triples_hold(ops, fl[:, None], ll[idx], ll[idx[0]][None, :], reps):
+        return []
+    out: List[Violation] = []
     for s in grades:
         for t in grades:
             c = ops.comm(f.value(s), l.value(mon.add(s, t)))

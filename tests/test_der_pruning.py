@@ -130,10 +130,10 @@ def test_pruned_candidates_match_the_unpruned_loop(corpus_groups, monkeypatch):
     gather = refine._gather_candidates
     tables = {"pruned": 0, "with candidates": 0}
 
-    def compared(L):
-        got, got_dims = gather(L)
+    def compared(L, seed=False):
+        got, got_dims = gather(L, seed)
         want, want_dims = _unpruned_gather_candidates(L)
-        assert got_dims == want_dims
+        assert got_dims == (want_dims if seed else {})
         assert len(got) == len(want)
         for (k1, g1, b1, p1), (k2, g2, b2, p2) in zip(got, want):
             assert k1 == k2 and g1 == g2 and np.array_equal(b1, b2) and p1 == p2
@@ -151,3 +151,39 @@ def test_pruned_candidates_match_the_unpruned_loop(corpus_groups, monkeypatch):
         refine.refine_to_fixpoint(G, group_id=name)
     assert len(corpus_groups) == 46
     assert tables["pruned"] and tables["with candidates"], tables
+
+
+def test_later_tables_build_only_der_on_pruned_bimaps(corpus_groups, monkeypatch):
+    """Past the seed table, a bimap whose Der envelope is full builds no
+    Left, Mid, Right or Cent ring; the seed table builds all five on every
+    bimap, for its ``ring_dims``."""
+    table = []
+    built = {"seed": 0, "later": 0}
+    pruned_later = []
+    gather, all_rings = refine._gather_candidates, scalars.all_rings
+    full = scalars.der_envelopes_full
+
+    def tagged(L, seed=False):
+        table.append("seed" if seed else "later")
+        return gather(L, seed)
+
+    def envelopes(der):
+        got = full(der)
+        if table[-1] == "later":
+            pruned_later.append(got)
+        return got
+
+    def counting(b, der=None):
+        assert table[-1] == "seed" or not full(der)
+        built[table[-1]] += 1
+        return all_rings(b, der)
+
+    monkeypatch.setattr(refine, "_gather_candidates", tagged)
+    monkeypatch.setattr(scalars, "der_envelopes_full", envelopes)
+    monkeypatch.setattr(scalars, "all_rings", counting)
+    dims = 0
+    for name, G in corpus_groups.items():
+        dims += len(refine.refine_to_fixpoint(G, group_id=name).ring_dims)
+    assert built["seed"] == dims
+    assert built["later"] == pruned_later.count(False)
+    assert pruned_later.count(True) > built["later"]

@@ -1,16 +1,17 @@
 """Handlers of ``RefinementError`` in the package stay confined to a known
 list of sites.  Every candidate inserts (``refine.refine_to_fixpoint``), so
 a refinement never catches a failed insertion to try the next candidate: a
-new handler that skips past one fails here.  ``insert_refinement`` retries
-its closure on a larger box; ``analyze_file`` records a group that failed
-to refine as skipped."""
+new handler that skips past one fails here.  The closure cannot escape its
+box (``refine._closure``), so ``insert_refinement`` has no retry to catch;
+only ``analyze_file`` handles one, recording a group that failed to refine
+as skipped."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filterlab"
 
-HANDLING = {"insert_refinement", "analyze_file"}
+HANDLING = {"analyze_file"}
 
 
 def _names(node):

@@ -1,7 +1,9 @@
-"""Differential tests for the per-call subgroup memo (refinement closure and
-the axiom verifiers), for the depth-by-depth solve (inverse, commutator,
+"""Differential tests for the per-call subgroup memo, for the refinement
+closure's Jacobi sweep over distinct values and the axiom verifiers'
+distinct-triple checks, for the depth-by-depth solve (inverse, commutator,
 conjugate, collection with negative letters) and for the one-commutator
-subgroup closure, each against the per-pair or word-based code it replaces."""
+subgroup closure, each against the per-pair, Gauss-Seidel or word-based code
+it replaces."""
 
 import functools
 import itertools
@@ -154,6 +156,23 @@ def _refined_up_to_81():
     return out
 
 
+# the ladder products of the benchmark
+LADDER = (
+    ("g81_12_maxclass1", "c3"),
+    ("d8", "q8", "d8"),
+    ("h27", "h27"),
+    ("h27", "h27", "c3"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_group(factors):
+    G = load(factors[0])
+    for name in factors[1:]:
+        G = direct_product(G, load(name))
+    return G
+
+
 # -- verifiers ---------------------------------------------------------------------
 
 
@@ -187,6 +206,37 @@ def test_verify_filter_matches_reference_on_refined_lex_filters():
     assert violations
 
 
+POINTWISE_PRODUCTS = LADDER[::2] + (("c4", "c2", "c4"),)
+
+
+@pytest.mark.parametrize(
+    "names", POINTWISE_PRODUCTS, ids=["x".join(f) for f in POINTWISE_PRODUCTS]
+)
+def test_verifiers_match_reference_on_pointwise_products(names):
+    """Pointwise-graded product maps, where s <= t is not the lex order, and
+    layering boxes that differ from the filter's.  On the abelian product
+    every commutator is trivial, so a fault shows in the order clause only."""
+    G = _ladder_group(names)
+    parts = [load(name) for name in names]
+    filters = [
+        series.product_filter([series.lower_central(H) for H in parts], G),
+        series.product_filter([series.exponent_p_lcs(H) for H in parts], G),
+    ]
+    ul = series.product_layering([series.upper_central(H) for H in parts], G)
+    assert any(f.box != ul.box for f in filters)
+    violations = 0
+    for f in filters:
+        for g in _with_faults(f):
+            got = series.verify_filter(g)
+            assert got == _ref_verify_filter(g)
+            violations += len(got)
+            for l in _with_faults(ul):
+                got = series.verify_sift(g, l)
+                assert got == _ref_verify_sift(g, l)
+                violations += len(got)
+    assert violations
+
+
 def test_verify_filter_computes_each_unordered_pair_once(monkeypatch):
     f = max(_refined_up_to_81().values(), key=lambda f: len(f.grades()))
     values = {f.value(m).igs for m in f.grades()}
@@ -202,6 +252,30 @@ def test_verify_filter_computes_each_unordered_pair_once(monkeypatch):
     assert not series.verify_filter(f)
     assert len(pairs) == len(set(pairs))
     assert len(pairs) <= len(values) * (len(values) + 1) // 2
+
+
+def test_verify_filter_checks_each_distinct_triple_once(monkeypatch):
+    """On the largest refined ladder table, one containment per distinct
+    (phi_s, phi_t, phi_{s+t}) and per distinct (phi_s, phi_t) with s <= t."""
+    f = max(
+        (refine.refine_to_fixpoint(_ladder_group(names)).final for names in LADDER),
+        key=lambda f: len(f.grades()),
+    )
+    grades = f.grades()
+    igs = {m: f.value(m).igs for m in grades}
+    triples = {(igs[s], igs[t], f.value(mon.add(s, t)).igs) for s in grades for t in grades}
+    pairs = {(igs[s], igs[t]) for s in grades for t in grades if f.monoid.preceq(s, t)}
+    assert len(grades) >= 64 and 10 * len(triples) < len(grades) ** 2
+    calls = []
+    original = SubgroupOps.is_subset
+
+    def counting(self, A, B):
+        calls.append((A.igs, B.igs))
+        return original(self, A, B)
+
+    monkeypatch.setattr(SubgroupOps, "is_subset", counting)
+    assert not series.verify_filter(f)
+    assert len(calls) <= len(triples) + len(pairs)
 
 
 def test_verify_layering_takes_each_boundary_once(corpus_groups, monkeypatch):
@@ -238,6 +312,74 @@ def test_closure_puts_seeds_in_as_they_are(monkeypatch):
     table = refine._closure(f.group, f.box, seeds, SubgroupOps(f.group))
     assert not joins
     assert all(table[m] is seeds[m] for m in f.grades())
+
+
+def _gauss_seidel_closure(G, box, seeds, ops):
+    """The closure as it was: the commutator rule over every pair of box
+    grades, each join seen by the later pairs of the same sweep, and a
+    commutator leaving the box checked against its clamped grade."""
+    grades = mon.box_enumerate(box)
+    trivial = trivial_subgroup(G)
+    table = {m: trivial for m in grades}
+    for m, H in seeds.items():
+        if mon.in_box(m, box):
+            table[m] = H
+    changed = True
+    while changed:
+        changed = False
+        desc = sorted(grades, reverse=True)
+        for prev, cur in zip(desc, desc[1:]):
+            if not ops.is_subset(table[prev], table[cur]):
+                table[cur] = ops.join(table[cur], table[prev])
+                changed = True
+        for u in grades:
+            if table[u].order == 1:
+                continue
+            for v in grades:
+                if table[v].order == 1:
+                    continue
+                w = mon.add(u, v)
+                c = ops.comm(table[u], table[v])
+                if c.order == 1:
+                    continue
+                if mon.in_box(w, box):
+                    if not ops.is_subset(c, table[w]):
+                        table[w] = ops.join(table[w], c)
+                        changed = True
+                elif not ops.is_subset(c, table[mon.clamp(w, box)]):
+                    raise refine.RefinementError(f"closure escapes the box at {w}")
+    return table
+
+
+@pytest.mark.parametrize(
+    "names",
+    [None] + list(LADDER),
+    ids=["corpus<=81"] + ["x".join(f) for f in LADDER],
+)
+def test_jacobi_closure_matches_gauss_seidel(names, monkeypatch):
+    """Every closure of a refinement, on its box and on its stability box,
+    equals the Gauss-Seidel closure, and keeps the seed objects it keeps."""
+    jacobi = refine._closure
+    calls = []
+
+    def compared(G, box, seeds, ops):
+        got = jacobi(G, box, seeds, ops)
+        want = _gauss_seidel_closure(G, box, seeds, SubgroupOps(G))
+        assert got == want, box
+        for m, H in seeds.items():
+            if mon.in_box(m, box) and want[m] is H:
+                assert got[m] is H, m
+        calls.append(box)
+        return got
+
+    monkeypatch.setattr(refine, "_closure", compared)
+    if names is None:
+        groups = [load(p.stem) for p in corpus_paths() if load(p.stem).order <= 81]
+    else:
+        groups = [_ladder_group(names)]
+    for G in groups:
+        refine.refine_to_fixpoint(G)
+    assert calls
 
 
 def test_insert_refinement_canonicalises_a_hand_built_subgroup():
@@ -292,28 +434,12 @@ def test_subgroup_ops_parent_mismatch(d8):
 # -- inverse ---------------------------------------------------------------------
 
 
-LADDER = (
-    ("g81_12_maxclass1", "c3"),
-    ("d8", "q8", "d8"),
-    ("h27", "h27"),
-    ("h27", "h27", "c3"),
-)
-
-
 def test_inverse_matches_word_inverse_on_corpus(corpus_groups):
     for name, G in corpus_groups.items():
         for x in G.elements():
             y = G.inverse(x)
             assert y == _word_inverse(G, x), (name, x)
             assert G.multiply(x, y) == G.identity == G.multiply(y, x)
-
-
-@functools.lru_cache(maxsize=None)
-def _ladder_group(factors):
-    G = load(factors[0])
-    for name in factors[1:]:
-        G = direct_product(G, load(name))
-    return G
 
 
 @pytest.mark.parametrize("factors", LADDER, ids=["x".join(f) for f in LADDER])

@@ -43,16 +43,26 @@ class CosetBasis:
         G = H.group
         if N.group is not G:
             raise ValueError("section subgroups have different parents")
-        if not N.is_subset(H):
-            raise ValueError("N is not contained in H")
-        # H = N is a zero section: [H, H] <= H = N holds without a commutator
-        if H.order > N.order and not comm_subgroup(H, H).is_subset(N):
-            raise ValueError("section H/N is not abelian")
         self.group = G
         self.p = G.p
         self.H = H
         self.N = N
         self.integral = integral
+        if not integral and H.igs == N.igs:
+            # A zero section.  Each member of the canonical igs has a depth
+            # that no other member has, so sifting it against the others
+            # returns it at once with no steps: tagging N.igs gives N's depth
+            # map with zero-length vectors, which is what is set here.
+            self.reps = self.gens = []
+            self.dim = 0
+            self._by_depth = dict(N._by_depth)
+            self._vecs = {d: np.zeros(0, dtype=np.int64) for d in self._by_depth}
+            return
+        if not N.is_subset(H):
+            raise ValueError("N is not contained in H")
+        # H = N is a zero section: [H, H] <= H = N holds without a commutator
+        if H.order > N.order and not comm_subgroup(H, H).is_subset(N):
+            raise ValueError("section H/N is not abelian")
         reps: List[Elem] = []
         cur = N
         for h in H.igs:

@@ -42,7 +42,13 @@ def _is_prime(p: int) -> bool:
 
 
 class PcGroup:
-    """Immutable pc presentation with collection-based arithmetic."""
+    """Immutable pc presentation with collection-based arithmetic.
+
+    Products are collected from the left one generator at a time through
+    per-generator tables, ``_mult_cache[k][x] = x * g_k``, filled on demand.
+    They are keyed by normal forms, so each holds at most |G| entries.
+    ``power(x, e)`` starts from x and makes e - 1 multiplies.
+    """
 
     def __init__(
         self,
@@ -76,7 +82,7 @@ class PcGroup:
                 self.comm_words[(j, i)] = w
         self.identity: Elem = (0,) * n
         self.factors: List[Tuple[int, "PcGroup"]] = []  # (offset, factor) when built as a direct product
-        self._mult_cache: Dict[Tuple[Elem, int], Elem] = {}
+        self._mult_cache: List[Dict[Elem, Elem]] = [{} for _ in range(n + 1)]
         if check and n > 0:
             bad = self.consistency_violations()
             if bad:
@@ -96,11 +102,17 @@ class PcGroup:
         return self.p ** self.n
 
     # -- collection ------------------------------------------------------
+    #
+    # Collection from the left (Holt, Eick and O'Brien, Handbook of
+    # Computational Group Theory, 2005, ch. 8).  ``_mult_cache[0]`` is
+    # unused.  ``multiply``, ``divide`` and the positive letters of
+    # ``mult_word`` read the table of g_k inline and call ``_mult_gen`` only
+    # on a miss.
 
     def _mult_gen(self, x: Elem, k: int) -> Elem:
-        """Normal form of x * g_k."""
-        key = (x, k)
-        hit = self._mult_cache.get(key)
+        """Normal form of x * g_k, stored in the table of g_k."""
+        table = self._mult_cache[k]
+        hit = table.get(x)
         if hit is not None:
             return hit
         p = self.p
@@ -124,15 +136,19 @@ class PcGroup:
                     if comm:
                         acc = self.mult_word(acc, comm)
             res = acc
-        self._mult_cache[key] = res
+        table[x] = res
         return res
 
     def mult_word(self, x: Elem, w: Iterable[Tuple[int, int]]) -> Elem:
         """Normal form of x times a word (letters with any integer exponents)."""
+        tables = self._mult_cache
         for k, e in w:
             if e >= 0:
-                for _ in range(e):
-                    x = self._mult_gen(x, k)
+                table = tables[k]
+                while e:
+                    y = table.get(x)
+                    x = y if y is not None else self._mult_gen(x, k)
+                    e -= 1
             else:
                 # the solve for g_k^-1 only meets relation words of
                 # generators after k, so this recursion terminates
@@ -151,11 +167,17 @@ class PcGroup:
         return x
 
     def multiply(self, x: Elem, y: Elem) -> Elem:
-        self._check_elem(x)
-        self._check_elem(y)
-        for k in range(1, self.n + 1):
-            for _ in range(y[k - 1]):
-                x = self._mult_gen(x, k)
+        """Normal form of x * y: x times g1^y1 ... gn^yn, letter by letter."""
+        if len(x) != self.n or len(y) != self.n:
+            self._check_elems(x, y)
+        tables = self._mult_cache
+        for k, e in enumerate(y, 1):
+            if e:
+                table = tables[k]
+                while e:
+                    z = table.get(x)
+                    x = z if z is not None else self._mult_gen(x, k)
+                    e -= 1
         return x
 
     def divide(self, a: Elem, b: Elem) -> Elem:
@@ -167,24 +189,42 @@ class PcGroup:
         before depth k, y_k = b_k - (its exponent k) mod p makes it agree up
         to depth k, and later steps keep that; after depth n it equals b.
         """
-        self._check_elem(a)
-        self._check_elem(b)
+        if len(a) != self.n or len(b) != self.n:
+            self._check_elems(a, b)
+        p = self.p
+        tables = self._mult_cache
         y = []
-        for k in range(1, self.n + 1):
-            e = (b[k - 1] - a[k - 1]) % self.p
-            for _ in range(e):
-                a = self._mult_gen(a, k)
+        for k, bk in enumerate(b, 1):
+            e = (bk - a[k - 1]) % p
             y.append(e)
+            if e:
+                table = tables[k]
+                while e:
+                    z = table.get(a)
+                    a = z if z is not None else self._mult_gen(a, k)
+                    e -= 1
         return tuple(y)
 
     def inverse(self, x: Elem) -> Elem:
         return self.divide(x, self.identity)
 
     def power(self, x: Elem, e: int) -> Elem:
+        """x^e, for e >= 1 as x times e - 1 further factors x.
+
+        Starting from x rather than the identity is exact: collecting
+        identity * x walks g1^x1 ... gn^xn, and when g_k is multiplied on,
+        every exponent after k is still 0, so ``_mult_gen`` takes its no-tail
+        branch with the new exponent at most x_k < p and only writes it in.
+        So identity * x = x for a normal form x.
+        """
+        if len(x) != self.n:
+            self._check_elems(x)
         if e < 0:
             return self.power(self.inverse(x), -e)
-        acc = self.identity
-        for _ in range(e):
+        if e == 0:
+            return self.identity
+        acc = x
+        for _ in range(e - 1):
             acc = self.multiply(acc, x)
         return acc
 
@@ -211,9 +251,10 @@ class PcGroup:
         for v in itertools.product(range(self.p), repeat=self.n):
             yield v
 
-    def _check_elem(self, x: Elem) -> None:
-        if len(x) != self.n:
-            raise PcgError(f"element length {len(x)} does not match n = {self.n}")
+    def _check_elems(self, *xs: Elem) -> None:
+        for x in xs:
+            if len(x) != self.n:
+                raise PcgError(f"element length {len(x)} does not match n = {self.n}")
 
     # -- consistency -----------------------------------------------------
 

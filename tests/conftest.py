@@ -1,4 +1,6 @@
 import functools
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,17 @@ def load(name: str):
     hits = list(CORPUS.glob(f"**/{name}.pcg"))
     assert len(hits) == 1, f"corpus lookup for {name}: {hits}"
     return parse_pcg_file(hits[0])
+
+
+@functools.lru_cache(maxsize=None)
+def perfbench_workloads():
+    """``perfbench/workloads.py`` as a module (for its ladder products)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # registered first: it defines dataclasses
+    return module
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,9 +5,6 @@ the ``refine_to_fixpoint`` docstring).  Here every candidate of every table
 on the first-candidate chain is lifted and inserted, for every corpus file
 and every ladder product of the benchmark."""
 
-import importlib.util
-import sys
-
 import pytest
 
 from filterlab import refine
@@ -15,19 +12,9 @@ from filterlab.lie import graded_lie_ring
 from filterlab.pcgroup import parse_pcg_file
 from filterlab.series import exponent_p_lcs, verify_filter
 
-from conftest import ROOT, corpus_paths
+from conftest import corpus_paths, perfbench_workloads
 
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # registered first: it defines dataclasses
-    return module
-
-
-workloads = _workloads()
+workloads = perfbench_workloads()
 
 CASES = [
     pytest.param(lambda p=p: parse_pcg_file(p), id=f"{p.parent.name}/{p.stem}")

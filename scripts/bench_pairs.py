@@ -2,10 +2,11 @@
 """Alternating parent/change pairs of the benchmark, summed up in one JSON file.
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in a checkout of the parent revision and once in the change's tree:
-the parent first in even pairs, the change first in odd pairs, with seed
-S = first seed + pair index.  The parent is extracted with ``git archive``
-into a scratch directory, so the repository gets no second worktree.  The
+once in a checkout of the parent revision and once in this tree: the parent
+first in even pairs, the change first in odd pairs, with seed S = first
+seed + pair index.  The workloads W and the run length T are the ones
+``BENCHMARK.json`` declares.  The parent is extracted with ``git archive``
+into a temporary directory, so the repository gets no second worktree.  The
 script only shells out to the benchmark and reads the JSON object on the
 last line of each run's output; it imports nothing from ``perfbench/``.
 
@@ -19,9 +20,8 @@ side and records its per-layer metrics.
 
 Usage:
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
-        [--change DIR] [--pairs 10] [--seconds 35] [--first-seed 100] \\
-        [--workloads census ladder verify] [--claim verify:wall_s] \\
-        [--trace verify] [--scratch DIR] [--description TEXT]
+        [--pairs 10] [--first-seed 100] [--claim verify:wall_s] \\
+        [--trace verify] [--description TEXT]
 """
 
 import argparse
@@ -37,12 +37,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
 SIDES = ("parent", "change")
-DEFAULT_SELECT = (
-    "pcgroup.multiply.calls",
-    "pcgroup.inverse.calls",
-    "pcgroup.power.calls",
-    "pcgroup.sift.calls",
-)
 
 
 def summarize(parent, change, better, bound):
@@ -117,44 +111,41 @@ def run_once(checkout, workload, seed, seconds, trace):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
-    ap.add_argument("--change", default=str(ROOT), help="checkout of the change (default: this tree)")
     ap.add_argument("--out", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35)
     ap.add_argument("--first-seed", type=int, default=100)
-    ap.add_argument("--workloads", nargs="+", default=["census", "ladder", "verify"])
     ap.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain")
     ap.add_argument("--trace", help="workload to run once per side with --trace 1")
-    ap.add_argument("--select", nargs="+", default=list(DEFAULT_SELECT),
-                    help="per-layer metrics to list apart in the trace record")
-    ap.add_argument("--scratch", help="directory for the parent's files (default: a temporary one)")
     ap.add_argument("--description", default="", help="what the change does")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    change = Path(args.change).resolve()
-    bench = json.loads((change / "BENCHMARK.json").read_text())
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     e2e = {m["name"]: m for m in bench["end_to_end"]}
     if args.claim:
         w, _, name = args.claim.partition(":")
-        if w not in args.workloads or name not in e2e:
-            ap.error(f"--claim {args.claim}: need a listed workload and an end-to-end metric")
+        if w not in workloads or name not in e2e:
+            ap.error(f"--claim {args.claim}: need a benchmark workload and an end-to-end metric")
+    if args.trace and args.trace not in workloads:
+        ap.error(f"--trace {args.trace}: not a benchmark workload")
     parent_sha = subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", args.parent], capture_output=True, text=True, check=True
     ).stdout.strip()
 
-    with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / f"parent-{parent_sha[:12]}"
         extract(parent_sha, parent)
-        roots = {"parent": parent, "change": change}
+        roots = {"parent": parent, "change": ROOT}
         env = None
-        runs = {w: {s: [] for s in SIDES} for w in args.workloads}
-        for w in args.workloads:
+        runs = {w: {s: [] for s in SIDES} for w in workloads}
+        for w in workloads:
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, run_env = run_once(roots[side], w, args.first_seed + i, args.seconds, 0)
+                    result, run_env = run_once(roots[side], w, args.first_seed + i, seconds, 0)
                     if side == "change" and env is None:
                         env = run_env
                     runs[w][side].append(result)
@@ -164,17 +155,17 @@ def main(argv=None):
         traced = {}
         if args.trace:
             for side in SIDES:
-                traced[side], _ = run_once(roots[side], args.trace, args.first_seed, args.seconds, 1)
+                traced[side], _ = run_once(roots[side], args.trace, args.first_seed, seconds, 1)
 
     out = {
         "change": args.description,
         "machine": env,
         "commands": {
-            "each_run": f"python3 perfbench/run.py --workload {{{','.join(args.workloads)}}} "
-                        f"--seed S --seconds {args.seconds:g} --trace 0",
+            "each_run": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
+                        f"--seed S --seconds {seconds:g} --trace 0",
             "pairs": f"{args.pairs} pairs per workload, seed S = {args.first_seed} + pair index; parent first "
                      f"in even pairs, change first in odd pairs; parent = {parent_sha[:7]} extracted with "
-                     f"git archive, change = {'this tree' if change == ROOT else change}",
+                     "git archive, change = this tree",
             "quartiles": f"numpy.percentile 25/50/75 (linear) over the {args.pairs} runs of each side",
         },
         "workloads": {},
@@ -219,8 +210,7 @@ def main(argv=None):
         values = {s: {k: v["value"] for k, v in traced[s]["metrics"].items()} for s in SIDES}
         out[f"{args.trace}_trace"] = {
             "command": f"python3 perfbench/run.py --workload {args.trace} --seed {args.first_seed} "
-                       f"--seconds {args.seconds:g} --trace 1, once per side",
-            "selected": {k: {s: values[s].get(k) for s in SIDES} for k in args.select},
+                       f"--seconds {seconds:g} --trace 1, once per side",
             "correct": {s: traced[s]["correct"] for s in SIDES},
             "all": values,
         }

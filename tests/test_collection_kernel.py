@@ -180,6 +180,16 @@ def test_wrong_length_arguments_raise(d8, e):
             d8.divide(*args)
 
 
+
+def test_negative_entries_of_y_take_no_steps(d8):
+    # y must be a normal form; an entry below 0 is skipped as it was by the
+    # letter-by-letter collector, not walked down forever
+    x = d8.generator(2)
+    assert d8.multiply(x, (-1,) + (0,) * (d8.n - 1)) == x
+    assert d8.multiply(x, (-1,) + (0,) * (d8.n - 2) + (1,)) == _LetterCollector(d8).multiply(
+        x, (-1,) + (0,) * (d8.n - 2) + (1,)
+    )
+
 # -- zero sections of CosetBasis -----------------------------------------------------
 
 

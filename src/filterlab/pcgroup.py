@@ -377,7 +377,9 @@ class Subgroup:
         G = self.group
         x = G.identity
         for h in self.igs:
-            x = G.multiply(x, G.power(h, rng.randrange(G.p)))
+            e = rng.randrange(G.p)
+            if e:
+                x = G.multiply(x, G.power(h, e))
         return x
 
     def is_normal(self) -> bool:

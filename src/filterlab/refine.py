@@ -5,8 +5,8 @@ Each insertion extends the grading monoid by one lexicographic coordinate
 its boundary.  Grades for the extended filter are generated by the closure
 rules (order rule plus iterated commutator rule), which touch each distinct
 value once per sweep and cannot leave the box (proof in ``_closure``); the
-result is verified against the filter axioms, and a table that fails them or
-does not stabilise raises instead of being patched.
+result is verified against the filter axioms, and a table that fails them
+raises instead of being patched.
 Every candidate inserts (proof in ``refine_to_fixpoint``), so a refinement
 inserts the first candidate of each table and tries no other.
 """
@@ -130,7 +130,35 @@ def _closure(
 
 
 def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
-    """Extend f over N^(d+1), lexicographic, with H threaded at grade (s, 1)."""
+    """Extend f over N^(d+1), lexicographic, with H threaded at grade (s, 1).
+
+    One closure psi on the box (B, E), B = f.box, gives the table; the new
+    coordinate is cut back to the least E' >= 1 from which its levels are
+    equal up to E.  In B, m+ is the lex successor of m and ceil(w) the
+    lex-least grade at or above w in N^d; phi is 1 past the last grade.  f is
+    the exponent-p seed or an output of this function, so by induction
+    (P) phi_clamp(w) = phi_ceil(w) for all w: B is past stabilisation.  And
+    s_1 >= 1, as phi_{e_1} = G (``refine_to_fixpoint``) makes the boundary
+    at s equal to G when s_1 = 0.
+
+    1. phi_m at each (m, c) is a closed table holding the seeds, so
+       psi_(m,c) <= phi_m = psi_(m,0).
+    2. Degree bound.  Let k(m) be the largest k with k*s <= m pointwise, and
+       X = psi at c <= k(m), X = phi_{m+} at c > k(m).  X <= psi, X holds
+       the seeds and is lex-monotone, and X is closed: if u + v = (m, c)
+       with c > k(m), say u = (m1, c1) has c1 > k(m1), then [X_u, X_v] <=
+       [phi_{m1+}, phi_{m2}] <= phi_clamp(m1+ + m2) = phi_ceil(m1+ + m2) <=
+       phi_{m+} by (P).  So X = psi: psi_(m,c) = phi_{m+} once c*s_1 > m_1,
+       hence for c >= E = (b_1 - 1) // s_1 + 1 ((P): phi_m = 1 if m_1 = b_1).
+    3. Cut-back.  psi restricted to (B, E') is closed, and the closure on
+       (B, E') read through the clamp is closed on (B, E), so the two agree
+       on (B, E'), and psi_(m,E') = psi_(m,E) = phi_{m+}.  With step 1 and
+       (P) for f this gives (P) for the output.
+    4. Old coordinates.  By (P), psi o clamp = psi o ceil is lex-monotone, so
+       it is closed on (B+1, E'+1) and holds the closure Z there; Z restricted
+       to (B, E') is closed, so Z_w >= Z_ceil(w) >= psi_ceil(w).  Hence Z =
+       psi o clamp: the one-larger box adds nothing in any coordinate.
+    """
     G = f.group
     H = subgroup_from_gens(G, H.igs)  # canonical, so the closure seeds it as is
     bound = f.boundary_at(s)
@@ -141,27 +169,15 @@ def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
         raise RefinementError("containment violated: insertion must be strict")
     if not H.is_normal():
         raise RefinementError("inserted subgroup is not normal")
-    d = f.monoid.dim
-    ops = SubgroupOps(G)
     seeds: Dict[MonoidElem, Subgroup] = {m + (0,): f.value(m) for m in f.grades()}
     seeds[s + (1,)] = H
-    extra = 1
-    while True:
-        box = f.box + (extra,)
-        table = _closure(G, box, seeds, ops)
-        # stabilisation: one-step larger box must agree under clamping
-        big_box = tuple(b + 1 for b in box)
-        big = _closure(G, big_box, seeds, ops)
-        stable = all(
-            big[w] == table[mon.clamp(w, box)]
-            for w in mon.box_iter(big_box)
-        )
-        if stable:
-            break
-        extra += 1
-        if extra > 2 * len(bin(G.order)):
-            raise RefinementError("refined filter does not stabilise in the new grade")
-    out = Filter(G, GradedMonoid(d + 1, mon.LEX), box, table)
+    top = (f.box[0] - 1) // s[0] + 1
+    table = _closure(G, f.box + (top,), seeds, SubgroupOps(G))
+    while top > 1 and all(table[m + (top - 1,)] == table[m + (top,)] for m in f.grades()):
+        top -= 1
+    box = f.box + (top,)
+    table = {w: table[w] for w in mon.box_iter(box)}
+    out = Filter(G, GradedMonoid(f.monoid.dim + 1, mon.LEX), box, table)
     bad = verify_filter(out)
     if bad:
         raise RefinementError(f"refined table is not a filter: {bad[0]}")
@@ -279,10 +295,9 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
     3. A candidate has 0 < dim < dim L_s, so ``lift_subspace`` gives
        boundary(phi_s) < H < phi_s.  None of ``insert_refinement``'s
        containment, strictness or normality checks can fail on it.
-    4. What remains unproven is the closure's box growth (the ``extra``
-       loop).  Together with the ``verify_filter`` post-check, it is the only
-       way a candidate could fail.  A raise there is a defect: it propagates,
-       and the census records the group as skipped with stage ``refine``.
+    4. The closure's box is past stabilisation (``insert_refinement``), so
+       only the ``verify_filter`` post-check is left.  A raise there is a
+       defect: it propagates, and the census skips the group (stage refine).
 
     ``cap_hit`` means the run stopped after CAP steps with candidates left.
     """

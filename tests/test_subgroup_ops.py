@@ -357,9 +357,11 @@ def _gauss_seidel_closure(G, box, seeds, ops):
     ids=["corpus<=81"] + ["x".join(f) for f in LADDER],
 )
 def test_jacobi_closure_matches_gauss_seidel(names, monkeypatch):
-    """Every closure of a refinement, on its box and on its stability box,
-    equals the Gauss-Seidel closure, and keeps the seed objects it keeps."""
+    """Every closure of a refinement, and the closure on each insertion's
+    box one larger in every coordinate, equals the Gauss-Seidel closure, and
+    keeps the seed objects it keeps."""
     jacobi = refine._closure
+    insert = refine.insert_refinement
     calls = []
 
     def compared(G, box, seeds, ops):
@@ -369,10 +371,16 @@ def test_jacobi_closure_matches_gauss_seidel(names, monkeypatch):
         for m, H in seeds.items():
             if mon.in_box(m, box) and want[m] is H:
                 assert got[m] is H, m
-        calls.append(box)
+        calls.append(seeds)
         return got
 
+    def inserted(f, s, H):
+        out = insert(f, s, H)
+        compared(f.group, tuple(b + 1 for b in out.box), calls[-1], SubgroupOps(f.group))
+        return out
+
     monkeypatch.setattr(refine, "_closure", compared)
+    monkeypatch.setattr(refine, "insert_refinement", inserted)
     if names is None:
         groups = [load(p.stem) for p in corpus_paths() if load(p.stem).order <= 81]
     else:
@@ -380,6 +388,17 @@ def test_jacobi_closure_matches_gauss_seidel(names, monkeypatch):
     for G in groups:
         refine.refine_to_fixpoint(G)
     assert calls
+
+
+def test_a_commutator_join_runs_another_sweep():
+    """A sweep whose commutator pass joins something runs again, even when
+    its order pass changed nothing.  In g16_08_sd16, box (2,), the first
+    sweep joins [G, g1] = <g3, g4> into grade (1,); only the second finds
+    [g3, g1] = g4 for grade (2,)."""
+    G = load("g16_08_sd16")
+    seeds = {(0,): full_subgroup(G), (1,): subgroup_from_gens(G, [(1, 0, 0, 0)])}
+    for closure in (refine._closure, _gauss_seidel_closure):
+        assert closure(G, (2,), seeds, SubgroupOps(G))[(2,)].order == 2
 
 
 def test_insert_refinement_canonicalises_a_hand_built_subgroup():

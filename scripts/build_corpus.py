@@ -18,6 +18,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -53,7 +55,7 @@ def fingerprint(G: PcGroup):
     for i in range(T.order):
         if i in seen:
             continue
-        orbit = {T.conj(i, g) for g in range(T.order)}
+        orbit = set(T.table[T.table[T.inv, i], np.arange(T.order)].tolist())
         seen |= orbit
         class_sizes[len(orbit)] += 1
     gamma, zeta = oracle.brute_series(T)

@@ -3,12 +3,12 @@
 The table is built column by column: column of element y = column of y's
 parent (last pc letter removed) composed with one generator column, so only
 n * p^n collections are needed.  Series and subgroup computations on the
-table work on plain index sets, fully independent of the igs machinery.
+table are whole-array operations: boolean membership masks over the table and
+its commutator table, fully independent of the igs machinery.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -27,42 +27,31 @@ class TableGroup:
         self.labels = labels
         self.index: Dict[Elem, int] = {x: i for i, x in enumerate(labels)}
         self.identity = self.index[labels[0]] if labels else 0
-        inv = np.full(order, -1, dtype=np.int64)
-        for i in range(order):
-            js = np.nonzero(table[i] == self.identity)[0]
-            inv[i] = js[0]
-        self.inv = inv
+        is_id = table == self.identity
+        missing = np.flatnonzero(~is_id.any(axis=1))
+        if missing.size:
+            raise ValueError(f"table row {int(missing[0])} has no identity")
+        self.inv = inv = is_id.argmax(axis=1)
+        # comm_table[i, j] = [x_i, x_j] = x_i^-1 x_j^-1 x_i x_j
+        rows = np.arange(order)
+        self.comm_table = table[table[table[np.ix_(inv, inv)], rows[:, None]], rows]
 
     def mult(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def comm(self, i: int, j: int) -> int:
-        t = self.table
-        return int(t[t[t[self.inv[i], self.inv[j]], i], j])
-
-    def conj(self, i: int, g: int) -> int:
-        t = self.table
-        return int(t[t[self.inv[g], i], g])
-
     def closure(self, seed) -> FrozenSet[int]:
-        """Subgroup of the table generated by a set of indices."""
-        have = {self.identity} | set(int(s) for s in seed)
-        frontier = list(have)
-        while frontier:
-            new = set()
-            cur = np.fromiter(have, dtype=np.int64)
-            fr = np.fromiter(frontier, dtype=np.int64)
-            prods = self.table[np.ix_(cur, fr)].ravel()
-            for x in np.unique(prods):
-                if int(x) not in have:
-                    new.add(int(x))
-            prods = self.table[np.ix_(fr, cur)].ravel()
-            for x in np.unique(prods):
-                if int(x) not in have:
-                    new.add(int(x))
-            have |= new
-            frontier = list(new)
-        return frozenset(have)
+        """Subgroup of the table generated by an iterable of indices: products
+        cur x frontier and frontier x cur until nothing new appears."""
+        t = self.table
+        have = _mask(self.order, seed)
+        have[self.identity] = True
+        frontier = np.flatnonzero(have)
+        while frontier.size:
+            cur = np.flatnonzero(have)
+            prods = np.concatenate((t[np.ix_(cur, frontier)].ravel(), t[np.ix_(frontier, cur)].ravel()))
+            frontier = np.unique(prods[~have[prods]])
+            have[frontier] = True
+        return frozenset(np.flatnonzero(have).tolist())
 
     def associativity_violation(self, samples: int = 1_000_000, seed: int = 0):
         """First violating triple, or None.  Full check below FULL_ASSOC_CAP."""
@@ -120,9 +109,15 @@ def cayley_from_pc(G: PcGroup, cap: int = ORDER_CAP) -> TableGroup:
     return TableGroup(order, table, labels)
 
 
+def _mask(order: int, indices) -> np.ndarray:
+    mask = np.zeros(order, dtype=bool)
+    mask[np.fromiter(indices, dtype=np.int64)] = True
+    return mask
+
+
 def brute_comm_set(T: TableGroup, left: FrozenSet[int], right: FrozenSet[int]) -> FrozenSet[int]:
-    gens = {T.comm(x, y) for x in left for y in right}
-    return T.closure(gens)
+    rows, cols = (np.fromiter(s, dtype=np.int64) for s in (left, right))
+    return T.closure(np.unique(T.comm_table[np.ix_(rows, cols)]))
 
 
 def brute_series(T: TableGroup) -> Tuple[List[FrozenSet[int]], List[FrozenSet[int]]]:
@@ -137,13 +132,9 @@ def brute_series(T: TableGroup) -> Tuple[List[FrozenSet[int]], List[FrozenSet[in
         if len(nxt) == 1:
             break
     zeta = [frozenset({T.identity})]
-    gens = list(range(T.order))
     while True:
-        cur = zeta[-1]
-        nxt = frozenset(
-            x for x in range(T.order) if all(T.comm(x, g) in cur for g in gens)
-        )
-        if nxt == cur:
+        nxt = brute_center_mod(T, zeta[-1])
+        if nxt == zeta[-1]:
             break
         zeta.append(nxt)
         if len(nxt) == T.order:
@@ -152,11 +143,9 @@ def brute_series(T: TableGroup) -> Tuple[List[FrozenSet[int]], List[FrozenSet[in
 
 
 def brute_center_mod(T: TableGroup, modulus: FrozenSet[int]) -> FrozenSet[int]:
-    return frozenset(
-        x
-        for x in range(T.order)
-        if all(T.comm(x, g) in modulus for g in range(T.order))
-    )
+    """Elements x with [x, g] in modulus for every g of the table."""
+    inside = _mask(T.order, modulus)
+    return frozenset(np.flatnonzero(inside[T.comm_table].all(axis=1)).tolist())
 
 
 @dataclass
@@ -197,22 +186,16 @@ def check_equiv(G: PcGroup, T: TableGroup) -> EquivReport:
             rep.add(f"inverse mismatch at {x}")
             break
     # commutators on all pairs for small orders, a fixed sample above
-    pairs: List[Tuple[int, int]]
     if T.order <= 128:
-        pairs = list(itertools.product(range(T.order), repeat=2))
+        ii, jj = np.divmod(np.arange(T.order * T.order), T.order)
     else:
         rng = np.random.default_rng(1)
-        pairs = [
-            (int(a), int(b))
-            for a, b in zip(
-                rng.integers(0, T.order, 4000), rng.integers(0, T.order, 4000)
-            )
-        ]
-    for i, j in pairs:
-        if T.labels[T.comm(i, j)] != G.commutator(T.labels[i], T.labels[j]):
+        ii, jj = rng.integers(0, T.order, 4000), rng.integers(0, T.order, 4000)
+    for i, j, c in zip(ii.tolist(), jj.tolist(), T.comm_table[ii, jj].tolist()):
+        if T.labels[c] != G.commutator(T.labels[i], T.labels[j]):
             rep.add(f"commutator mismatch at ({T.labels[i]}, {T.labels[j]})")
             break
-    # subgroup machinery vs index-set closure
+    # subgroup machinery vs table closures and centres
     full = full_subgroup(G)
     if full.order != T.order:
         rep.add(f"full subgroup order {full.order} != {T.order}")

@@ -17,6 +17,7 @@ import itertools
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import List
 
 import numpy as np
 
@@ -24,10 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from filterlab import oracle, series
-from filterlab.lie import dual_abelian
 from filterlab.pcgroup import (
     PcGroup,
     PcgError,
+    Subgroup,
     comm_subgroup,
     full_subgroup,
     parse_pcgroup,
@@ -62,11 +63,11 @@ def fingerprint(G: PcGroup):
     full = full_subgroup(G)
     trivial = trivial_subgroup(G)
     derived = comm_subgroup(full, full)
-    ab = tuple(dual_abelian(full, derived).invariants)
+    ab = tuple(abelian_invariants(full, derived))
     center = subgroup_from_gens(
         G, [T.labels[i] for i in oracle.brute_center_mod(T, frozenset({T.identity}))]
     )
-    center_type = tuple(dual_abelian(center, trivial).invariants)
+    center_type = tuple(abelian_invariants(center, trivial))
     # honest G^p: p-th powers of every element (igs powers alone miss the
     # Hall-Petrescu correction terms in class >= 3)
     powers = subgroup_from_gens(
@@ -84,6 +85,32 @@ def fingerprint(G: PcGroup):
         powers.order,
         derived_meet_powers,
     )
+
+
+def abelian_invariants(H: Subgroup, N: Subgroup) -> List[int]:
+    """Orders of the cyclic factors of the abelian p-group A = H/N, ascending.
+
+    Raises ``ValueError`` unless N <= H and [H, H] <= N.
+
+    Proof.  A is abelian, so a -> a^(p^k) is an endomorphism of A and its
+    image A^(p^k) is generated by the classes of h^(p^k) for h in igs(H).
+    N is normal in H, since h^-1 x h = x [x, h] with [x, h] in [H, H] <= N,
+    so the preimage of A^(p^k) in H is <N.igs, h^(p^k)> and
+    |A^(p^k)| = |<N.igs, h^(p^k)>| / |N|.  Write A as a sum of cyclic groups
+    of orders p^(e_i).  Then log_p |A^(p^k)| = sum_i max(e_i - k, 0), so
+    m_k = log_p |A^(p^k) : A^(p^(k+1))| is the number of factors of order
+    above p^k, and m_(j-1) - m_j factors have order exactly p^j.
+    """
+    G = H.group
+    if not (N.is_subset(H) and comm_subgroup(H, H).is_subset(N)):
+        raise ValueError("H/N is not an abelian section")
+    logs = []  # log_p |A^(p^k)| for k = 0, 1, ... down to 0 (|K| = p^len(K.igs))
+    powers = list(H.igs)
+    while not logs or logs[-1]:
+        logs.append(len(subgroup_from_gens(G, list(N.igs) + powers).igs) - len(N.igs))
+        powers = [G.power(h, G.p) for h in powers]
+    m = [a - b for a, b in zip(logs, logs[1:])] + [0]
+    return [G.p**j for j in range(1, len(m)) for _ in range(m[j - 1] - m[j])]
 
 
 def _table_power(T, i, e):

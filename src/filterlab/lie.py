@@ -1,8 +1,10 @@
 """Graded Lie rings from filters and graded modules from sifted layerings.
 
-Matrix mode assumes every relevant factor is elementary abelian and encodes
-structure constants as dense GF(p) tensors; integral mode works directly with
-group-element coset arithmetic and needs no assumption on the factors.
+The graded pieces are elementary abelian sections with GF(p) coordinates
+(``CosetBasis``), and structure constants are dense GF(p) tensors.  The
+integral law checks (``check_module_law_integral`` and its neighbours) work
+directly on group words with coset membership and need no assumption on the
+factors.
 
 Tensor index order is (s-basis, t-basis, target-basis) throughout; the
 Knuth-Liebler shuffle is the pure slice transpose and the module action adds
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,11 +36,9 @@ class CosetBasis:
 
     Representatives are the first igs elements of H independent modulo N,
     extended greedily, so the basis is deterministic for a fixed presentation.
-    With integral=True coordinates are tracked over Z instead (H/N abelian but
-    not necessarily elementary); used for abelian-duality presentations.
     """
 
-    def __init__(self, H: Subgroup, N: Subgroup, integral: bool = False):
+    def __init__(self, H: Subgroup, N: Subgroup):
         G = H.group
         if N.group is not G:
             raise ValueError("section subgroups have different parents")
@@ -47,13 +46,12 @@ class CosetBasis:
         self.p = G.p
         self.H = H
         self.N = N
-        self.integral = integral
-        if not integral and H.igs == N.igs:
+        if H.igs == N.igs:
             # A zero section.  Each member of the canonical igs has a depth
             # that no other member has, so sifting it against the others
             # returns it at once with no steps: tagging N.igs gives N's depth
             # map with zero-length vectors, which is what is set here.
-            self.reps = self.gens = []
+            self.reps = []
             self.dim = 0
             self._by_depth = dict(N._by_depth)
             self._vecs = {d: np.zeros(0, dtype=np.int64) for d in self._by_depth}
@@ -71,14 +69,9 @@ class CosetBasis:
                 cur = cur.join(subgroup_from_gens(G, [h]))
         self.reps = reps
         self.dim = len(reps)
-        if integral:
-            tagged = list(zip(H.igs, list(np.eye(len(H.igs), dtype=np.int64))))
-            self.gens = list(H.igs)
-        else:
-            tagged = list(zip(reps, list(np.eye(self.dim, dtype=np.int64))))
-            self.gens = reps
+        tagged = list(zip(reps, list(np.eye(self.dim, dtype=np.int64))))
         for x in N.igs:
-            tagged.append((x, np.zeros(len(self.gens), dtype=np.int64)))
+            tagged.append((x, np.zeros(self.dim, dtype=np.int64)))
         # echelon elements keyed by depth, each tagged with its coordinates
         self._by_depth: Dict[int, Elem] = {}
         self._vecs: Dict[int, np.ndarray] = {}
@@ -86,17 +79,16 @@ class CosetBasis:
             steps: List[Tuple[int, int]] = []
             r = sift(G, self._by_depth, x, steps)
             v = v - self._combine(steps)
-            if not integral:
-                v %= self.p
+            v %= self.p
             if r != G.identity:
                 self._by_depth[depth(r)] = r
                 self._vecs[depth(r)] = v
-            elif not integral and v.any():
+            elif v.any():
                 raise ValueError("dependent representative in coset basis")
 
     def _combine(self, steps: List[Tuple[int, int]]) -> np.ndarray:
         # x = prod h_d^k * (residue) over the sift steps of x
-        v = np.zeros(len(self.gens), dtype=np.int64)
+        v = np.zeros(self.dim, dtype=np.int64)
         for d, k in steps:
             v = v + k * self._vecs[d]
         return v
@@ -107,17 +99,14 @@ class CosetBasis:
         r = sift(self.group, self._by_depth, y, steps)
         if r != self.group.identity:
             raise ValueError(f"element {r} not in section subgroup")
-        v = self._combine(steps)
-        return v if self.integral else v % self.p
+        return self._combine(steps) % self.p
 
     def lift(self, v) -> Elem:
-        """A representative of the class with the given coordinates: read
-        mod p in GF(p) mode, as integer exponents in integral mode."""
+        """A representative of the class with the given coordinates, read mod p."""
         G = self.group
         x = G.identity
-        for rep, c in zip(self.gens, v):
-            e = int(c) if self.integral else int(c) % G.p
-            x = G.multiply(x, G.power(rep, e))
+        for rep, c in zip(self.reps, v):
+            x = G.multiply(x, G.power(rep, int(c) % G.p))
         return x
 
     def is_exponent_p(self) -> bool:
@@ -405,143 +394,3 @@ def check_operator_grade_action(f: Filter) -> List[str]:
         if not c.is_subset(f.boundary_at(s)):
             out.append(f"operator action not trivial at grade {s}")
     return out
-
-
-# -- finite abelian duality ---------------------------------------------------
-
-
-def _snf(mat: List[List[int]]) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-    """Smith normal form with transforms: U @ A @ V = D (all python ints)."""
-    a = [row[:] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(i, j, c):  # row i += c * row j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
-
-    def add_col(i, j, c):  # col i += c * col j
-        for r in a:
-            r[i] += c * r[j]
-        for r in V:
-            r[i] += c * r[j]
-
-    def neg_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    k = 0
-    while k < min(m, n):
-        # move a nonzero pivot of minimal absolute value to (k, k)
-        piv = None
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        done = False
-        while not done:
-            done = True
-            for i in range(k + 1, m):
-                if a[i][k]:
-                    add_row(i, k, -(a[i][k] // a[k][k]))
-                    if a[i][k]:
-                        swap_rows(k, i)
-                        done = False
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    add_col(j, k, -(a[k][j] // a[k][k]))
-                    if a[k][j]:
-                        swap_cols(k, j)
-                        done = False
-        if a[k][k] < 0:
-            neg_row(k)
-        k += 1
-    # relation matrices here have p-power determinant, so the diagonal entries
-    # are p-powers already; coordinates are taken per position, and invariant
-    # factors are reported sorted, so the divisibility chain is not enforced
-    return a, U, V
-
-
-@dataclass
-class DualAbelian:
-    """hom(A, Q/Z) for a finite abelian p-section A = H/N, with the evaluation pairing."""
-
-    invariants: List[int]
-    _basis: CosetBasis
-    _V: List[List[int]]
-    _diag: List[int]
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariants:
-            out *= d
-        return out
-
-    def invariant_coords(self, x: Elem) -> Tuple[int, ...]:
-        v = self._basis.coords(x)
-        m = len(self._diag)
-        out = []
-        for j in range(m):
-            c = sum(int(v[i]) * self._V[i][j] for i in range(m))
-            d = self._diag[j]
-            out.append(c % d if d > 1 else 0)
-        return tuple(out[j] for j in range(m) if self._diag[j] > 1)
-
-    @property
-    def factor_orders(self) -> List[int]:
-        """Cyclic factor orders in coordinate position order."""
-        return [d for d in self._diag if d > 1]
-
-    def pairing(self, x: Elem, functional: Tuple[int, ...]) -> Fraction:
-        """Evaluation <x, f> in Q/Z, as a fraction in [0, 1)."""
-        coords = self.invariant_coords(x)
-        total = Fraction(0)
-        for c, fc, d in zip(coords, functional, self.factor_orders):
-            total += Fraction(int(c) * int(fc), d)
-        frac = total - int(total)
-        return frac if frac >= 0 else frac + 1
-
-
-def dual_abelian(H: Subgroup, N: Subgroup) -> DualAbelian:
-    """Invariant factors and Q/Z pairing of the finite abelian section H/N."""
-    cb = CosetBasis(H, N, integral=True)
-    G = H.group
-    m = len(cb.gens)
-    if m == 0:
-        return DualAbelian([], cb, [], [])
-    # relation lattice of the section on the igs(H) generator classes:
-    # p-th power rows plus one row per igs(N) member (its class is trivial)
-    rel = []
-    for i, x in enumerate(cb.gens):
-        c = cb.coords(G.power(x, G.p))
-        rel.append([G.p * int(i == j) - int(c[j]) for j in range(m)])
-    for n in N.igs:
-        rel.append([int(c) for c in cb.coords(n)])
-    D, U, V = _snf(rel)
-    diag = [abs(D[i][i]) for i in range(m)]
-    index = 1
-    for d in diag:
-        index *= max(d, 1)
-    if index * N.order != H.order:
-        raise ArithmeticError("abelian section presentation has wrong index")
-    invariants = sorted(d for d in diag if d > 1)
-    return DualAbelian(invariants, cb, V, diag)

@@ -17,7 +17,6 @@ import numpy as np
 from .pcgroup import Elem, PcGroup
 
 ORDER_CAP = 2 ** 12
-FULL_ASSOC_CAP = 512
 
 
 class TableGroup:
@@ -53,28 +52,33 @@ class TableGroup:
             have[frontier] = True
         return frozenset(np.flatnonzero(have).tolist())
 
-    def associativity_violation(self, samples: int = 1_000_000, seed: int = 0):
-        """First violating triple, or None.  Full check below FULL_ASSOC_CAP."""
+    def associativity_violation(self):
+        """A triple (i, j, k) with (x_i x_j) x_k != x_i (x_j x_k), or None.
+
+        Light's test: it checks (x a) y = x (a y) for all x, y and every a in
+        A, where A is the identity, the pc generators (the unit exponent
+        vectors among ``labels``) and every element outside their
+        ``closure``; for a table from ``cayley_from_pc`` there are none.
+
+        Proof that this decides associativity.  Let S be the set of a with
+        (x a) y = x (a y) for all x, y.  S is closed under products: for a, b
+        in S, (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) =
+        x ((a b) y), using a, b, a and b in S in turn (the last for
+        (a b) y = a (b y)).  So S contains the closure of A, which contains
+        A and the closure of the generators, so it is the whole table.
+        """
         t = self.table
-        n = self.order
-        if n <= FULL_ASSOC_CAP:
-            for k in range(n):
-                left = t[t, k]      # (i,j) -> (ij)k
-                right = t[:, t[:, k]]  # (i,j) -> i(jk)
-                if not np.array_equal(left, right):
-                    bad = np.argwhere(left != right)[0]
-                    return int(bad[0]), int(bad[1]), k
-            return None
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=samples)
-        jj = rng.integers(0, n, size=samples)
-        kk = rng.integers(0, n, size=samples)
-        left = t[t[ii, jj], kk]
-        right = t[ii, t[jj, kk]]
-        bad = np.nonzero(left != right)[0]
-        if bad.size:
-            b = bad[0]
-            return int(ii[b]), int(jj[b]), int(kk[b])
+        n_gens = len(self.labels[0]) if self.labels else 0
+        units = (tuple(int(k == i) for k in range(n_gens)) for i in range(n_gens))
+        gens = [self.index[u] for u in units if u in self.index]
+        outside = np.ones(self.order, dtype=bool)
+        outside[list(self.closure(gens))] = False
+        for a in [self.identity] + gens + np.flatnonzero(outside).tolist():
+            left = t[t[:, a]]  # (x, y) -> (x a) y
+            right = t[:, t[a]]  # (x, y) -> x (a y)
+            if not np.array_equal(left, right):
+                x, y = np.argwhere(left != right)[0]
+                return int(x), a, int(y)
         return None
 
 
@@ -178,8 +182,7 @@ def check_equiv(G: PcGroup, T: TableGroup) -> EquivReport:
             f"table not associative at ({T.labels[i]}, {T.labels[j]}, {T.labels[k]})"
         )
         return rep
-    ident = T.identity
-    if T.labels[ident] != G.identity:
+    if T.labels[T.identity] != G.identity:
         rep.add("identity mismatch")
     for i, x in enumerate(T.labels):
         if T.labels[T.inv[i]] != G.inverse(x):
@@ -195,20 +198,21 @@ def check_equiv(G: PcGroup, T: TableGroup) -> EquivReport:
         if T.labels[c] != G.commutator(T.labels[i], T.labels[j]):
             rep.add(f"commutator mismatch at ({T.labels[i]}, {T.labels[j]})")
             break
-    # subgroup machinery vs table closures and centres
+    # subgroup machinery vs table closures and centres: a chain stops before
+    # a repeated term, so it has one term when [G, G] = G or Z(G) = 1, which
+    # for a p-group means G = 1; then gamma_2 = gamma_1 and zeta^1 = zeta^0
+    gamma_tab, zeta_tab = brute_series(T)
+    derived_tab, center_tab = (c[1] if len(c) > 1 else c[0] for c in (gamma_tab, zeta_tab))
     full = full_subgroup(G)
     if full.order != T.order:
         rep.add(f"full subgroup order {full.order} != {T.order}")
     derived_pc = comm_subgroup(full, full)
-    derived_tab = brute_comm_set(T, frozenset(range(T.order)), frozenset(range(T.order)))
     if frozenset(T.index[x] for x in derived_pc.elements()) != derived_tab:
         rep.add("derived subgroup mismatch")
     center_pc = centralizer_mod(G, full, trivial_subgroup(G))
-    center_tab = brute_center_mod(T, frozenset({ident}))
     if frozenset(T.index[x] for x in center_pc.elements()) != center_tab:
         rep.add("center mismatch")
     # series, order by order
-    gamma_tab, zeta_tab = brute_series(T)
     lc = series_mod.lower_central(G)
     for i, g_set in enumerate(gamma_tab, start=1):
         got = lc.value((i,))

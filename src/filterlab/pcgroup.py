@@ -352,8 +352,9 @@ class Subgroup:
     def meet(self, other: "Subgroup") -> "Subgroup":
         """Intersection by enumerating the smaller subgroup's elements.
 
-        Only boundaries of multi-graded layerings call it; N-graded
-        boundaries are single lookups.
+        Only boundaries of multi-graded layerings call it in the package
+        (N-graded boundaries are single lookups), and outside it
+        ``scripts/build_corpus.py``'s ``fingerprint`` does.
         """
         self._check_parent(other)
         small, big = (self, other) if self.order <= other.order else (other, self)

@@ -31,6 +31,15 @@ def perfbench_workloads():
 
 
 @functools.lru_cache(maxsize=None)
+def build_corpus():
+    """``scripts/build_corpus.py`` as a module (for its fingerprint helpers)."""
+    spec = importlib.util.spec_from_file_location("build_corpus", ROOT / "scripts" / "build_corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
 def corpus_paths():
     return tuple(sorted(CORPUS.glob("**/*.pcg")))
 

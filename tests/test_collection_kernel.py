@@ -199,14 +199,14 @@ def _slow_zero_basis(H, N):
     of N sifted and tagged."""
     G = H.group
     cb = object.__new__(CosetBasis)
-    cb.group, cb.p, cb.H, cb.N, cb.integral = G, G.p, H, N, False
+    cb.group, cb.p, cb.H, cb.N = G, G.p, H, N
     assert N.is_subset(H)
     reps, cur = [], N
     for h in H.igs:
         if not cur.contains(h):
             reps.append(h)
             cur = cur.join(subgroup_from_gens(G, [h]))
-    cb.reps = cb.gens = reps
+    cb.reps = reps
     cb.dim = len(reps)
     cb._by_depth, cb._vecs = {}, {}
     for x in N.igs:

@@ -1,12 +1,11 @@
 """Every shipped presentation parses, is consistent, and the catalog counts hold."""
 
-import importlib.util
 from collections import Counter
 
 from filterlab.autfilter import load_sidecar
 from filterlab.pcgroup import parse_pcg_file
 
-from conftest import CORPUS, corpus_paths
+from conftest import CORPUS, build_corpus, corpus_paths
 
 
 def test_all_files_parse_and_are_consistent():
@@ -52,16 +51,8 @@ def test_sidecar_parses():
     assert len(maps) == 2
 
 
-def _build_corpus_module():
-    path = CORPUS.parent / "scripts" / "build_corpus.py"
-    spec = importlib.util.spec_from_file_location("build_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_build_corpus_reproduces_the_shipped_files(tmp_path, monkeypatch, capsys):
-    build = _build_corpus_module()
+    build = build_corpus()
     monkeypatch.setattr(build, "CORPUS", tmp_path)
     build.main()
     assert capsys.readouterr().out.endswith("corpus complete\n")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from filterlab import oracle
-from filterlab.pcgroup import PcGroup, parse_pcgroup
+from filterlab.pcgroup import PcGroup, parse_pcg_file, parse_pcgroup
 
-from conftest import load
+from conftest import corpus_paths, load
 
 
 def test_cayley_d8(d8):
@@ -51,6 +51,13 @@ def test_check_equiv_clean(d8):
     assert rep.ok, rep.discrepancies
 
 
+def test_check_equiv_trivial_group():
+    # both table chains have one term, which stands for gamma_2 and zeta^1
+    triv = parse_pcgroup("p 2\nn 0\n")
+    rep = oracle.check_equiv(triv, oracle.cayley_from_pc(triv))
+    assert rep.ok, rep.discrepancies
+
+
 def test_check_equiv_fault_injection():
     # legal-looking but inconsistent relations: the oracle names a bad product
     bad = PcGroup(
@@ -72,3 +79,68 @@ def test_closure_matches_subgroup(d8):
     assert len(got) == 2
     got = T.closure({T.index[d8.generator(1)], T.index[d8.generator(2)]})
     assert len(got) == 8
+
+
+# -- Light's associativity test against the full pass ---------------------------
+
+
+def _full_associativity_violation(T):
+    """The n^3 reference: every triple, one right factor k at a time."""
+    t = T.table
+    for k in range(T.order):
+        left = t[t, k]  # (i, j) -> (ij)k
+        right = t[:, t[:, k]]  # (i, j) -> i(jk)
+        if not np.array_equal(left, right):
+            i, j = np.argwhere(left != right)[0]
+            return int(i), int(j), k
+    return None
+
+
+@pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
+def test_light_associativity_matches_full_pass_on_corpus(path):
+    T = oracle.cayley_from_pc(parse_pcg_file(path))
+    assert T.associativity_violation() is None
+    assert _full_associativity_violation(T) is None
+
+
+def test_light_associativity_matches_full_pass_on_swapped_rows():
+    """Two entries of one row swapped.  Every other case relabels the table
+    so that no label is a pc generator: then every element lies outside the
+    generators' closure and is checked as a middle factor."""
+    rng = np.random.default_rng(7)
+    small = [p for p in corpus_paths() if parse_pcg_file(p).order <= 81]
+    caught = 0
+    for case in range(20):
+        T = oracle.cayley_from_pc(parse_pcg_file(small[case * 7 % len(small)]))
+        table = T.table.copy()
+        r = int(rng.integers(T.order))
+        c1, c2 = rng.choice(T.order, size=2, replace=False)
+        table[r, [c1, c2]] = table[r, [c2, c1]]
+        labels = T.labels if case % 2 else [("x", i) for i in range(T.order)]
+        S = oracle.TableGroup(T.order, table, labels)
+        got, ref = S.associativity_violation(), _full_associativity_violation(S)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            i, j, k = got
+            assert table[table[i, j], k] != table[i, table[j, k]]
+            caught += 1
+    # case 0 swaps row 1 of c2, which leaves the associative x y = y
+    assert caught == 19
+
+
+@pytest.mark.parametrize(
+    "table, sub",
+    [
+        ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]], {0, 1}),
+        ([[0, 1, 2, 3], [1, 0, 3, 3], [2, 3, 0, 1], [3, 3, 1, 0]], {0, 2}),
+    ],
+)
+def test_light_associativity_checks_every_generator(table, sub):
+    """Tables on the labels of C2 x C2 where (x a) y = x (a y) holds for all
+    x, y exactly when a lies in ``sub``, the span of one generator: leaving
+    the other generator out of the middle factors would miss the fault."""
+    T = oracle.TableGroup(4, np.array(table), [(0, 0), (0, 1), (1, 0), (1, 1)])
+    i, j, k = T.associativity_violation()
+    t = T.table
+    assert t[t[i, j], k] != t[i, t[j, k]] and j not in sub
+    assert _full_associativity_violation(T) is not None

@@ -4,7 +4,9 @@ Each group is refined once with the full emission set and classified.  A
 flagged group counts for Der, Mid or Cent when that ring emitted some
 candidate of the seed table.  Every candidate inserts and a parsed group
 declares no direct factors, so that is the flag of a refinement restricted to
-the ring (``refine.seed_refined_by``).
+the ring (``refine.seed_refined_by``).  The census prints no ``ring_dims``,
+so a ring other than Der is built only where the rank search or that flag
+asks for it (on orders 16 and 81: Mid and Cent of flagged groups).
 Workers share nothing; aggregation is a deterministic fold over results
 sorted by group id, so serial and parallel runs produce byte-identical
 summaries.
@@ -73,10 +75,8 @@ def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResu
     flagged_by = [
         ring for ring in BREAKDOWN_RINGS if full.flagged and refine.seed_refined_by(full, ring)
     ]
-    steps = refine.report_to_json(full)["steps"]
-    return GroupResult(
-        path.stem, G.order, full.classification, steps, flagged_by
-    )
+    steps = [refine.step_to_json(s) for s in full.steps]
+    return GroupResult(path.stem, G.order, full.classification, steps, flagged_by)
 
 
 def run_census(

@@ -135,24 +135,15 @@ def _stage_payloads(G, stages, sidecar_maps=()):
         out["lie"] = lie_payload
     if "scalars" in want:
         pairs = {}
-        grades = [s for s in L.comps if L.dim(s) > 0]
-        for s in grades:
-            for t in grades:
-                if L.dim((tuple(a + b for a, b in zip(s, t)))) == 0:
-                    continue
-                b = scalars.bimap_from_lie_pair(L, s, t)
-                rings = scalars.all_rings(b)
-                radicals = scalars.ring_radicals(rings)
-                ems = scalars.characteristic_subspaces(b, rings, radicals)
-                pairs["|".join(map(str, s)) + ";" + "|".join(map(str, t))] = {
-                    "dims": {k: rings[k].dim for k in scalars.KINDS},
-                    "radical_dims": {
-                        k: radicals[k][1].dim for k in ("Left", "Mid", "Right", "Cent")
-                    },
-                    # as many as dim B of Z(Cent/J), without a second lift
-                    "cent_idempotents": radicals["Cent"][2].center().frobenius_fixed().dim,
-                    "emitted": len(ems),
-                }
+        for s, t, rings in refine.CandidateTable(L).products:
+            ems = scalars.characteristic_subspaces(rings.b, rings)
+            pairs["|".join(map(str, s)) + ";" + "|".join(map(str, t))] = {
+                "dims": {k: rings.ring(k).dim for k in scalars.KINDS},
+                "radical_dims": {k: rings.radical(k)[1].dim for k in scalars.ASSOC_KINDS},
+                # as many as dim B of Z(Cent/J), without a second lift
+                "cent_idempotents": rings.radical("Cent")[2].center().frobenius_fixed().dim,
+                "emitted": len(ems),
+            }
         out["scalars"] = pairs
     if "aut" in want:
         gens = central_automorphisms(G) + list(sidecar_maps)

@@ -8,7 +8,10 @@ value once per sweep and cannot leave the box (proof in ``_closure``); the
 result is verified against the filter axioms, and a table that fails them
 raises instead of being patched.
 Every candidate inserts (proof in ``refine_to_fixpoint``), so a refinement
-inserts the first candidate of each table and tries no other.
+inserts the first candidate of each table and tries no other.  A table's
+candidates are searched by provenance rank (``CandidateTable``): the rings
+of a rank are built only when every lower rank is empty, and the seed
+table builds the others only for ``ring_dims`` and ``seed_refined_by``.
 """
 
 from __future__ import annotations
@@ -203,10 +206,9 @@ class RefinementReport:
     steps: List[RefinementStep]
     final: Filter
     classification: str
-    ring_dims: Dict[str, Dict[str, int]]
     cap_hit: bool
     runtime_ms: int
-    seed_candidates: List[tuple]  # _gather_candidates on the seed, in order
+    seed_table: CandidateTable  # for ring_dims and seed_refined_by
 
     @property
     def flagged(self) -> bool:
@@ -222,62 +224,78 @@ def _candidate_sort_key(rank: int, grade: MonoidElem, basis: np.ndarray):
     )
 
 
-def _gather_candidates(L: GradedLieRing, seed: bool = False):
-    """All proper emitted subspaces over all in-box products, ordered.
+class CandidateTable:
+    """The candidates of one table, searched rank by rank.
 
-    Each candidate is (sort key, grade, basis, provenances).  With ``seed``
-    the five ring dimensions of every bimap are returned too (keyed
-    "s|t"); otherwise that dict is empty.  A bimap whose Der acts with the
-    full matrix algebra as envelope on every side
-    (``scalars.der_envelopes_full``) adds no candidate, so its emissions are
-    not computed:
+    A candidate is (sort key, grade, basis, provenances): a subspace that
+    ``scalars.characteristic_subspaces`` returns for an in-box product
+    L_s x L_t, proper (0 < dim < dim L_g, g the grade of its side).  The full
+    sort orders all of them by (rank of provs[0], grade, dim, echelon form),
+    stably over the products in loop order.  A product on which
+    ``der_envelopes_full`` holds has no proper Der-invariant subspace (see
+    its docstring): it adds no candidate, is left out of ``live``, and
+    builds no ring but Der here.
 
-    1. ``characteristic_subspaces`` returns only emissions S with S x in S
-       for every Der element x (``scalars._der_invariant``).
-    2. So S is invariant under the unital algebra those x generate.  When
-       that algebra is M_d(GF(p)), s M_d = GF(p)^d for any s != 0 (Burnside;
-       Jacobson density), so S is 0 or the whole side.
-    3. Only emissions with 0 < dim < d are kept below, so such a bimap adds
-       nothing: the candidates, their order and their provenances are those
-       of the unpruned loop.  Der is built first; the other four rings are
-       built only when the bimap emits or its ``ring_dims`` are asked for.
+    ``rank(r)`` merges each live product's rank-r emissions and sorts the
+    proper ones; ``first()`` takes the ranks in order and stops at the
+    first that is not empty, so the rings of rank r are built only when
+    every lower rank is empty.  It returns the full sort's first candidate:
+
+    1. ``characteristic_subspaces`` merges a product's emissions in rank
+       order, so a subspace's provs[0], and its rank in the full sort, is
+       its least emitting provenance.
+    2. Rank r is reached only when no product has a proper Der-invariant
+       emission of lower rank.  Properness and invariance depend only on
+       the subspace, so no candidate of ``rank(r)`` has a lower-rank
+       emitter: ``rank(r)`` holds the full sort's rank-r candidates.
+    3. Within a rank both merges list the emitters in the same order, and
+       both sorts are stable over the same products, so ``rank(r)[0]`` is
+       the full sort's ``candidates[0]`` with the same provs[0], and
+       ``first()`` is None iff the full sort is empty (``cap_hit``).  And
+       ``rank(r)`` is not empty iff some candidate of the full sort lists a
+       rank-r provenance (``seed_refined_by``).
     """
-    out = []
-    ring_dims: Dict[str, Dict[str, int]] = {}
-    grades = [s for s in L.comps if L.dim(s) > 0]
-    for s in grades:
-        for t in grades:
-            u = mon.add(s, t)
-            if L.dim(u) == 0:
-                continue
-            b = scalars.bimap_from_lie_pair(L, s, t)
-            der = scalars.derivation_algebra(b)
-            pruned = scalars.der_envelopes_full(der)
-            if pruned and not seed:
-                continue
-            rings = scalars.all_rings(b, der)
-            if seed:
-                key = ",".join(str(x) for x in s) + "|" + ",".join(str(x) for x in t)
-                ring_dims[key] = {k: rings[k].dim for k in scalars.KINDS}
-            if pruned:
-                continue
-            ems = scalars.characteristic_subspaces(b, rings)
-            side_grade = {"U": s, "V": t, "W": u}
-            for e in ems:
-                g = side_grade[e.side]
-                comp_dim = L.dim(g)
-                if 0 < e.dim < comp_dim:
-                    rank = scalars.PROVENANCE_RANK[e.provenance]
-                    out.append(
-                        (
-                            _candidate_sort_key(rank, g, e.basis),
-                            g,
-                            e.basis,
-                            e.provenances,
-                        )
-                    )
-    out.sort(key=lambda c: c[0])
-    return out, ring_dims
+
+    def __init__(self, L: GradedLieRing):
+        self.L = L
+        self.products = []  # (s, t, rings) for every in-box product
+        grades = [s for s in L.comps if L.dim(s) > 0]
+        for s in grades:
+            for t in grades:
+                if L.dim(mon.add(s, t)):
+                    b = scalars.bimap_from_lie_pair(L, s, t)
+                    self.products.append((s, t, scalars.BimapRings(b)))
+        self.live = [x for x in self.products if not x[2].der_envelopes_full()]
+        self._ranks: Dict[int, list] = {}
+
+    def rank(self, r: int) -> list:
+        """The candidates of provenance rank ``r``, in full-sort order."""
+        if r not in self._ranks:
+            out = []
+            for s, t, rings in self.live:
+                side_grade = {"U": s, "V": t, "W": mon.add(s, t)}
+                for e in rings.subspaces([r]):
+                    g = side_grade[e.side]
+                    if 0 < e.dim < self.L.dim(g):
+                        out.append((_candidate_sort_key(r, g, e.basis), g, e.basis, e.provenances))
+            out.sort(key=lambda c: c[0])
+            self._ranks[r] = out
+        return self._ranks[r]
+
+    def first(self):
+        """The first candidate of the full sort, or None if there is none."""
+        for r in scalars.RANKS:
+            if self.rank(r):
+                return self.rank(r)[0]
+        return None
+
+    def ring_dims(self) -> Dict[str, Dict[str, int]]:
+        """The five ring dimensions per product, keyed "s|t", from its cache."""
+        return {
+            ",".join(map(str, s)) + "|" + ",".join(map(str, t)):
+                {k: rings.ring(k).dim for k in scalars.KINDS}
+            for s, t, rings in self.products
+        }
 
 
 def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
@@ -306,15 +324,15 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
     L = graded_lie_ring(f)
     seed_dims = [L.dim(s) for s in L.grades()]
     steps: List[RefinementStep] = []
-    seed_candidates, ring_dims = _gather_candidates(L, seed=True)
-    candidates = seed_candidates
-    while candidates and len(steps) < CAP:
-        _, grade, basis, provs = candidates[0]
+    seed_table = CandidateTable(L)
+    first = seed_table.first()
+    while first is not None and len(steps) < CAP:
+        _, grade, basis, provs = first
         H = lift_subspace(G, f, grade, basis)
         new_index = f.value(grade).order // H.order
         f = insert_refinement(f, grade, H)
         steps.append(RefinementStep(grade, provs[0], new_index, H.igs))
-        candidates, _ = _gather_candidates(graded_lie_ring(f))
+        first = CandidateTable(graded_lie_ring(f)).first()
     report = RefinementReport(
         group=group_id or (G.name or "group"),
         order=G.order,
@@ -322,10 +340,9 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
         steps=steps,
         final=f,
         classification="",
-        ring_dims=ring_dims,
-        cap_hit=bool(candidates),
+        cap_hit=first is not None,
         runtime_ms=int((time.monotonic() - t0) * 1000),
-        seed_candidates=seed_candidates,
+        seed_table=seed_table,
     )
     report.classification = classify(report, G)
     return report
@@ -346,17 +363,14 @@ def seed_refined_by(report: RefinementReport, ring: str) -> bool:
        lifts and inserts; later steps cannot change the flag.
     3. An emission of one ring depends only on the bimap, that ring, its
        radical and Der, and Der is always built.  So the restricted run's
-       first-table candidates are the full run's seed emissions that the
-       ring emitted, without the bimap radicals.  A duplicate emitted by
-       several rings is merged into one emission that lists all their
-       provenances, so the ring is found there even when it is not first.
+       first-table candidates are the seed table's candidates of the ring's
+       rank (``CandidateTable.rank``), where Der-invariance and properness
+       are decided per subspace, whatever lower rank also emits it.
     4. Every candidate lifts and inserts (``refine_to_fixpoint``).  So the
        restricted run is flagged iff it has a first-table candidate at all.
     """
-    rank = scalars.PROVENANCE_RANK[ring.lower()]  # a ring's provenances share its rank
-    return any(
-        scalars.PROVENANCE_RANK[p] == rank for c in report.seed_candidates for p in c[3]
-    )
+    # a ring's provenances share its rank
+    return bool(report.seed_table.rank(scalars.PROVENANCE_RANK[ring.lower()]))
 
 
 def _product_series_values(G: PcGroup) -> Optional[set]:
@@ -383,21 +397,18 @@ def classify(r: RefinementReport, G: PcGroup) -> str:
     return "non-semi-classical"
 
 
+def step_to_json(s: RefinementStep) -> dict:
+    return {"grade": list(s.grade), "provenance": s.provenance, "new_index": s.new_index}
+
+
 def report_to_json(r: RefinementReport) -> dict:
     return {
         "group": r.group,
         "order": r.order,
         "seed": {"dims": list(r.seed_dims)},
-        "steps": [
-            {
-                "grade": list(s.grade),
-                "provenance": s.provenance,
-                "new_index": s.new_index,
-            }
-            for s in r.steps
-        ],
+        "steps": [step_to_json(s) for s in r.steps],
         "classification": r.classification,
-        "ring_dims": {k: dict(v) for k, v in sorted(r.ring_dims.items())},
+        "ring_dims": dict(sorted(r.seed_table.ring_dims().items())),
         "cap_hit": r.cap_hit,
         "runtime_ms": r.runtime_ms,
     }

@@ -434,15 +434,10 @@ def centroid(b: Bimap) -> ScalarAlgebra:
     return alg
 
 
-def all_rings(b: Bimap, der: Optional[ScalarAlgebra] = None) -> Dict[str, ScalarAlgebra]:
-    """The five rings of ``b``; ``der``, when given, is its Der, built earlier."""
-    return {
-        "Der": derivation_algebra(b) if der is None else der,
-        "Left": scalar_ring(b, "Left"),
-        "Mid": scalar_ring(b, "Mid"),
-        "Right": scalar_ring(b, "Right"),
-        "Cent": centroid(b),
-    }
+def all_rings(b: Bimap) -> Dict[str, ScalarAlgebra]:
+    """The five rings of ``b``."""
+    rings = BimapRings(b)
+    return {kind: rings.ring(kind) for kind in KINDS}
 
 
 def radical(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
@@ -495,12 +490,6 @@ def split_idempotents(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     rad, quot, lift = assoc.radical_quotient()
     _check_commutative_quotient(assoc, rad)
     return _lift_central_idempotents(alg, assoc, quot, lift)
-
-
-def _mid_center_idempotents(mid: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
-    """Idempotents of Z(Mid/rad), lifted back into Mid through the radical."""
-    assoc = mid.assoc()
-    return _lift_central_idempotents(mid, assoc, *assoc.radical_quotient()[1:])
 
 
 def _check_commutative_quotient(assoc: AssocAlgebra, rad: AssocAlgebra) -> None:
@@ -589,22 +578,8 @@ PROVENANCE_RANK = {
     "cent-idem": 4,
     "bimap-radical": 5,
 }
-
-
-def _side_dims(b: Bimap) -> Dict[str, int]:
-    dU, dV, dW = b.dims
-    return {"U": dU, "V": dV, "W": dW}
-
-
-def _image_rows(mats: List[np.ndarray], p: int) -> np.ndarray:
-    if not mats:
-        return np.zeros((0, 0), dtype=np.int64)
-    return linalg.row_space(np.concatenate(mats, axis=0), p)
-
-
-def _common_kernel(mats: List[np.ndarray], p: int) -> np.ndarray:
-    stacked = np.concatenate([m.T for m in mats], axis=0)
-    return linalg.nullspace(stacked, p)
+RANKS = range(max(PROVENANCE_RANK.values()) + 1)
+ASSOC_KINDS = ("Mid", "Left", "Right", "Cent")  # the kinds of ranks 1 to 4
 
 
 def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> bool:
@@ -615,101 +590,123 @@ def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> b
     return linalg.row_coords(images.reshape(-1, s.shape[1]), s, p) is not None
 
 
-def der_envelopes_full(der: ScalarAlgebra) -> bool:
-    """True iff on every side of dimension d the unital algebra generated by
-    Der's action is all of M_d(GF(p)); a side of dimension 1 always is.
-
-    Then no Der-invariant subspace of a side is proper (Burnside; Jacobson
-    density): for s != 0, s M_d is the whole side.
+class BimapRings:
+    """The rings of one bimap: Der at once, the others on first use, each
+    built at most once.  So is each associative ring's verified radical,
+    with the quotient kept for the idempotent lift, and Der's envelope on
+    each side, which serves both the prune test and Der's emissions.
     """
-    return all(
-        d <= 1 or envelope(der.p, d, stack).dim == d * d
-        for d, stack in zip(der.sizes, der.side_stacks())
-    )
+
+    def __init__(self, b: Bimap):
+        self.b = b
+        self.rings: Dict[str, ScalarAlgebra] = {"Der": derivation_algebra(b)}
+        self.radicals: Dict[str, tuple] = {}
+        self._envelopes: Dict[int, AssocAlgebra] = {}
+
+    def ring(self, kind: str) -> ScalarAlgebra:
+        if kind not in self.rings:
+            self.rings[kind] = centroid(self.b) if kind == "Cent" else scalar_ring(self.b, kind)
+        return self.rings[kind]
+
+    def radical(self, kind: str) -> tuple:
+        """(A, J, A/J, lift) of an associative ring."""
+        if kind not in self.radicals:
+            assoc = self.ring(kind).assoc()
+            self.radicals[kind] = (assoc,) + assoc.radical_quotient()
+        return self.radicals[kind]
+
+    def envelope(self, pos: int) -> AssocAlgebra:
+        """The unital algebra generated by Der's action on side ``pos``."""
+        if pos not in self._envelopes:
+            der = self.rings["Der"]
+            self._envelopes[pos] = envelope(self.b.p, der.sizes[pos], list(der.side_stacks()[pos]))
+        return self._envelopes[pos]
+
+    def der_envelopes_full(self) -> bool:
+        """True iff on every side of dimension d the unital algebra generated
+        by Der's action is all of M_d(GF(p)); a side of dimension 1 always is.
+
+        Then no Der-invariant subspace of a side is proper (Burnside; Jacobson
+        density): for s != 0, s M_d is the whole side.
+        """
+        return all(d <= 1 or self.envelope(pos).dim == d * d for pos, d in enumerate(self.b.dims))
+
+    def emissions(self, rank: int) -> List[Emission]:
+        """The emissions of provenance rank ``rank``, unmerged, in merge order.
+
+        Rank 0 is the radical of Der's envelope on each side; ranks 1 to 4
+        are the radical elements of Mid, Left, Right and Cent acting on
+        their sides, then for Mid and Cent the images of the idempotents
+        that A/J lifts (Cent's A/J must be commutative); rank 5 is the bimap
+        radicals.
+        """
+        b, p = self.b, self.b.p
+        dims = dict(zip("UVW", b.dims))
+        out: List[Emission] = []
+
+        def emit(side: str, rows: np.ndarray, prov: str):  # the row space of ``rows``
+            d = dims[side]
+            rows = np.reshape(rows, (-1, d)) if np.size(rows) else np.zeros((0, d), dtype=np.int64)
+            out.append(Emission(side, linalg.row_space(rows, p), [prov]))
+
+        def emit_action(side: str, mats: List[np.ndarray], prov: str):
+            # images and kernels of radical elements acting on one side
+            emit(side, np.concatenate(mats), prov)
+            emit(side, linalg.nullspace(np.concatenate([m.T for m in mats]), p), prov)
+            for m in mats:
+                emit(side, m, prov)
+                emit(side, linalg.nullspace(m.T, p), prov)
+
+        if rank == 0:
+            for pos, side in enumerate("UVW"):
+                if dims[side]:
+                    rad = self.envelope(pos).radical()
+                    if rad.dim:
+                        emit_action(side, list(rad.basis), "der")
+        elif rank > len(ASSOC_KINDS):
+            emit("U", b.radical_u(), "bimap-radical")
+            emit("V", b.radical_v(), "bimap-radical")
+        else:
+            kind = ASSOC_KINDS[rank - 1]
+            alg = self.ring(kind)
+            assoc, rad, quot, lift = self.radical(kind)
+            if rad.dim:
+                rad_tuples = [alg.from_rep(r) for r in rad.basis]
+                for pos, side in enumerate(KIND_SIDES[kind]):
+                    emit_action(side, [t[pos] for t in rad_tuples], kind.lower())
+            if kind == "Cent":
+                _check_commutative_quotient(assoc, rad)
+            if kind in ("Mid", "Cent"):
+                for e in _lift_central_idempotents(alg, assoc, quot, lift):
+                    for pos, side in enumerate(KIND_SIDES[kind]):
+                        emit(side, e[pos], kind.lower() + "-idem")
+        return out
+
+    def subspaces(self, ranks: Sequence[int]) -> List[Emission]:
+        """The emissions of ``ranks``, in that order, merged and Der-invariant.
+
+        Duplicates (same side, same echelon form) are merged into the first,
+        which records every provenance that emitted it; Der-invariance is
+        then verified once per distinct subspace.
+        """
+        merged: Dict[Tuple, Emission] = {}
+        for rank in ranks:
+            for e in self.emissions(rank):
+                first = merged.setdefault(e.key(), e)
+                if e.provenance not in first.provenances:
+                    first.provenances.append(e.provenance)
+        der_sides = self.rings["Der"].side_stacks()
+        return [e for e in merged.values() if _der_invariant(e, der_sides, self.b.p)]
 
 
-def ring_radicals(rings: Dict[str, ScalarAlgebra]) -> Dict[str, tuple]:
-    """(A, J, A/J, lift) per associative ring: each radical built and
-    verified once, its quotient kept for the idempotent lift."""
-    out = {}
-    for kind in ("Mid", "Left", "Right", "Cent"):
-        assoc = rings[kind].assoc()
-        out[kind] = (assoc,) + assoc.radical_quotient()
-    return out
-
-
-def characteristic_subspaces(
-    b: Bimap,
-    rings: Optional[Dict[str, ScalarAlgebra]] = None,
-    radicals: Optional[Dict[str, tuple]] = None,
-) -> List[Emission]:
+def characteristic_subspaces(b: Bimap, rings: Optional[BimapRings] = None) -> List[Emission]:
     """Subspaces of U, V, W cut out by the rings' radicals and idempotents.
 
     Every ring emits, and so do the bimap radicals.  Every returned subspace
     is verified invariant under the matching component of Der(o); candidates
     failing that proxy for being characteristic are dropped.  Duplicates
     (same side, same echelon form) are merged into the first in ring priority
-    order, which records every provenance that emitted it.  ``radicals`` is
-    ``ring_radicals(rings)``, built here when not given.
+    order, which records every provenance that emitted it.  ``rings`` is the
+    cache of ``b``'s rings, made here when not given.
     """
-    if rings is None:
-        rings = all_rings(b)
-    if radicals is None:
-        radicals = ring_radicals(rings)
-    p = b.p
-    der_sides = rings["Der"].side_stacks()
-    out: List[Emission] = []
-
-    def emit(side: str, rows: np.ndarray, prov: str):
-        d = _side_dims(b)[side]
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, d) if rows.size else np.zeros((0, d), dtype=np.int64)
-        out.append(Emission(side, linalg.row_space(rows, p) if rows.size else rows, [prov]))
-
-    def emit_action(side: str, mats: List[np.ndarray], prov: str):
-        # images and kernels of radical elements acting on one side
-        emit(side, _image_rows(mats, p), prov)
-        emit(side, _common_kernel(mats, p), prov)
-        for m in mats:
-            emit(side, linalg.row_space(m, p), prov)
-            emit(side, linalg.nullspace(m.T, p), prov)
-
-    # Der: radical of the associative envelope of each side's action
-    for pos, side in enumerate(("U", "V", "W")):
-        d = _side_dims(b)[side]
-        if d == 0:
-            continue
-        env = envelope(p, d, list(der_sides[pos]))
-        rad = env.radical()
-        if rad.dim:
-            emit_action(side, list(rad.basis), "der")
-
-    # associative kinds: radical elements acting on their sides; each ring's
-    # A/J from the radical's verification also lifts the idempotents
-    for kind, prov in (("Mid", "mid"), ("Left", "left"), ("Right", "right"), ("Cent", "cent")):
-        alg, rad = rings[kind], radicals[kind][1]
-        if rad.dim:
-            rad_tuples = [alg.from_rep(r) for r in rad.basis]
-            for pos, side in enumerate(KIND_SIDES[kind]):
-                emit_action(side, [t[pos] for t in rad_tuples], prov)
-
-    # idempotent images: Cent, whose A/J must be commutative, and Z(Mid/J)
-    # pulled back
-    _check_commutative_quotient(*radicals["Cent"][:2])
-    for kind, prov in (("Cent", "cent-idem"), ("Mid", "mid-idem")):
-        assoc, _, quot, lift = radicals[kind]
-        for e in _lift_central_idempotents(rings[kind], assoc, quot, lift):
-            for pos, side in enumerate(KIND_SIDES[kind]):
-                emit(side, linalg.row_space(e[pos], p), prov)
-
-    emit("U", b.radical_u(), "bimap-radical")
-    emit("V", b.radical_v(), "bimap-radical")
-
-    # merge duplicates into the first in rank order, then verify
-    # Der-invariance once per distinct subspace
-    out.sort(key=lambda e: PROVENANCE_RANK[e.provenance])
-    merged: Dict[Tuple, Emission] = {}
-    for e in out:
-        first = merged.setdefault(e.key(), e)
-        if e.provenance not in first.provenances:
-            first.provenances.append(e.provenance)
-    return [e for e in merged.values() if _der_invariant(e, der_sides, p)]
+    return (BimapRings(b) if rings is None else rings).subspaces(RANKS)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from filterlab import monoid as mon, refine, scalars
 from filterlab.pcgroup import parse_pcg_file, parse_pcgroup
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +38,32 @@ def build_corpus():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def reference_candidates(L):
+    """The full build-and-sort of a table's candidates, the definition that
+    ``refine.CandidateTable`` searches rank by rank: all five rings and every
+    emission built on every in-box product, the proper emissions sorted.
+    Returns the candidates and the five ring dimensions per product, keyed
+    "s|t"."""
+    out, ring_dims = [], {}
+    grades = [s for s in L.comps if L.dim(s) > 0]
+    for s in grades:
+        for t in grades:
+            u = mon.add(s, t)
+            if L.dim(u) == 0:
+                continue
+            b = scalars.bimap_from_lie_pair(L, s, t)
+            key = ",".join(str(x) for x in s) + "|" + ",".join(str(x) for x in t)
+            ring_dims[key] = {k: ring.dim for k, ring in scalars.all_rings(b).items()}
+            side_grade = {"U": s, "V": t, "W": u}
+            for e in scalars.characteristic_subspaces(b):
+                g = side_grade[e.side]
+                if 0 < e.dim < L.dim(g):
+                    rank = scalars.PROVENANCE_RANK[e.provenance]
+                    out.append((refine._candidate_sort_key(rank, g, e.basis), g, e.basis, e.provenances))
+    out.sort(key=lambda c: c[0])
+    return out, ring_dims
 
 
 @functools.lru_cache(maxsize=None)

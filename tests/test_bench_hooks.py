@@ -1,8 +1,9 @@
 """The benchmark tracer installs and uninstalls on the live package.
 
 ``perfbench/tracing.py`` wraps every name in its ``HOOKS`` table when a run
-is traced (``perfbench/run.py --trace 1``).  Installing a ``Tracer`` here
-resolves each of them, so deleting or renaming a hooked name (for example
+is traced (``perfbench/run.py --trace 1``).  The table is not empty, each
+name resolves to a callable, and installing a ``Tracer`` here wraps each of
+them, so deleting or renaming a hooked name (for example
 ``Subgroup.meet``, ``scalars.radical``, ``scalars.split_idempotents`` or
 ``lie.CosetBasis.coords``) fails this test instead of the traced run.
 """
@@ -30,7 +31,9 @@ def _current(hook):
 
 def test_tracer_installs_and_uninstalls_every_hook():
     tracing = _tracing()
+    assert tracing.HOOKS
     before = [_current(hook) for hook in tracing.HOOKS]
+    assert all(callable(fn) for fn in before)
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -17,7 +17,7 @@ from filterlab.lie import graded_lie_ring
 from filterlab.pcgroup import SubgroupOps, parse_pcg_file, subgroup_from_gens
 from filterlab.series import exponent_p_lcs, verify_filter
 
-from conftest import CORPUS, corpus_paths, perfbench_workloads
+from conftest import CORPUS, corpus_paths, perfbench_workloads, reference_candidates
 
 workloads = perfbench_workloads()
 
@@ -54,7 +54,7 @@ def _first_candidate_chain(G):
     f = exponent_p_lcs(G)
     steps = []
     while len(steps) < refine.CAP:
-        candidates, _ = refine._gather_candidates(graded_lie_ring(f))
+        candidates, _ = reference_candidates(graded_lie_ring(f))
         if not candidates:
             break
         inserted = []

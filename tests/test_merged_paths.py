@@ -167,7 +167,8 @@ def test_single_lift_on_mid_and_cent_rings(corpus_groups):
     for b in _corpus_bimaps(corpus_groups):
         rings = scalars.all_rings(b)
         cent = scalars.split_idempotents(rings["Cent"])
-        mid = scalars._mid_center_idempotents(rings["Mid"])
+        assoc = rings["Mid"].assoc()
+        mid = scalars._lift_central_idempotents(rings["Mid"], assoc, *assoc.radical_quotient()[1:])
         _check_lift(rings["Cent"], cent, central_mod_radical=False)
         _check_lift(rings["Mid"], mid, central_mod_radical=True)
         multi["Cent"] += len(cent) > 1
@@ -334,7 +335,9 @@ def test_n_graded_layering_paths_never_meet(corpus_groups, monkeypatch):
 def test_characteristic_subspaces_build_each_radical_once(monkeypatch):
     L = lie.graded_lie_ring(series.exponent_p_lcs(load("g81_12_maxclass1")))
     b = scalars.bimap_from_lie_pair(L, (1,), (1,))
-    rings = scalars.all_rings(b)
+    rings = scalars.BimapRings(b)
+    for kind in scalars.KINDS:
+        rings.ring(kind)
     calls = []
     original = scalars.AssocAlgebra.radical_quotient
 

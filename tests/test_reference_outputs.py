@@ -28,7 +28,13 @@ def test_census_script_output_matches_artifacts(tmp_path):
 
 @pytest.mark.parametrize(
     "name, factors",
-    [("h27xh27", ("h27", "h27")), ("maxclass1xc3", ("g81_12_maxclass1", "c3"))],
+    [
+        ("h27xh27", ("h27", "h27")),
+        ("maxclass1xc3", ("g81_12_maxclass1", "c3")),
+        ("d8xc2", ("d8", "c2")),
+        ("d8xq8xd8", ("d8", "q8", "d8")),
+        ("h27xh27xc3", ("h27", "h27", "c3")),
+    ],
 )
 def test_ladder_reports_match_reference(name, factors):
     reference = json.loads((ROOT / "perfbench" / "reference" / "ladder.json").read_text())

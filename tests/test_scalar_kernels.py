@@ -85,7 +85,7 @@ def test_rref_matches_numpy_elimination_while_refining(monkeypatch):
     G = load("g16_10_c4xc2xc2")
     monkeypatch.setattr(linalg, "rref", recording)
     for b in _seed_bimaps({G.name: G}):
-        scalars.characteristic_subspaces(b, scalars.all_rings(b))
+        scalars.characteristic_subspaces(b)
     monkeypatch.undo()
     # centre systems hold k*k coordinate equations: the largest is that of the
     # 19-dim double-condition ring of the centroid; the 18-dim semisimple Mid
@@ -339,10 +339,10 @@ def test_batched_kernels_match_per_pair_loops(corpus_groups):
     for b in _seed_bimaps(corpus_groups):
         bimaps += 1
         p = b.p
-        rings = scalars.all_rings(b)
-        der = rings["Der"]
+        rings = scalars.BimapRings(b)
+        der = rings.ring("Der")
         assert _loop_bracket_closed(der)
-        radicals = scalars.ring_radicals(rings)
+        radicals = {kind: rings.radical(kind) for kind in scalars.ASSOC_KINDS}
         algebras = []
         for pos, d in enumerate(b.dims):
             gens = [t[pos] for t in der.tuples()]
@@ -381,7 +381,7 @@ def test_batched_kernels_match_per_pair_loops(corpus_groups):
                 split_sizes.add(min(len(got), 2))
         # Der-invariance of every emission and of every coordinate line
         sides = der.side_stacks()
-        subspaces = [(e.side, e.basis) for e in scalars.characteristic_subspaces(b, rings, radicals)]
+        subspaces = [(e.side, e.basis) for e in scalars.characteristic_subspaces(b, rings)]
         for side, d in zip("UVW", b.dims):
             subspaces += [(side, row.reshape(1, -1)) for row in linalg.identity(d)]
         for side, basis in subspaces:

@@ -11,7 +11,7 @@ from filterlab.lie import graded_lie_ring
 from filterlab.pcgroup import parse_pcg_file
 from filterlab.series import exponent_p_lcs
 
-from conftest import CORPUS
+from conftest import CORPUS, reference_candidates
 
 PATHS = sorted(
     p for d in ("basic", "order16", "order81", "products") for p in (CORPUS / d).glob("*.pcg")
@@ -36,7 +36,7 @@ def _restricted_refinement_flagged(G, ring: str, gathered: dict) -> bool:
     while len(steps) < refine.CAP:
         key = (f.box, tuple(sorted((m, H.igs) for m, H in f.table.items())))
         if key not in gathered:
-            gathered[key] = refine._gather_candidates(graded_lie_ring(f))[0]
+            gathered[key] = reference_candidates(graded_lie_ring(f))[0]
         candidates = gathered[key]
         own = sorted(
             (c for c in candidates if provs & set(c[3])),

@@ -2,7 +2,9 @@
 
 An automorphism is stored by its generator images.  For an A-invariant filter
 phi, membership of a in Delta_s phi means [phi_t, a] <= phi_{t+s} for every
-grade t; on a box past stabilisation checking box grades is exact.  Each
+grade t; on a box past stabilisation checking box grades is exact.  The
+pair law [Delta_s, Delta_t] <= Delta_{s+t} is checked on given generators at
+any group order, from x^(ba) against x^(ab), with no map inverted.  Each
 member induces a grade-shifting derivation of the graded Lie ring by
 x |-> [x, a].
 """
@@ -10,6 +12,7 @@ x |-> [x, a].
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -70,22 +73,6 @@ class AutMap:
         """x^(self * other) = (x^self)^other."""
         return AutMap(
             self.group, [other.apply(img) for img in self.images], check=False
-        )
-
-    def inverse(self) -> "AutMap":
-        G = self.group
-        if G.order > 2 ** 14:
-            raise PcgError("automorphism inversion needs full enumeration; group too large")
-        lookup = {self.apply(x): x for x in G.elements()}
-        return AutMap(G, [lookup[g] for g in G.generators()], check=False)
-
-    def commutator_with(self, other: "AutMap") -> "AutMap":
-        """[a, b] = a^-1 b^-1 a b as automorphisms."""
-        return (
-            self.inverse()
-            .compose(other.inverse())
-            .compose(self)
-            .compose(other)
         )
 
     def __eq__(self, other) -> bool:
@@ -207,8 +194,39 @@ class DeltaReport:
     dims_by_grade: Dict[MonoidElem, int]
 
 
+def pair_law_escapes(
+    a: AutMap, b: AutMap, f: Filter, st: MonoidElem
+) -> List[Tuple[MonoidElem, Elem]]:
+    """The (u, y) with y = x^(ba) for x in igs(phi_u), u a box grade, and
+    [y, [a, b]] = y^-1 x^(ab) outside phi_{st+u}.  For a, b that leave f
+    invariant it is empty iff [phi_u, [a, b]] <= phi_{st+u} for every u
+    (proof in ``delta_layer_dims``)."""
+    G = f.group
+    out: List[Tuple[MonoidElem, Elem]] = []
+    for u in f.grades():
+        target = f.value(mon.add(st, u))
+        for x in f.value(u).igs:
+            y = a.apply(b.apply(x))
+            if not target.contains(G.divide(y, b.apply(a.apply(x)))):
+                out.append((u, y))
+    return out
+
+
 def delta_layer_dims(gens: Sequence[AutMap], f: Filter) -> DeltaReport:
-    """Classify generators by their maximal Delta grade and check the pair law."""
+    """Classify generators by their maximal Delta grade and check the pair law.
+
+    For generators a, b at maximal grades s, t the law asks phi_u <= S =
+    {y in phi_u : [y, c] in T} at every box grade u, where c = [a, b] =
+    a^-1 b^-1 a b and T = phi_{s+t+u}.  ``pair_law_escapes`` decides it
+    with no map inverted, and a violation names the y that escapes:
+
+    - ``compose`` applies self first, so (ba) c = ab.  For y = x^(ba),
+      y^c = x^(ab) and [y, c] = y^-1 x^(ab).
+    - [phi_u, T] <= phi_{s+t+2u} <= T, so phi_u normalises T, and
+      [yz, c] = [y, c]^z [z, c] makes S a subgroup.
+    - Each generator passed ``is_invariant`` in ``delta_membership``, so
+      phi_u^(ba) = phi_u is generated by the images y of igs(phi_u).
+    """
     grades = [s for s in f.grades()]
     gen_rows: List[Dict] = []
     max_grades: List[MonoidElem] = []
@@ -222,26 +240,13 @@ def delta_layer_dims(gens: Sequence[AutMap], f: Filter) -> DeltaReport:
         best = max(maximal) if maximal else f.monoid.zero
         max_grades.append(best)
         gen_rows.append({"generator": idx, "max_grade": best, "grades": member})
-    pair_violations: List[str] = []
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            if i >= j:
-                continue
-            s, t = max_grades[i], max_grades[j]
-            c = a.commutator_with(b)
-            # literal Hall-Witt containment: [x, [a,b]] in phi_{s+t+u}
-            st = mon.add(s, t)
-            for u in grades:
-                target = f.value(mon.add(st, u))
-                for x in f.value(u).igs:
-                    if not target.contains(aut_commutator(x, c)):
-                        pair_violations.append(
-                            f"[x,[a{i},a{j}]] escapes phi at u={u}, x={x}"
-                        )
-    dims: Dict[MonoidElem, int] = {}
-    for s in max_grades:
-        dims[s] = dims.get(s, 0) + 1
-    return DeltaReport(gen_rows, pair_violations, dims)
+    pair_violations = [
+        f"[x,[a{i},a{j}]] escapes phi at u={u}, x={y}"
+        for i, a in enumerate(gens)
+        for j, b in enumerate(gens[i + 1 :], start=i + 1)
+        for u, y in pair_law_escapes(a, b, f, mon.add(max_grades[i], max_grades[j]))
+    ]
+    return DeltaReport(gen_rows, pair_violations, dict(Counter(max_grades)))
 
 
 # -- induced derivations --------------------------------------------------------
@@ -255,7 +260,12 @@ def induced_derivation(
         raise ValueError("the induced derivation needs a nonzero grade shift")
     if not delta_membership(a, L.filter, s):
         raise PcgError("automorphism is not in Delta_s of the filter")
-    f = L.filter
+    return _derivation_matrices(a, s, L, lambda u, comp: comp.reps)
+
+
+def _derivation_matrices(a: AutMap, s: MonoidElem, L: GradedLieRing, reps):
+    """Per nonzero L_u, the matrix to L_{u+s} of the classes of [x, a] for x
+    in ``reps(u, comp)``, which is called only when L_{u+s} is nonzero."""
     out: Dict[MonoidElem, np.ndarray] = {}
     for u, comp in L.comps.items():
         if comp.dim == 0:
@@ -264,7 +274,7 @@ def induced_derivation(
         tdim = target.dim if target is not None else 0
         mat = np.zeros((comp.dim, tdim), dtype=np.int64)
         if tdim:
-            for i, x in enumerate(comp.reps):
+            for i, x in enumerate(reps(u, comp)):
                 mat[i] = target.coords(aut_commutator(x, a))
         out[u] = mat
     return out
@@ -306,21 +316,12 @@ def rerandomized_derivation(
     """D_a recomputed with representatives shifted by random boundary elements."""
     rng = random.Random(seed)
     f = L.filter
-    G = f.group
-    out: Dict[MonoidElem, np.ndarray] = {}
-    for u, comp in L.comps.items():
-        if comp.dim == 0:
-            continue
-        target = L.comps.get(mon.add(u, s))
-        tdim = target.dim if target is not None else 0
-        mat = np.zeros((comp.dim, tdim), dtype=np.int64)
-        if tdim:
-            bnd = f.boundary_at(u)
-            for i, x in enumerate(comp.reps):
-                x2 = G.multiply(x, bnd.random_element(rng))
-                mat[i] = target.coords(aut_commutator(x2, a))
-        out[u] = mat
-    return out
+
+    def shifted(u, comp):
+        bnd = f.boundary_at(u)
+        return [f.group.multiply(x, bnd.random_element(rng)) for x in comp.reps]
+
+    return _derivation_matrices(a, s, L, shifted)
 
 
 # -- central automorphisms -------------------------------------------------------

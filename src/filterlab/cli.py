@@ -95,40 +95,48 @@ def cmd_verify(args) -> int:
 STAGES = ("series", "lie", "scalars", "aut", "refine")
 
 
+def _key(*grades) -> str:
+    """JSON key of one grade, "1|0", or of a grade pair, "1|0;0|1"."""
+    return ";".join("|".join(map(str, g)) for g in grades)
+
+
+def _delta_payload(rep):
+    """The JSON fields of a ``DeltaReport`` that ``aut`` and ``report`` print."""
+    return {
+        "max_grades": [list(r["max_grade"]) for r in rep.generator_grades],
+        "dims_by_grade": {_key(s): c for s, c in sorted(rep.dims_by_grade.items())},
+        "pair_violations": rep.pair_violations,
+    }
+
+
 def _stage_payloads(G, stages, sidecar_maps=()):
     out = {"group": G.name or "group", "order": G.order, "p": G.p}
     want = set(stages)
-    # dependency resolution: lie and scalars need series objects anyway
-    lc = series.lower_central(G)
-    uc = series.upper_central(G)
-    ep = series.exponent_p_lcs(G)
+    # each series is built only for the stages that read it; refine builds
+    # its own
+    if want & {"series", "lie", "scalars", "aut"}:
+        ep = series.exponent_p_lcs(G)
+    if want & {"series", "lie"}:
+        uc = series.upper_central(G)
     if "series" in want:
+        lc = series.lower_central(G)
         out["series"] = {
             "lower_central": {"orders": lc.orders(), "filter": series.boxmap_to_json(lc)},
             "upper_central": {"orders": uc.orders(), "layering": series.boxmap_to_json(uc)},
             "exponent_p": {"orders": ep.orders(), "filter": series.boxmap_to_json(ep)},
         }
-    L = None
-    if want & {"lie", "scalars", "aut", "refine"}:
+    if want & {"lie", "scalars"}:
         L = lie.graded_lie_ring(ep)
     if "lie" in want:
         lie_payload = {
-            "dims": {"|".join(map(str, s)): L.dim(s) for s in L.grades()},
-            "brackets": {
-                "|".join(map(str, s)) + ";" + "|".join(map(str, t)): T.tolist()
-                for (s, t), T in sorted(L.brackets.items())
-            },
+            "dims": {_key(s): L.dim(s) for s in L.grades()},
+            "brackets": {_key(s, t): T.tolist() for (s, t), T in sorted(L.brackets.items())},
         }
         try:
             M = lie.graded_module(ep, uc, L)
             lie_payload["module"] = {
-                "strata_dims": {
-                    "|".join(map(str, s)): M.stratum_dim(s) for s in sorted(M.strata)
-                },
-                "actions": {
-                    "|".join(map(str, s)) + ";" + "|".join(map(str, t)): A.tolist()
-                    for (s, t), A in sorted(M.actions.items())
-                },
+                "strata_dims": {_key(s): M.stratum_dim(s) for s in sorted(M.strata)},
+                "actions": {_key(s, t): A.tolist() for (s, t), A in sorted(M.actions.items())},
             }
         except NonElementaryAbelianError as exc:
             lie_payload["module_error"] = str(exc)
@@ -137,7 +145,7 @@ def _stage_payloads(G, stages, sidecar_maps=()):
         pairs = {}
         for s, t, rings in refine.CandidateTable(L).products:
             ems = scalars.characteristic_subspaces(rings.b, rings)
-            pairs["|".join(map(str, s)) + ";" + "|".join(map(str, t))] = {
+            pairs[_key(s, t)] = {
                 "dims": {k: rings.ring(k).dim for k in scalars.KINDS},
                 "radical_dims": {k: rings.radical(k)[1].dim for k in scalars.ASSOC_KINDS},
                 # as many as dim B of Z(Cent/J), without a second lift
@@ -149,14 +157,7 @@ def _stage_payloads(G, stages, sidecar_maps=()):
         gens = central_automorphisms(G) + list(sidecar_maps)
         payload = {"central_generators": len(gens)}
         if gens:
-            rep = delta_layer_dims(gens, ep)
-            payload["max_grades"] = [
-                list(r["max_grade"]) for r in rep.generator_grades
-            ]
-            payload["dims_by_grade"] = {
-                "|".join(map(str, s)): c for s, c in sorted(rep.dims_by_grade.items())
-            }
-            payload["pair_violations"] = rep.pair_violations
+            payload.update(_delta_payload(delta_layer_dims(gens, ep)))
         out["aut"] = payload
     if "refine" in want:
         out["refine"] = refine.report_to_json(refine.refine_to_fixpoint(G, group_id=G.name))
@@ -226,18 +227,9 @@ def cmd_aut(args) -> int:
     if not maps:
         print("no automorphisms supplied", file=sys.stderr)
         return 2
-    ep = series.exponent_p_lcs(G)
-    rep = delta_layer_dims(maps, ep)
-    payload = {
-        "group": G.name,
-        "order": G.order,
-        "generators": len(maps),
-        "max_grades": [list(r["max_grade"]) for r in rep.generator_grades],
-        "dims_by_grade": {
-            "|".join(map(str, s)): c for s, c in sorted(rep.dims_by_grade.items())
-        },
-        "pair_violations": rep.pair_violations,
-    }
+    rep = delta_layer_dims(maps, series.exponent_p_lcs(G))
+    payload = {"group": G.name, "order": G.order, "generators": len(maps)}
+    payload.update(_delta_payload(rep))
     json.dump(payload, sys.stdout, sort_keys=True, indent=2)
     print()
     return 1 if rep.pair_violations else 0

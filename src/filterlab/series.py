@@ -179,7 +179,7 @@ def exponent_p_lcs(G: PcGroup) -> Filter:
 # -- verification -----------------------------------------------------------
 
 
-def _containment_witness(G: PcGroup, C: Subgroup, target: Subgroup) -> Optional[Elem]:
+def _containment_witness(C: Subgroup, target: Subgroup) -> Optional[Elem]:
     for h in C.igs:
         if not target.contains(h):
             return h
@@ -299,7 +299,7 @@ def _verify_filter_pairs(f: Filter, ops: SubgroupOps) -> List[Violation]:
                         for y in f.value(t).igs
                         if not target.contains(f.group.commutator(x, y))
                     ),
-                    _containment_witness(f.group, c, target),
+                    _containment_witness(c, target),
                 )
                 out.append(Violation("[phi_s,phi_t] <= phi_{s+t}", s, t, w))
     for s in grades:
@@ -318,7 +318,7 @@ def verify_layering(l: Layering) -> List[Violation]:
         for t in grades:
             c = ops.comm(l.value(s), bounds[t])
             if not ops.is_subset(c, l.value(t)):
-                w = _containment_witness(l.group, c, l.value(t))
+                w = _containment_witness(c, l.value(t))
                 out.append(Violation("[pi^s, d^t pi] <= pi^t", s, t, w))
     for s in grades:
         for t in grades:
@@ -352,7 +352,7 @@ def verify_sift(f: Filter, l: Layering) -> List[Violation]:
         for t in grades:
             c = ops.comm(f.value(s), l.value(mon.add(s, t)))
             if not ops.is_subset(c, l.value(t)):
-                w = _containment_witness(f.group, c, l.value(t))
+                w = _containment_witness(c, l.value(t))
                 out.append(Violation("[phi_s, pi^{s+t}] <= pi^t", s, t, w))
     return out
 
@@ -360,11 +360,11 @@ def verify_sift(f: Filter, l: Layering) -> List[Violation]:
 # -- products ---------------------------------------------------------------
 
 
-def _product_box_map(parts, G: PcGroup, order_kind: str):
+def _product_box_map(parts, G: PcGroup):
     if len(parts) == 1 and parts[0].group is G:
         # degenerate product: the part itself
         p = parts[0]
-        return GradedMonoid(p.monoid.dim, order_kind), p.box, dict(p.table)
+        return GradedMonoid(p.monoid.dim), p.box, dict(p.table)
     if not G.factors or len(G.factors) != len(parts):
         raise ValueError("group was not built as a direct product of the part groups")
     offsets = []
@@ -373,7 +373,12 @@ def _product_box_map(parts, G: PcGroup, order_kind: str):
             raise ValueError("part filter group does not match product factor")
         offsets.append(goff)
     box = tuple(c for p in parts for c in p.box)
-    monoid_ = GradedMonoid(sum(p.monoid.dim for p in parts), order_kind)
+    monoid_ = GradedMonoid(sum(p.monoid.dim for p in parts))
+    # No closure: each factor value has a canonical igs in its factor, and the
+    # embedded blocks are disjoint, commute and come in offset order.  So the
+    # concatenation is an igs of the product, ordered by depth with leading
+    # exponents 1, and each block's pivot coordinates are 0 in the other
+    # blocks: it is the canonical igs that subgroup_from_gens would return.
     table: Dict[MonoidElem, Subgroup] = {}
     for m in mon.box_iter(box):
         gens: List[Elem] = []
@@ -383,18 +388,18 @@ def _product_box_map(parts, G: PcGroup, order_kind: str):
             pos += part.monoid.dim
             for h in part.value(sub_m).igs:
                 gens.append(embed(G, h, goff, G.n))
-        table[m] = subgroup_from_gens(G, gens)
+        table[m] = Subgroup(G, gens)
     return monoid_, box, table
 
 
-def product_filter(parts: List[Filter], G: PcGroup, order_kind: str = mon.POINTWISE) -> Filter:
+def product_filter(parts: List[Filter], G: PcGroup) -> Filter:
     """phi_m = prod of phi^{H_i}_{m_i} inside the declared direct product."""
-    monoid_, box, table = _product_box_map(parts, G, order_kind)
+    monoid_, box, table = _product_box_map(parts, G)
     return Filter(G, monoid_, box, table)
 
 
-def product_layering(parts: List[Layering], G: PcGroup, order_kind: str = mon.POINTWISE) -> Layering:
-    monoid_, box, table = _product_box_map(parts, G, order_kind)
+def product_layering(parts: List[Layering], G: PcGroup) -> Layering:
+    monoid_, box, table = _product_box_map(parts, G)
     return Layering(G, monoid_, box, table)
 
 

@@ -66,6 +66,16 @@ def reference_candidates(L):
     return out, ring_dims
 
 
+def aut_inverse(a):
+    """a^-1 as a^(k-1), k the order of a: compose a with itself until the
+    identity (the package inverts no automorphism)."""
+    identity = tuple(a.group.generators())
+    prev, cur = None, a
+    while cur.images != identity:
+        prev, cur = cur, cur.compose(a)
+    return a if prev is None else prev
+
+
 @functools.lru_cache(maxsize=None)
 def corpus_paths():
     return tuple(sorted(CORPUS.glob("**/*.pcg")))

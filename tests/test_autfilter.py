@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from filterlab import series
+from filterlab import monoid as mon, series
 from filterlab.autfilter import (
     AutMap,
     aut_commutator,
@@ -13,13 +13,14 @@ from filterlab.autfilter import (
     induced_derivation,
     inner_automorphism,
     is_invariant,
+    pair_law_escapes,
     parse_aut_lines,
     rerandomized_derivation,
 )
 from filterlab.lie import graded_lie_ring
 from filterlab.pcgroup import PcgError, parse_pcgroup
 
-from conftest import load
+from conftest import aut_inverse, load
 
 
 def central_map(G, gen_index, center_index):
@@ -123,7 +124,7 @@ def test_subgroup_law_on_generators(d8, h27):
         gens = central_automorphisms(G)
         s = (1,)
         for a in gens:
-            assert delta_membership(a.inverse(), f, s)
+            assert delta_membership(aut_inverse(a), f, s)
             for b in gens:
                 assert delta_membership(a.compose(b), f, s)
 
@@ -220,6 +221,47 @@ def test_hall_witt_containment_on_pairs(d8, h27):
         gens = central_automorphisms(G)
         rep = delta_layer_dims(gens, f)
         assert not rep.pair_violations
+
+
+def test_pair_law_matches_commutator_automorphism(corpus_groups):
+    """pair_law_escapes against the definition it replaced: [x, c] for x in
+    igs(phi_u), with c = [a, b] built from test-local inverses.  One boolean
+    per (s+t, u) at every box grade s+t, not only the maximal grades that
+    delta_layer_dims uses, so that failing grades are compared too."""
+    failing = compared = 0
+    for name, G in corpus_groups.items():
+        if G.order > 2 ** 10:
+            continue
+        maps = central_automorphisms(G) + [inner_automorphism(G, g) for g in G.generators()]
+        for f in (series.exponent_p_lcs(G), series.lower_central(G)):
+            grades = f.grades()
+            for i, a in enumerate(maps):
+                for b in maps[i + 1 :]:
+                    c = aut_inverse(a).compose(aut_inverse(b)).compose(a).compose(b)
+                    for st in grades:
+                        want = {
+                            u: all(
+                                f.value(mon.add(st, u)).contains(aut_commutator(x, c))
+                                for x in f.value(u).igs
+                            )
+                            for u in grades
+                        }
+                        escapes = pair_law_escapes(a, b, f, st)
+                        got = {u: True for u in grades}
+                        for u, y in escapes:
+                            got[u] = False
+                            assert f.value(u).contains(y)
+                            assert not f.value(mon.add(st, u)).contains(aut_commutator(y, c))
+                        assert got == want, (name, st)
+                        compared += len(grades)
+                        failing += sum(not ok for ok in want.values())
+    assert compared and failing
+
+
+def test_aut_inverse_helper(d8, h27):
+    for G in (d8, h27):
+        for a in central_automorphisms(G) + [inner_automorphism(G, G.generator(1))]:
+            assert a.compose(aut_inverse(a)) == identity_aut(G)
 
 
 def test_sidecar_parsing(d8):

@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
+from filterlab import cli, series
 from filterlab.cli import main
+from filterlab.pcgroup import direct_product
 
-from conftest import CORPUS
+from conftest import CORPUS, load
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +154,35 @@ def test_aut_with_sidecar(capsys):
     assert blob["generators"] == 2
     assert blob["dims_by_grade"] == {"1": 2}
     assert blob["pair_violations"] == []
+
+
+def test_report_aut_stage_above_two_to_the_fourteen():
+    """h27 x h27 x h27 has order 3^9 = 19683 > 2^14 and 18 central
+    automorphisms; the pair law is checked with no map inverted."""
+    h27 = load("h27")
+    G = direct_product(direct_product(h27, h27), h27)
+    aut = cli._stage_payloads(G, ["aut"])["aut"]
+    assert aut["central_generators"] == 18
+    assert aut["pair_violations"] == []
+    assert aut["dims_by_grade"] == {"1": 18}
+
+
+@pytest.mark.parametrize(
+    "stages, built",
+    [
+        (["series"], {"lower_central", "upper_central", "exponent_p_lcs"}),
+        (["lie"], {"upper_central", "exponent_p_lcs"}),
+        (["scalars", "aut"], {"exponent_p_lcs"}),
+        (["refine"], set()),
+    ],
+)
+def test_report_builds_only_the_series_its_stages_read(monkeypatch, stages, built):
+    calls = set()
+    for name in ("lower_central", "upper_central", "exponent_p_lcs"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda G, real=real, name=name: calls.add(name) or real(G))
+    cli._stage_payloads(load("d8"), stages)
+    assert calls == built
 
 
 def test_aut_without_maps(capsys):

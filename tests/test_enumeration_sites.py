@@ -8,7 +8,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filterlab"
 
-ENUMERATING = {"Subgroup.meet", "centralizer_mod", "AutMap.inverse", "central_automorphisms"}
+ENUMERATING = {"Subgroup.meet", "centralizer_mod", "central_automorphisms"}
 
 
 def _enumeration_sites(tree):

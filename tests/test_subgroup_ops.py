@@ -1,9 +1,10 @@
 """Differential tests for the per-call subgroup memo, for the refinement
 closure's Jacobi sweep over distinct values and the axiom verifiers'
 distinct-triple checks, for the depth-by-depth solve (inverse, commutator,
-conjugate, collection with negative letters) and for the one-commutator
-subgroup closure, each against the per-pair, Gauss-Seidel or word-based code
-it replaces."""
+conjugate, collection with negative letters), for the one-commutator
+subgroup closure and for the product maps' concatenated factor igs, each
+against the per-pair, Gauss-Seidel, word-based or closure code it
+replaces."""
 
 import functools
 import itertools
@@ -47,7 +48,7 @@ def _ref_verify_filter(f):
                         for y in f.value(t).igs
                         if not target.contains(f.group.commutator(x, y))
                     ),
-                    series._containment_witness(f.group, c, target),
+                    series._containment_witness(c, target),
                 )
                 out.append(Violation("[phi_s,phi_t] <= phi_{s+t}", s, t, w))
     for s in grades:
@@ -64,7 +65,7 @@ def _ref_verify_layering(l):
         for t in grades:
             c = comm_subgroup(l.value(s), l.boundary_at(t))
             if not c.is_subset(l.value(t)):
-                w = series._containment_witness(l.group, c, l.value(t))
+                w = series._containment_witness(c, l.value(t))
                 out.append(Violation("[pi^s, d^t pi] <= pi^t", s, t, w))
     for s in grades:
         for t in grades:
@@ -80,7 +81,7 @@ def _ref_verify_sift(f, l):
         for t in grades:
             c = comm_subgroup(f.value(s), l.value(mon.add(s, t)))
             if not c.is_subset(l.value(t)):
-                w = series._containment_witness(f.group, c, l.value(t))
+                w = series._containment_witness(c, l.value(t))
                 out.append(Violation("[phi_s, pi^{s+t}] <= pi^t", s, t, w))
     return out
 
@@ -235,6 +236,33 @@ def test_verifiers_match_reference_on_pointwise_products(names):
                 assert got == _ref_verify_sift(g, l)
                 violations += len(got)
     assert violations
+
+
+def _assert_product_maps_are_closures(names):
+    """Each product value is the closure of its embedded factor igs."""
+    G = _ladder_group(names)
+    parts = [load(name) for name in names]
+    maps = [
+        series.product_filter([series.lower_central(H) for H in parts], G),
+        series.product_filter([series.exponent_p_lcs(H) for H in parts], G),
+        series.product_layering([series.upper_central(H) for H in parts], G),
+    ]
+    for bm in maps:
+        for m in bm.grades():
+            assert subgroup_from_gens(G, bm.value(m).igs) == bm.value(m), (names, m)
+
+
+@pytest.mark.parametrize("names", LADDER, ids=["x".join(f) for f in LADDER])
+def test_product_maps_match_closure_on_ladder(names):
+    _assert_product_maps_are_closures(names)
+
+
+def test_product_maps_match_closure_on_basic_pairs():
+    basic = [p.stem for p in corpus_paths() if p.parent.name == "basic"]
+    pairs = [(a, b) for a in basic for b in basic if load(a).p == load(b).p]
+    assert len(pairs) > 40
+    for names in pairs:
+        _assert_product_maps_are_closures(names)
 
 
 def test_verify_filter_computes_each_unordered_pair_once(monkeypatch):

@@ -172,19 +172,28 @@ def is_invariant(f: Filter, a: AutMap) -> bool:
     return True
 
 
-def delta_membership(a: AutMap, f: Filter, s: MonoidElem) -> bool:
-    """a lies in Delta_s phi: [phi_t, a] <= phi_{t+s} for all t.
+def delta_grades(a: AutMap, f: Filter, grades: Sequence[MonoidElem]) -> List[MonoidElem]:
+    """The s in ``grades`` with a in Delta_s phi: [phi_t, a] <= phi_{t+s}
+    for all t.  Raises ``PcgError`` once if a does not leave f invariant.
 
     Generator-level checking suffices because [yx, a] = [y, a]^x [x, a].
     """
     if not is_invariant(f, a):
         raise PcgError("filter is not invariant under the automorphism")
+    return [s for s in grades if _commutes_into(a, f, s)]
+
+
+def _commutes_into(a: AutMap, f: Filter, s: MonoidElem) -> bool:
     for t in f.grades():
         target = f.value(mon.add(t, s))
-        for x in f.value(t).igs:
-            if not target.contains(aut_commutator(x, a)):
-                return False
+        if not all(target.contains(aut_commutator(x, a)) for x in f.value(t).igs):
+            return False
     return True
+
+
+def delta_membership(a: AutMap, f: Filter, s: MonoidElem) -> bool:
+    """a lies in Delta_s phi (see ``delta_grades``)."""
+    return bool(delta_grades(a, f, [s]))
 
 
 @dataclass
@@ -224,14 +233,13 @@ def delta_layer_dims(gens: Sequence[AutMap], f: Filter) -> DeltaReport:
       y^c = x^(ab) and [y, c] = y^-1 x^(ab).
     - [phi_u, T] <= phi_{s+t+2u} <= T, so phi_u normalises T, and
       [yz, c] = [y, c]^z [z, c] makes S a subgroup.
-    - Each generator passed ``is_invariant`` in ``delta_membership``, so
+    - Each generator passed ``is_invariant`` in ``delta_grades``, so
       phi_u^(ba) = phi_u is generated by the images y of igs(phi_u).
     """
-    grades = [s for s in f.grades()]
     gen_rows: List[Dict] = []
     max_grades: List[MonoidElem] = []
     for idx, a in enumerate(gens):
-        member = [s for s in grades if delta_membership(a, f, s)]
+        member = delta_grades(a, f, f.grades())
         maximal = [
             s
             for s in member
@@ -268,12 +276,9 @@ def _derivation_matrices(a: AutMap, s: MonoidElem, L: GradedLieRing, reps):
     in ``reps(u, comp)``, which is called only when L_{u+s} is nonzero."""
     out: Dict[MonoidElem, np.ndarray] = {}
     for u, comp in L.comps.items():
-        if comp.dim == 0:
-            continue
         target = L.comps.get(mon.add(u, s))
-        tdim = target.dim if target is not None else 0
-        mat = np.zeros((comp.dim, tdim), dtype=np.int64)
-        if tdim:
+        mat = np.zeros((comp.dim, L.dim(mon.add(u, s))), dtype=np.int64)
+        if target is not None:
             for i, x in enumerate(reps(u, comp)):
                 mat[i] = target.coords(aut_commutator(x, a))
         out[u] = mat
@@ -286,7 +291,6 @@ def check_derivation_law(
     """(x o y) D = xD o y + x o yD on all basis pairs, all grade pairs."""
     p = L.p
     out: List[str] = []
-    grades = [u for u in L.comps if L.dim(u)]
 
     def dmat(u: MonoidElem) -> np.ndarray:
         m = D.get(u)
@@ -296,8 +300,8 @@ def check_derivation_law(
             m = np.zeros((L.dim(u), L.dim(mon.add(u, s))), dtype=np.int64)
         return m
 
-    for u in grades:
-        for v in grades:
+    for u in L.comps:
+        for v in L.comps:
             uv = mon.add(u, v)
             target = mon.add(uv, s)
             if L.dim(target) == 0:

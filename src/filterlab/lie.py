@@ -46,16 +46,6 @@ class CosetBasis:
         self.p = G.p
         self.H = H
         self.N = N
-        if H.igs == N.igs:
-            # A zero section.  Each member of the canonical igs has a depth
-            # that no other member has, so sifting it against the others
-            # returns it at once with no steps: tagging N.igs gives N's depth
-            # map with zero-length vectors, which is what is set here.
-            self.reps = []
-            self.dim = 0
-            self._by_depth = dict(N._by_depth)
-            self._vecs = {d: np.zeros(0, dtype=np.int64) for d in self._by_depth}
-            return
         if not N.is_subset(H):
             raise ValueError("N is not contained in H")
         # H = N is a zero section: [H, H] <= H = N holds without a commutator
@@ -116,18 +106,11 @@ class CosetBasis:
         )
 
 
-def _component(f: Filter, s: MonoidElem) -> CosetBasis:
-    cb = CosetBasis(f.value(s), f.boundary_at(s))
-    if not cb.is_exponent_p():
-        raise NonElementaryAbelianError(s)
-    return cb
-
-
 @dataclass
 class GradedLieRing:
     filter: Filter
     p: int
-    comps: Dict[MonoidElem, CosetBasis]
+    comps: Dict[MonoidElem, CosetBasis]  # the nonzero components only
     brackets: Dict[Tuple[MonoidElem, MonoidElem], np.ndarray] = field(default_factory=dict)
 
     def dim(self, s: MonoidElem) -> int:
@@ -146,19 +129,26 @@ class GradedLieRing:
 
 
 def graded_lie_ring(f: Filter) -> GradedLieRing:
-    """Structure constants of L_*(phi) by commutating coset representatives."""
+    """Structure constants of L_*(phi) by commutating coset representatives.
+
+    A component is built only at the nonzero grades s where phi_s steps
+    down to its boundary; for a lex filter that is phi_s != phi_{s+e_d}.
+    """
     G = f.group
-    comps = {s: _component(f, s) for s in f.grades() if s != f.monoid.zero}
+    comps: Dict[MonoidElem, CosetBasis] = {}
+    for s in f.grades():
+        if s == f.monoid.zero:
+            continue
+        H, N = f.value(s), f.boundary_at(s)
+        if H != N:
+            comps[s] = CosetBasis(H, N)
+            if not comps[s].is_exponent_p():
+                raise NonElementaryAbelianError(s)
     L = GradedLieRing(f, G.p, comps)
     for s, cs in comps.items():
-        if cs.dim == 0:
-            continue
         for t, ct in comps.items():
-            if ct.dim == 0:
-                continue
-            u = mon.add(s, t)
-            cu = comps.get(u)
-            if cu is None or cu.dim == 0:
+            cu = comps.get(mon.add(s, t))
+            if cu is None:
                 continue
             T = np.zeros((cs.dim, ct.dim, cu.dim), dtype=np.int64)
             for a, x in enumerate(cs.reps):
@@ -191,7 +181,7 @@ def check_jacobi(L: GradedLieRing) -> List[str]:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 over all basis triples."""
     out = []
     p = L.p
-    grades = [s for s in L.comps if L.dim(s)]
+    grades = list(L.comps)
     for s in grades:
         for t in grades:
             for u in grades:
@@ -276,8 +266,6 @@ def graded_module(f: Filter, l: Layering, ring: Optional[GradedLieRing] = None) 
         strata[s] = cb
     M = GradedModule(ring, l, strata)
     for s, cs in ring.comps.items():
-        if cs.dim == 0:
-            continue
         for t, dual_t in strata.items():
             if dual_t.dim == 0:
                 continue
@@ -299,7 +287,7 @@ def check_module_law(L: GradedLieRing, M: GradedModule) -> List[str]:
     """(x o y) . f = x . (y . f) - y . (x . f) over all basis combinations."""
     out = []
     p = L.p
-    ring_grades = [s for s in L.comps if L.dim(s)]
+    ring_grades = list(L.comps)
     strat_grades = [u for u in M.strata if M.stratum_dim(u)]
     for s in ring_grades:
         for t in ring_grades:

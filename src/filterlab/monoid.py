@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 MonoidElem = Tuple[int, ...]
 
 POINTWISE = "pointwise"
@@ -33,12 +35,26 @@ class GradedMonoid:
         return (0,) * self.dim
 
     @property
-    def units(self) -> List[MonoidElem]:
-        """The unit vectors e_1, ..., e_d."""
-        return [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)]
+    def atoms(self) -> List[MonoidElem]:
+        """The minimal nonzero grades: e_1, ..., e_d pointwise, e_d alone in
+        lex (every t != 0 has t >= e_d lexicographically)."""
+        units = [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)]
+        return units if self.order_kind == POINTWISE else units[-1:]
 
     def preceq(self, a: MonoidElem, b: MonoidElem) -> bool:
         return preceq(a, b, self.order_kind)
+
+    def preceq_matrix(self, grades: List[MonoidElem]) -> np.ndarray:
+        """``le[i, j]`` iff grades[i] precedes-or-equals grades[j]; the grades
+        are distinct and in lex order."""
+        n = len(grades)
+        if self.order_kind == LEX:
+            return np.triu(np.ones((n, n), dtype=bool))
+        coords = np.array(grades, dtype=np.int32).reshape(n, self.dim)
+        le = np.ones((n, n), dtype=bool)
+        for k in range(self.dim):
+            le &= coords[:, k, None] <= coords[None, :, k]
+        return le
 
 
 def zero(dim: int) -> MonoidElem:

@@ -352,8 +352,8 @@ class Subgroup:
     def meet(self, other: "Subgroup") -> "Subgroup":
         """Intersection by enumerating the smaller subgroup's elements.
 
-        Only boundaries of multi-graded layerings call it in the package
-        (N-graded boundaries are single lookups), and outside it
+        Only the boundaries of ``series.product_layering`` call it in the
+        package (one atom makes a boundary a single lookup), and outside it
         ``scripts/build_corpus.py``'s ``fingerprint`` does.
         """
         self._check_parent(other)

@@ -259,9 +259,8 @@ class CandidateTable:
     def __init__(self, L: GradedLieRing):
         self.L = L
         self.products = []  # (s, t, rings) for every in-box product
-        grades = [s for s in L.comps if L.dim(s) > 0]
-        for s in grades:
-            for t in grades:
+        for s in L.comps:
+            for t in L.comps:
                 if L.dim(mon.add(s, t)):
                     b = scalars.bimap_from_lie_pair(L, s, t)
                     self.products.append((s, t, scalars.BimapRings(b)))
@@ -307,9 +306,10 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
     1. The exponent-p seed has phi_(1) = G.  Each insertion seeds (m, 0) with
        f.value(m), and the closure only enlarges values, so phi_{e_1} = G in
        every refined filter, e_1 = (1, 0, ..., 0).
-    2. By the filter axiom, [G, phi_s] = [phi_{e_1}, phi_s] <= phi_{s+e_1},
-       a term of the join boundary(phi_s).  So every H with
-       boundary(phi_s) <= H <= phi_s is normal: [G, H] <= boundary(phi_s) <= H.
+    2. By the filter axiom, [G, phi_s] = [phi_{e_1}, phi_s] <= phi_{s+e_1}
+       <= phi_{s+e_d} = boundary(phi_s), as s + e_d <= s + e_1 in lex ((P)
+       of ``insert_refinement``).  So every H with boundary(phi_s) <= H <=
+       phi_s is normal: [G, H] <= boundary(phi_s) <= H.
     3. A candidate has 0 < dim < dim L_s, so ``lift_subspace`` gives
        boundary(phi_s) < H < phi_s.  None of ``insert_refinement``'s
        containment, strictness or normality checks can fail on it.

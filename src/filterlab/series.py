@@ -1,10 +1,11 @@
 """Central series, filters, layerings, boundaries, axiom checks, products.
 
 A filter or layering is stored on a finite box past the stabilisation point
-of the underlying series.  Outside the box a filter evaluates to the trivial
-subgroup and a layering to the full group; with the box chosen past
-stabilisation those are the true values, so all axiom checks on the box are
-exact.
+of the underlying series, and an off-box grade reads the value at its clamp
+into the box, which is then the true value, so all axiom checks on the box
+are exact.  The lex maps are the filters of ``refine.insert_refinement``, and
+they satisfy (P) phi_clamp(w) = phi_ceil(w), ceil(w) the lex-least box grade
+at or above w, with phi = 1 past the last grade (proof there).
 """
 
 from __future__ import annotations
@@ -77,18 +78,18 @@ class _BoxMap:
         return self.table[mon.clamp(m, self.box)]
 
     def _fold_successors(self, s: MonoidElem, op) -> Subgroup:
-        """The binary subgroup operation op folded over the values at the d
-        unit successors s + e_i; with d = 1 it is a single lookup.
+        """The binary subgroup operation op folded over the values at s + a
+        for the atoms a of the monoid; with one atom it is a single lookup.
 
-        This is the fold over every t != 0 in N^d.  For t != 0 take i with
-        t_i > 0: s + e_i <= s + t pointwise, clamping into the box keeps
-        that, and pointwise <= implies lex <=.  A table monotone in either
-        pre-order therefore has phi_{s+t} <= phi_{s+e_i} and
-        pi^{s+t} >= pi^{s+e_i}, so the term at t changes neither the join
-        nor the meet.  As clamp(s + e_i) = clamp(clamp(s) + e_i), an off-box
-        s has the boundary of clamp(s).
+        This is the fold over every t != 0 in N^d: t lies at or above an
+        atom a, and then phi_{s+t} <= phi_{s+a} and pi^{s+t} >= pi^{s+a}.
+        Pointwise, a = e_i with t_i > 0: s + e_i <= s + t survives the clamp
+        and the table is monotone.  Lex maps are filters with (P), a = e_d
+        and s + e_d <= s + t; clamp need not keep lex order, but ceil does,
+        and phi o clamp = phi o ceil.  As clamp(s + a) = clamp(clamp(s) + a),
+        an off-box s has the boundary of clamp(s).
         """
-        values = [self.value(mon.add(s, e)) for e in self.monoid.units]
+        values = [self.value(mon.add(s, a)) for a in self.monoid.atoms]
         return functools.reduce(op, values)
 
     def boundary(self):
@@ -109,7 +110,8 @@ class Filter(_BoxMap):
     """
 
     def boundary_at(self, s: MonoidElem) -> Subgroup:
-        """The join of phi_{s+t} over t != 0, that is of phi_{s+e_i}."""
+        """The join of phi_{s+t} over t != 0, that is of phi_{s+a} over the
+        atoms a: for a lex filter the one value phi_{s+e_d}."""
         return self._fold_successors(s, Subgroup.join)
 
 
@@ -121,7 +123,8 @@ class Layering(_BoxMap):
     """
 
     def boundary_at(self, s: MonoidElem) -> Subgroup:
-        """The meet of pi^{s+t} over t != 0, that is of pi^{s+e_i}."""
+        """The meet of pi^{s+t} over t != 0, that is of pi^{s+a} over the
+        atoms a."""
         return self._fold_successors(s, Subgroup.meet)
 
 
@@ -246,19 +249,6 @@ def _triples_hold(ops: SubgroupOps, a, b, c, reps: List[Subgroup]) -> bool:
     return True
 
 
-def _preceq_matrix(monoid: GradedMonoid, grades: List[MonoidElem]) -> np.ndarray:
-    """``le[i, j]`` iff grades[i] precedes-or-equals grades[j]; the grades
-    are distinct and in lex order."""
-    n = len(grades)
-    if monoid.order_kind == mon.LEX:
-        return np.triu(np.ones((n, n), dtype=bool))
-    coords = np.array(grades, dtype=np.int32).reshape(n, monoid.dim)
-    le = np.ones((n, n), dtype=bool)
-    for k in range(monoid.dim):
-        le &= coords[:, k, None] <= coords[None, :, k]
-    return le
-
-
 def verify_filter(f: Filter) -> List[Violation]:
     """Exhaustive check of both filter clauses over the box.
 
@@ -275,7 +265,7 @@ def verify_filter(f: Filter) -> List[Violation]:
     k = len(reps)
     if not _triples_hold(ops, labels[:, None], labels[None, :], labels[idx], reps):
         return _verify_filter_pairs(f, ops)
-    le = _preceq_matrix(f.monoid, grades)
+    le = f.monoid.preceq_matrix(grades)
     pairs = labels[:, None].astype(np.int64) * k + labels[None, :]
     for code in distinct_codes(pairs[le], k * k).tolist():
         a, b = divmod(code, k)

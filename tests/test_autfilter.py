@@ -91,6 +91,8 @@ def test_delta_membership_requires_invariance(d8):
     assert not is_invariant(f, outer)
     with pytest.raises(PcgError):
         delta_membership(outer, f, (1,))
+    with pytest.raises(PcgError, match="not invariant"):
+        delta_layer_dims([identity_aut(d8), outer], f)
 
 
 def test_delta_layer_dims(d8, h27):
@@ -102,6 +104,24 @@ def test_delta_layer_dims(d8, h27):
         assert all(r["max_grade"] == (1,) for r in rep.generator_grades)
         assert rep.dims_by_grade == {(1,): expected}
         assert not rep.pair_violations
+
+
+def test_delta_layer_dims_checks_invariance_once_per_generator(h27, monkeypatch):
+    from filterlab import autfilter
+
+    calls = []
+    original = autfilter.is_invariant
+
+    def counting(f, a):
+        calls.append(a)
+        return original(f, a)
+
+    monkeypatch.setattr(autfilter, "is_invariant", counting)
+    f = series.exponent_p_lcs(h27)
+    gens = central_automorphisms(h27) + [identity_aut(h27)]
+    rep = delta_layer_dims(gens, f)
+    assert len(rep.generator_grades) == 3
+    assert calls == gens  # not once per (generator, box grade)
 
 
 def test_identity_max_grade_is_box(d8):

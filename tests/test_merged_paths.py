@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from filterlab import lie, linalg, scalars, series
+from filterlab import lie, linalg, refine, scalars, series
 from filterlab import monoid as mon
 from filterlab.pcgroup import (
     PcGroup,
@@ -17,7 +17,7 @@ from filterlab.pcgroup import (
     trivial_subgroup,
 )
 
-from conftest import load
+from conftest import load, perfbench_workloads
 
 
 # -- boundaries ----------------------------------------------------------------
@@ -60,13 +60,48 @@ def test_boundary_matches_full_box_fold(corpus_groups):
     assert not bad
 
 
-def test_boundary_of_refined_lex_filter():
-    from filterlab.refine import refine_to_fixpoint
+def _chain_rings(G):
+    """(f, graded_lie_ring(f)) for every filter of G's refinement chain: the
+    exponent-p seed and each output of ``insert_refinement``."""
+    got = []
+    build = lie.graded_lie_ring
 
-    f = refine_to_fixpoint(load("g16_03_c2sq_rtimes_c4")).final
-    assert f.monoid.dim > 1 and f.monoid.order_kind == mon.LEX
-    for s in f.grades():
-        assert f.boundary_at(s) == _full_box_boundary(f, s)
+    def recording(f):
+        got.append((f, build(f)))
+        return got[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(refine, "graded_lie_ring", recording)
+        refine.refine_to_fixpoint(G)
+    return got
+
+
+@pytest.fixture(scope="module")
+def chains(corpus_groups):
+    """The refinement chains of the corpus and of the smoke ladder products."""
+    workloads = perfbench_workloads()
+    groups = dict(corpus_groups)
+    groups.update((name, workloads.build_product(f)) for name, f in workloads.LADDER_SMOKE)
+    return {name: _chain_rings(G) for name, G in groups.items()}
+
+
+def test_boundary_of_refined_lex_filter(chains):
+    lex, dims, bad = 0, set(), []
+    for name, chain in chains.items():
+        for f, _ in chain:
+            lex += f.monoid.order_kind == mon.LEX
+            dims.add(f.monoid.dim)
+            units = [tuple(int(i == j) for j in range(f.monoid.dim)) for i in range(f.monoid.dim)]
+            off_box = {mon.add(s, e) for s in f.grades() for e in units} - set(f.grades())
+            bad += [
+                (name, f.box, s)
+                for s in f.grades() + sorted(off_box)
+                if f.boundary_at(s) != _full_box_boundary(f, s)
+            ]
+    assert not bad
+    # every filter past each chain's seed is lex, and the corpus refines
+    assert lex == sum(len(chain) - 1 for chain in chains.values()) > 0
+    assert {2, 3} <= dims
 
 
 def test_boundary_of_trivial_group_box():
@@ -79,6 +114,65 @@ def test_boundary_of_trivial_group_box():
 def test_clamp():
     assert mon.clamp((3, 5), (2, 5)) == (2, 5)
     assert mon.clamp((1, 7, 0), (2, 5, 4)) == (1, 5, 0)
+
+
+# -- the graded Lie ring against its every-grade build -----------------------
+
+
+def _every_grade_ring(f):
+    """The graded Lie ring by definition: a component at every nonzero box
+    grade, zero ones included, from the full-box boundary, and the bracket
+    tensor of every grade pair."""
+    G = f.group
+    comps = {
+        s: lie.CosetBasis(f.value(s), _full_box_boundary(f, s))
+        for s in f.grades()
+        if s != f.monoid.zero
+    }
+    brackets = {}
+    for s, cs in comps.items():
+        for t, ct in comps.items():
+            cu = comps.get(mon.add(s, t))
+            T = np.zeros((cs.dim, ct.dim, cu.dim if cu else 0), dtype=np.int64)
+            if T.size:
+                for a, x in enumerate(cs.reps):
+                    for b, y in enumerate(ct.reps):
+                        T[a, b] = cu.coords(G.commutator(x, y))
+            brackets[(s, t)] = T
+    return comps, brackets
+
+
+def test_lie_ring_matches_the_every_grade_build(chains):
+    zero = 0
+    for name, chain in chains.items():
+        for f, L in chain:
+            comps, brackets = _every_grade_ring(f)
+            assert set(L.comps) == {s for s, c in comps.items() if c.dim}, name
+            for s, c in comps.items():
+                assert L.dim(s) == c.dim
+                if c.dim:
+                    assert L.comps[s].reps == c.reps
+            for (s, t), T in brackets.items():
+                assert np.array_equal(L.bracket_tensor(s, t), T), (name, s, t)
+            zero += sum(c.dim == 0 for c in comps.values())
+    assert zero  # there are zero components for the ring to leave out
+
+
+def test_lie_ring_builds_only_the_nonzero_components(monkeypatch):
+    workloads = perfbench_workloads()
+    indices = []
+
+    class Counting(lie.CosetBasis):
+        def __init__(self, H, N):
+            indices.append(H.order // N.order)
+            super().__init__(H, N)
+
+    # refine_to_fixpoint builds lie's coset bases in graded_lie_ring only
+    monkeypatch.setattr(lie, "CosetBasis", Counting)
+    for _, factors in workloads.LADDER:
+        refine.refine_to_fixpoint(workloads.build_product(factors))
+    assert len(indices) == 40  # of 222 nonzero grades of the box tables
+    assert min(indices) > 1
 
 
 # -- coset coordinates ---------------------------------------------------------
@@ -283,21 +377,7 @@ def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkey
     assert checked
 
 
-# -- boundaries from the unit successors ---------------------------------------
-
-
-def test_boundary_of_refined_lex_filters_up_to_order_81(corpus_groups):
-    from filterlab.refine import refine_to_fixpoint
-
-    dims, bad = set(), []
-    for name, G in corpus_groups.items():
-        if G.order > 81:
-            continue
-        f = refine_to_fixpoint(G, group_id=name).final
-        dims.add(f.monoid.dim)
-        bad += [(name, s) for s in f.grades() if f.boundary_at(s) != _full_box_boundary(f, s)]
-    assert not bad
-    assert {2, 3} <= dims
+# -- boundaries from the atoms -------------------------------------------------
 
 
 def test_boundary_of_three_factor_products():

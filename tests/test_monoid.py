@@ -69,3 +69,23 @@ def test_graded_monoid_validation():
         mon.GradedMonoid(2, "weird")
     m = mon.GradedMonoid(2, mon.LEX)
     assert m.preceq((0, 9), (1, 0))
+
+
+def test_atoms():
+    assert mon.GradedMonoid(3).atoms == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert mon.GradedMonoid(3, mon.LEX).atoms == [(0, 0, 1)]
+    assert mon.GradedMonoid(1).atoms == mon.GradedMonoid(1, mon.LEX).atoms == [(1,)]
+
+
+@pytest.mark.parametrize("kind", [mon.POINTWISE, mon.LEX])
+def test_every_nonzero_grade_lies_above_an_atom(kind):
+    for box in ((2,), (1, 2), (2, 0, 1), (1, 1, 1, 1)):
+        m = mon.GradedMonoid(len(box), kind)
+        for t in mon.box_iter(box):
+            if t != m.zero:
+                assert any(m.preceq(a, t) for a in m.atoms), (kind, t)
+        # and no atom lies above another nonzero grade: they are minimal
+        for a in m.atoms:
+            assert not any(
+                t not in (m.zero, a) and m.preceq(t, a) for t in mon.box_iter((1,) * len(box))
+            )

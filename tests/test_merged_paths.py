@@ -380,6 +380,18 @@ def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkey
 # -- boundaries from the atoms -------------------------------------------------
 
 
+def test_boundary_of_refined_lex_filters_up_to_order_81(corpus_groups):
+    dims, bad = set(), []
+    for name, G in corpus_groups.items():
+        if G.order > 81:
+            continue
+        f = refine.refine_to_fixpoint(G, group_id=name).final
+        dims.add(f.monoid.dim)
+        bad += [(name, s) for s in f.grades() if f.boundary_at(s) != _full_box_boundary(f, s)]
+    assert not bad
+    assert {2, 3} <= dims
+
+
 def test_boundary_of_three_factor_products():
     parts = [load("d8"), load("q8"), load("c2")]
     P = direct_product(direct_product(parts[0], parts[1]), parts[2])

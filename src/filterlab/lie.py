@@ -13,6 +13,7 @@ the minus sign on top of it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import monoid as mon
 from .monoid import MonoidElem
-from .pcgroup import Elem, Subgroup, comm_subgroup, depth, sift, subgroup_from_gens
+from .pcgroup import Elem, Subgroup, comm_subgroup, depth, sift
 from .series import Filter, Layering, verify_sift
 
 
@@ -31,11 +32,28 @@ class NonElementaryAbelianError(ValueError):
         self.grade = grade
 
 
+def exponent_p(H: Subgroup, N: Subgroup) -> bool:
+    """h^p in N for every igs member h of H."""
+    G = H.group
+    return all(N.contains(G.power(h, G.p)) for h in H.igs)
+
+
 class CosetBasis:
     """GF(p) coordinates on an elementary abelian section H/N.
 
     Representatives are the first igs elements of H independent modulo N,
     extended greedily, so the basis is deterministic for a fixed presentation.
+
+    One sift pass builds them.  The echelon starts as N's depth map, tagged
+    0, and each igs member h of H is sifted through it; a residue r != 1
+    makes h the i-th representative, and r goes in at depth(r), tagged
+    e_i - sum k * tag over the sift steps (d, k).  H/N is elementary
+    abelian, so K_i = N<h_1, ..., h_i> is a subgroup of order |N| p^i.
+    The echelon then holds log_p |K_i| elements of K_i at distinct depths,
+    one at each depth of K_i, so the sift decides membership in K_i.  Hence
+    h becomes a representative exactly when h is not in N<earlier
+    representatives>, the greedy rule above, and each tag is the
+    coordinates of its element, as h = prod h_d^k * r.
     """
 
     def __init__(self, H: Subgroup, N: Subgroup):
@@ -48,33 +66,25 @@ class CosetBasis:
         self.N = N
         if not N.is_subset(H):
             raise ValueError("N is not contained in H")
-        # H = N is a zero section: [H, H] <= H = N holds without a commutator
-        if H.order > N.order and not comm_subgroup(H, H).is_subset(N):
-            raise ValueError("section H/N is not abelian")
-        reps: List[Elem] = []
-        cur = N
-        for h in H.igs:
-            if not cur.contains(h):
-                reps.append(h)
-                cur = cur.join(subgroup_from_gens(G, [h]))
-        self.reps = reps
-        self.dim = len(reps)
-        tagged = list(zip(reps, list(np.eye(self.dim, dtype=np.int64))))
-        for x in N.igs:
-            tagged.append((x, np.zeros(self.dim, dtype=np.int64)))
+        # N is normal in H, and the igs of H commute and have p-th powers mod N
+        normal = all(N.contains(G.conjugate(x, h)) for x in N.igs for h in H.igs)
+        pairs = itertools.combinations(H.igs, 2)
+        if not (normal and exponent_p(H, N) and all(N.contains(G.commutator(*xy)) for xy in pairs)):
+            raise ValueError("section H/N is not elementary abelian")
+        self.dim = len(H.igs) - len(N.igs)
         # echelon elements keyed by depth, each tagged with its coordinates
-        self._by_depth: Dict[int, Elem] = {}
-        self._vecs: Dict[int, np.ndarray] = {}
-        for x, v in tagged:
+        self._by_depth: Dict[int, Elem] = dict(N._by_depth)
+        zero = np.zeros(self.dim, dtype=np.int64)  # read only: _combine adds, never in place
+        self._vecs: Dict[int, np.ndarray] = dict.fromkeys(N._by_depth, zero)
+        self.reps: List[Elem] = []
+        unit = np.eye(self.dim, dtype=np.int64)
+        for h in H.igs:
             steps: List[Tuple[int, int]] = []
-            r = sift(G, self._by_depth, x, steps)
-            v = v - self._combine(steps)
-            v %= self.p
+            r = sift(G, self._by_depth, h, steps)
             if r != G.identity:
                 self._by_depth[depth(r)] = r
-                self._vecs[depth(r)] = v
-            elif v.any():
-                raise ValueError("dependent representative in coset basis")
+                self.reps.append(h)
+                self._vecs[depth(r)] = (unit[len(self.reps) - 1] - self._combine(steps)) % self.p
 
     def _combine(self, steps: List[Tuple[int, int]]) -> np.ndarray:
         # x = prod h_d^k * (residue) over the sift steps of x
@@ -98,12 +108,6 @@ class CosetBasis:
         for rep, c in zip(self.reps, v):
             x = G.multiply(x, G.power(rep, int(c) % G.p))
         return x
-
-    def is_exponent_p(self) -> bool:
-        """h^p in N for every h in H; at dim 0, H = N and it holds."""
-        return self.dim == 0 or all(
-            self.N.contains(self.group.power(h, self.p)) for h in self.H.igs
-        )
 
 
 @dataclass
@@ -141,9 +145,9 @@ def graded_lie_ring(f: Filter) -> GradedLieRing:
             continue
         H, N = f.value(s), f.boundary_at(s)
         if H != N:
-            comps[s] = CosetBasis(H, N)
-            if not comps[s].is_exponent_p():
+            if not exponent_p(H, N):
                 raise NonElementaryAbelianError(s)
+            comps[s] = CosetBasis(H, N)
     L = GradedLieRing(f, G.p, comps)
     for s, cs in comps.items():
         for t, ct in comps.items():
@@ -260,10 +264,10 @@ def graded_module(f: Filter, l: Layering, ring: Optional[GradedLieRing] = None) 
         ring = graded_lie_ring(f)
     strata: Dict[MonoidElem, CosetBasis] = {}
     for s in l.grades():
-        cb = CosetBasis(l.boundary_at(s), l.value(s))
-        if not cb.is_exponent_p():
+        H, N = l.boundary_at(s), l.value(s)
+        if not exponent_p(H, N):
             raise NonElementaryAbelianError(s, what="stratum")
-        strata[s] = cb
+        strata[s] = CosetBasis(H, N)
     M = GradedModule(ring, l, strata)
     for s, cs in ring.comps.items():
         for t, dual_t in strata.items():

@@ -47,12 +47,10 @@ class RefinementError(RuntimeError):
     pass
 
 
-def lift_subspace(
-    G: PcGroup, f: Filter, s: MonoidElem, subspace: np.ndarray
-) -> Subgroup:
-    """H = <boundary, lifts of the subspace basis>; strictly between boundary and phi_s."""
-    bound = f.boundary_at(s)
-    comp = CosetBasis(f.value(s), bound)
+def lift_subspace(comp: CosetBasis, subspace: np.ndarray) -> Subgroup:
+    """H = <N, lifts of the subspace basis> for the component comp = H'/N of
+    a Lie ring; strictly between the boundary N and the value H'."""
+    G, bound = comp.group, comp.N
     rows = np.atleast_2d(np.asarray(subspace, dtype=np.int64)) % G.p
     rows = rows[~np.all(rows == 0, axis=1)] if rows.size else rows
     if rows.size == 0:
@@ -61,7 +59,7 @@ def lift_subspace(
         raise RefinementError("subspace dimension does not match the component")
     lifts = [comp.lift(v) for v in rows]
     H = subgroup_from_gens(G, list(bound.igs) + lifts)
-    if H.order >= f.value(s).order:
+    if H.order >= comp.H.order:
         raise RefinementError("nothing to insert: subspace is the full component")
     if H.order <= bound.order:
         raise RefinementError("nothing to insert: subspace is zero")
@@ -310,8 +308,9 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
        <= phi_{s+e_d} = boundary(phi_s), as s + e_d <= s + e_1 in lex ((P)
        of ``insert_refinement``).  So every H with boundary(phi_s) <= H <=
        phi_s is normal: [G, H] <= boundary(phi_s) <= H.
-    3. A candidate has 0 < dim < dim L_s, so ``lift_subspace`` gives
-       boundary(phi_s) < H < phi_s.  None of ``insert_refinement``'s
+    3. A candidate has 0 < dim < dim L_s, and it lifts through the ring's
+       own component L_s = phi_s / boundary(phi_s), so ``lift_subspace``
+       gives boundary(phi_s) < H < phi_s.  None of ``insert_refinement``'s
        containment, strictness or normality checks can fail on it.
     4. The closure's box is past stabilisation (``insert_refinement``), so
        only the ``verify_filter`` post-check is left.  A raise there is a
@@ -324,15 +323,16 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
     L = graded_lie_ring(f)
     seed_dims = [L.dim(s) for s in L.grades()]
     steps: List[RefinementStep] = []
-    seed_table = CandidateTable(L)
-    first = seed_table.first()
+    table = seed_table = CandidateTable(L)
+    first = table.first()
     while first is not None and len(steps) < CAP:
         _, grade, basis, provs = first
-        H = lift_subspace(G, f, grade, basis)
+        H = lift_subspace(table.L.comps[grade], basis)
         new_index = f.value(grade).order // H.order
         f = insert_refinement(f, grade, H)
         steps.append(RefinementStep(grade, provs[0], new_index, H.igs))
-        first = CandidateTable(graded_lie_ring(f)).first()
+        table = CandidateTable(graded_lie_ring(f))
+        first = table.first()
     report = RefinementReport(
         group=group_id or (G.name or "group"),
         order=G.order,

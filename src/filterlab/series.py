@@ -11,6 +11,7 @@ at or above w, with phi = 1 past the last grade (proof there).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -236,115 +237,99 @@ def distinct_codes(codes: np.ndarray, size: int) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
-def _triples_hold(ops: SubgroupOps, a, b, c, reps: List[Subgroup]) -> bool:
-    """[A, B] <= C for every distinct triple of labels (a, b, c), given as
-    arrays that broadcast to one shape."""
-    k = len(reps)
-    codes = (a.astype(np.int64) * k + b) * k + c
+def _listed(clause: str, grades, codes: np.ndarray, failed: Dict[int, Optional[Elem]]):
+    """The one per-pair listing: every grade pair (s, t) whose code failed,
+    in grade order, with the witness of its code."""
+    hit = np.argwhere(np.isin(codes, list(failed))).tolist() if failed else []
+    return [Violation(clause, grades[i], grades[j], failed[codes[i, j]]) for i, j in hit]
+
+
+def _commutator_clause(ops, clause, grades, reps, a, b, c, igs_first=False) -> List[Violation]:
+    """[A, B] <= C for the labels (a, b, c) of each grade pair (s, t), arrays
+    that broadcast to one (n, n) shape, decided once per distinct triple.
+
+    A failing triple's witness is the first commutator of igs members
+    outside C when ``igs_first`` is set, else ``_containment_witness``.
+    """
+    G, k, n = ops.group, len(reps), len(grades)
+    codes = np.broadcast_to((a.astype(np.int64) * k + b) * k + c, (n, n))
+    failed: Dict[int, Optional[Elem]] = {}
     for code in distinct_codes(codes.ravel(), k**3).tolist():
         rest, z = divmod(code, k)
-        x, y = divmod(rest, k)
-        if not ops.is_subset(ops.comm(reps[x], reps[y]), reps[z]):
-            return False
-    return True
+        A, B, T = reps[rest // k], reps[rest % k], reps[z]
+        C = ops.comm(A, B)
+        if not ops.is_subset(C, T):
+            pairs = itertools.product(A.igs, B.igs) if igs_first else ()
+            comms = (G.commutator(x, y) for x, y in pairs)
+            failed[code] = next((w for w in comms if not T.contains(w)), _containment_witness(C, T))
+    return _listed(clause, grades, codes, failed)
+
+
+def _order_clause(ops, clause, grades, monoid, reps, lo, hi) -> List[Violation]:
+    """A <= B for the labels (lo, hi) of each grade pair (s, t) with s <= t,
+    arrays that broadcast to one (n, n) shape, decided once per distinct
+    pair; the violations carry no witness."""
+    k = len(reps)
+    le = monoid.preceq_matrix(grades)
+    codes = np.where(le, lo.astype(np.int64) * k + hi, -1)
+    pairs = distinct_codes(codes[le], k * k).tolist()
+    bad = [c for c in pairs if not ops.is_subset(reps[c // k], reps[c % k])]
+    return _listed(clause, grades, codes, dict.fromkeys(bad))
 
 
 def verify_filter(f: Filter) -> List[Violation]:
-    """Exhaustive check of both filter clauses over the box.
+    """Every violation of [phi_s, phi_t] <= phi_{s+t}, then of phi_t <= phi_s
+    for s <= t, over the box grades in grade order.
 
-    Each clause depends on the grades only through their values, so it is
-    checked once per distinct label triple (phi_s, phi_t, phi_{s+t}) and
-    once per distinct pair (phi_s, phi_t) with s <= t.  Only when one of
-    those fails does the per-pair loop run, to list every violation with its
-    grades and witness in grade order.
+    A clause depends on the grades only through their values, so it is
+    decided once per distinct label triple (phi_s, phi_t, phi_{s+t}) and
+    once per distinct pair (phi_s, phi_t) with s <= t.
     """
     ops = SubgroupOps(f.group)
     grades = f.grades()
     idx, _ = pair_index(f.box)
     labels, reps = value_labels([f.table[m] for m in grades])
-    k = len(reps)
-    if not _triples_hold(ops, labels[:, None], labels[None, :], labels[idx], reps):
-        return _verify_filter_pairs(f, ops)
-    le = f.monoid.preceq_matrix(grades)
-    pairs = labels[:, None].astype(np.int64) * k + labels[None, :]
-    for code in distinct_codes(pairs[le], k * k).tolist():
-        a, b = divmod(code, k)
-        if not ops.is_subset(reps[b], reps[a]):
-            return _verify_filter_pairs(f, ops)
-    return []
-
-
-def _verify_filter_pairs(f: Filter, ops: SubgroupOps) -> List[Violation]:
-    out: List[Violation] = []
-    grades = f.grades()
-    for s in grades:
-        for t in grades:
-            c = ops.comm(f.value(s), f.value(t))
-            target = f.value(mon.add(s, t))
-            if not ops.is_subset(c, target):
-                w = next(
-                    (
-                        f.group.commutator(x, y)
-                        for x in f.value(s).igs
-                        for y in f.value(t).igs
-                        if not target.contains(f.group.commutator(x, y))
-                    ),
-                    _containment_witness(c, target),
-                )
-                out.append(Violation("[phi_s,phi_t] <= phi_{s+t}", s, t, w))
-    for s in grades:
-        for t in grades:
-            if f.monoid.preceq(s, t) and not ops.is_subset(f.value(t), f.value(s)):
-                out.append(Violation("s<t but phi_s < phi_t", s, t, None))
-    return out
+    s, t = labels[:, None], labels[None, :]
+    return _commutator_clause(
+        ops, "[phi_s,phi_t] <= phi_{s+t}", grades, reps, s, t, labels[idx], igs_first=True
+    ) + _order_clause(ops, "s<t but phi_s < phi_t", grades, f.monoid, reps, t, s)
 
 
 def verify_layering(l: Layering) -> List[Violation]:
+    """Every violation of [pi^s, d^t pi] <= pi^t, then of pi^s <= pi^t for
+    s <= t, over the box grades in grade order.
+
+    The values and the boundaries, each taken once, share one label space;
+    the clauses are decided once per distinct triple (pi^s, d^t pi, pi^t)
+    and once per distinct pair (pi^s, pi^t) with s <= t.
+    """
     ops = SubgroupOps(l.group)
-    out: List[Violation] = []
     grades = l.grades()
-    bounds = {t: l.boundary_at(t) for t in grades}
-    for s in grades:
-        for t in grades:
-            c = ops.comm(l.value(s), bounds[t])
-            if not ops.is_subset(c, l.value(t)):
-                w = _containment_witness(c, l.value(t))
-                out.append(Violation("[pi^s, d^t pi] <= pi^t", s, t, w))
-    for s in grades:
-        for t in grades:
-            if l.monoid.preceq(s, t) and not ops.is_subset(l.value(s), l.value(t)):
-                out.append(Violation("s<t but pi^s > pi^t", s, t, None))
-    return out
+    n = len(grades)
+    labels, reps = value_labels([l.table[m] for m in grades] + [l.boundary_at(t) for t in grades])
+    s, t = labels[:n, None], labels[None, :n]
+    return _commutator_clause(
+        ops, "[pi^s, d^t pi] <= pi^t", grades, reps, s, labels[None, n:], t
+    ) + _order_clause(ops, "s<t but pi^s > pi^t", grades, l.monoid, reps, s, t)
 
 
 def verify_sift(f: Filter, l: Layering) -> List[Violation]:
-    """[phi_s, pi^{s+t}] <= pi^t for all box grades s, t.
-
-    Checked once per distinct label triple (phi_s, pi^{s+t}, pi^t); only
-    when one fails does the per-pair loop run, to list every violation.
-    """
+    """Every violation of [phi_s, pi^{s+t}] <= pi^t over the box grades s, t
+    of f, in grade order, decided once per distinct label triple; phi's and
+    pi's values share one label space."""
     if f.group is not l.group:
         raise ValueError("filter and layering live on different groups")
     if f.monoid != l.monoid:
         raise ValueError("monoid mismatch between filter and layering")
     ops = SubgroupOps(f.group)
     grades = f.grades()
+    n = len(grades)
     idx, _ = pair_index(f.box, l.box)
-    fl, f_reps = value_labels([f.table[m] for m in grades])
-    ll, l_reps = value_labels([l.table[m] for m in l.grades()])
-    # one label space for both maps' values, phi's first
-    reps = f_reps + l_reps
-    ll = ll + len(f_reps)
-    if _triples_hold(ops, fl[:, None], ll[idx], ll[idx[0]][None, :], reps):
-        return []
-    out: List[Violation] = []
-    for s in grades:
-        for t in grades:
-            c = ops.comm(f.value(s), l.value(mon.add(s, t)))
-            if not ops.is_subset(c, l.value(t)):
-                w = _containment_witness(c, l.value(t))
-                out.append(Violation("[phi_s, pi^{s+t}] <= pi^t", s, t, w))
-    return out
+    labels, reps = value_labels([f.table[m] for m in grades] + [l.table[m] for m in l.grades()])
+    phi, pi = labels[:n, None], labels[n:]
+    return _commutator_clause(
+        ops, "[phi_s, pi^{s+t}] <= pi^t", grades, reps, phi, pi[idx], pi[idx[0]][None, :]
+    )
 
 
 # -- products ---------------------------------------------------------------

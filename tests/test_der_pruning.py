@@ -188,7 +188,7 @@ def test_pruned_candidates_match_the_unpruned_loop():
             if len(steps) == refine.CAP:
                 break
             _, grade, basis, provs = got
-            H = refine.lift_subspace(G, f, grade, basis)
+            H = refine.lift_subspace(L.comps[grade], basis)
             steps.append(refine.RefinementStep(grade, provs[0], f.value(grade).order // H.order, H.igs))
             f = refine.insert_refinement(f, grade, H)
         assert report.steps == steps and report.cap_hit == bool(want), name

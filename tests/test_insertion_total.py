@@ -54,12 +54,13 @@ def _first_candidate_chain(G):
     f = exponent_p_lcs(G)
     steps = []
     while len(steps) < refine.CAP:
-        candidates, _ = reference_candidates(graded_lie_ring(f))
+        L = graded_lie_ring(f)
+        candidates, _ = reference_candidates(L)
         if not candidates:
             break
         inserted = []
         for _, grade, basis, provs in candidates:
-            H = refine.lift_subspace(G, f, grade, basis)
+            H = refine.lift_subspace(L.comps[grade], basis)
             out = refine.insert_refinement(f, grade, H)
             assert verify_filter(out) == []
             assert (out.box, out.table) == _retry_insertion(f, grade, H), grade

@@ -7,13 +7,16 @@ import random
 import numpy as np
 import pytest
 
-from filterlab import lie, linalg, refine, scalars, series
+from filterlab import autfilter, lie, linalg, pcgroup, refine, scalars, series
 from filterlab import monoid as mon
 from filterlab.pcgroup import (
     PcGroup,
     Subgroup,
+    depth,
     direct_product,
     full_subgroup,
+    sift,
+    subgroup_from_gens,
     trivial_subgroup,
 )
 
@@ -202,6 +205,124 @@ def test_coset_coords_lift_and_additive(name):
             cx, cy, cxy = cb.coords(x), cb.coords(y), cb.coords(G.multiply(x, y))
             assert _same_class(N, cb.lift(cx), x)
             assert np.array_equal(cxy, (cx + cy) % G.p)
+
+
+def _greedy_basis(H, N):
+    """A test-local copy of the greedy-join build of CosetBasis: one join
+    per representative, then the representatives and the igs of N sifted
+    and tagged."""
+    G = H.group
+    cb = object.__new__(lie.CosetBasis)
+    cb.group, cb.p, cb.H, cb.N = G, G.p, H, N
+    reps, cur = [], N
+    for h in H.igs:
+        if not cur.contains(h):
+            reps.append(h)
+            cur = cur.join(subgroup_from_gens(G, [h]))
+    cb.reps, cb.dim = reps, len(reps)
+    cb._by_depth, cb._vecs = {}, {}
+    tagged = list(zip(reps, np.eye(cb.dim, dtype=np.int64)))
+    tagged += [(x, np.zeros(cb.dim, dtype=np.int64)) for x in N.igs]
+    for x, v in tagged:
+        steps = []
+        r = sift(G, cb._by_depth, x, steps)
+        if r != G.identity:
+            cb._by_depth[depth(r)] = r
+            cb._vecs[depth(r)] = (v - cb._combine(steps)) % G.p
+    return cb
+
+
+def _assert_greedy_basis(H, N, rng):
+    """reps, dim, coords and lift of CosetBasis(H, N) equal the greedy
+    build's: coords on every element of H up to order 243, else on a
+    sample."""
+    got, want = lie.CosetBasis(H, N), _greedy_basis(H, N)
+    assert got.reps == want.reps and got.dim == want.dim
+    members = H.elements() if H.order <= 243 else [H.random_element(rng) for _ in range(60)]
+    for y in members:
+        v = got.coords(y)
+        assert np.array_equal(v, want.coords(y)), y
+        assert got.lift(v) == want.lift(v)
+
+
+def test_coset_basis_matches_the_greedy_build_on_ring_components(chains):
+    rng = random.Random(17)
+    multi = sampled = 0
+    for name, chain in chains.items():
+        for f, L in chain:
+            for comp in L.comps.values():
+                _assert_greedy_basis(comp.H, comp.N, rng)
+                multi += comp.dim > 1 and comp.N.order > 1
+                sampled += comp.H.order > 243
+    assert multi and sampled
+
+
+def test_coset_basis_matches_the_greedy_build_on_upper_central_strata(corpus_groups):
+    rng = random.Random(19)
+    raised = 0
+    for name, G in corpus_groups.items():
+        uc = series.upper_central(G)
+        for s in uc.grades():
+            H, N = uc.boundary_at(s), uc.value(s)
+            if lie.exponent_p(H, N):
+                _assert_greedy_basis(H, N, rng)
+            else:
+                with pytest.raises(ValueError):
+                    lie.CosetBasis(H, N)
+                raised += 1
+    assert raised  # cyclic strata of order p^2 occur
+
+
+def test_coset_basis_matches_the_greedy_build_on_frattini_sections(corpus_groups, monkeypatch):
+    sections = []
+
+    class Recording(lie.CosetBasis):
+        def __init__(self, H, N):
+            sections.append((H, N))
+            super().__init__(H, N)
+
+    monkeypatch.setattr(autfilter, "CosetBasis", Recording)
+    for G in corpus_groups.values():
+        autfilter.central_automorphisms(G)
+    assert len(sections) == len(corpus_groups)
+    rng = random.Random(23)
+    for H, N in sections:
+        _assert_greedy_basis(H, N, rng)
+
+
+def test_coset_basis_rejects_a_section_not_of_exponent_p():
+    c4 = load("c4")
+    with pytest.raises(ValueError):
+        lie.CosetBasis(full_subgroup(c4), trivial_subgroup(c4))
+
+
+def test_ladder_refinement_builds_each_coset_basis_by_one_sift_pass(monkeypatch):
+    """A ladder refinement builds the ring components only: refinement lifts
+    through them.  No build closes a subgroup, by a join or otherwise: both
+    go through ``pcgroup.subgroup_from_gens``."""
+    workloads = perfbench_workloads()
+    builds, inside, closures = [], [], []
+    init, close = lie.CosetBasis.__init__, pcgroup.subgroup_from_gens
+
+    def counting(self, H, N):
+        builds.append(H.order // N.order)
+        inside.append(True)
+        try:
+            init(self, H, N)
+        finally:
+            inside.pop()
+
+    def closing(G, gens):
+        if inside:
+            closures.append(gens)
+        return close(G, gens)
+
+    monkeypatch.setattr(lie.CosetBasis, "__init__", counting)
+    monkeypatch.setattr(pcgroup, "subgroup_from_gens", closing)
+    for _, factors in workloads.LADDER:
+        refine.refine_to_fixpoint(workloads.build_product(factors))
+    assert len(builds) == 40
+    assert not closures
 
 
 def test_coset_coords_reject_outside_element(d8):

@@ -5,6 +5,7 @@ import pytest
 
 from filterlab import census, refine, series
 from filterlab.autfilter import central_automorphisms
+from filterlab.lie import graded_lie_ring
 from filterlab.monoid import GradedMonoid
 from filterlab.pcgroup import (
     Subgroup,
@@ -30,11 +31,11 @@ from conftest import load
 
 def test_lift_rejects_trivial_input():
     G = load("g16_11_d8xc2")
-    f = exponent_p_lcs(G)
+    comp = graded_lie_ring(exponent_p_lcs(G)).comps[(1,)]
     with pytest.raises(RefinementError):
-        lift_subspace(G, f, (1,), np.zeros((1, 3), dtype=np.int64))
+        lift_subspace(comp, np.zeros((1, 3), dtype=np.int64))
     with pytest.raises(RefinementError):
-        lift_subspace(G, f, (1,), np.eye(3, dtype=np.int64))
+        lift_subspace(comp, np.eye(3, dtype=np.int64))
 
 
 def test_lift_codim_one():
@@ -47,7 +48,7 @@ def test_lift_codim_one():
 
     comp = CosetBasis(f.value((1,)), f.boundary_at((1,)))
     assert comp.dim == 3
-    H = lift_subspace(G, f, (1,), np.array([[1, 0, 0], [0, 1, 0]]))
+    H = lift_subspace(comp, np.array([[1, 0, 0], [0, 1, 0]]))
     assert f.value((1,)).order // H.order == 2
     assert f.boundary_at((1,)).is_subset(H)
     assert H.is_subset(f.value((1,)))

@@ -28,7 +28,8 @@ def _restricted_refinement_flagged(G, ring: str, gathered: dict) -> bool:
     """Refine with the candidates ``ring`` emits, without the bimap radicals,
     in the order of a run that emits for ``ring`` alone; insert the first that
     lifts, repeat until nothing inserts, then classify.  ``gathered`` maps a
-    filter table to its candidates, for the three rings of one group."""
+    filter table to its candidates and its ring's components, for the three
+    rings of one group."""
     provs = RING_PROVENANCES[ring]
     rank = scalars.PROVENANCE_RANK[ring.lower()]
     f = exponent_p_lcs(G)
@@ -36,15 +37,16 @@ def _restricted_refinement_flagged(G, ring: str, gathered: dict) -> bool:
     while len(steps) < refine.CAP:
         key = (f.box, tuple(sorted((m, H.igs) for m, H in f.table.items())))
         if key not in gathered:
-            gathered[key] = reference_candidates(graded_lie_ring(f))[0]
-        candidates = gathered[key]
+            L = graded_lie_ring(f)
+            gathered[key] = reference_candidates(L)[0], L.comps
+        candidates, comps = gathered[key]
         own = sorted(
             (c for c in candidates if provs & set(c[3])),
             key=lambda c: refine._candidate_sort_key(rank, c[1], c[2]),
         )
         for _, grade, basis, _ in own:
             try:
-                H = refine.lift_subspace(G, f, grade, basis)
+                H = refine.lift_subspace(comps[grade], basis)
                 f = refine.insert_refinement(f, grade, H)
             except refine.RefinementError:
                 continue

@@ -174,6 +174,13 @@ def _ladder_group(factors):
     return G
 
 
+@functools.lru_cache(maxsize=None)
+def _largest_ladder_filter():
+    """The refined filter of the ladder product with the most box grades."""
+    finals = [refine.refine_to_fixpoint(_ladder_group(names)).final for names in LADDER]
+    return max(finals, key=lambda f: len(f.grades()))
+
+
 # -- verifiers ---------------------------------------------------------------------
 
 
@@ -214,9 +221,10 @@ POINTWISE_PRODUCTS = LADDER[::2] + (("c4", "c2", "c4"),)
     "names", POINTWISE_PRODUCTS, ids=["x".join(f) for f in POINTWISE_PRODUCTS]
 )
 def test_verifiers_match_reference_on_pointwise_products(names):
-    """Pointwise-graded product maps, where s <= t is not the lex order, and
-    layering boxes that differ from the filter's.  On the abelian product
-    every commutator is trivial, so a fault shows in the order clause only."""
+    """Pointwise-graded product maps, where s <= t is not the lex order,
+    layering boxes that differ from the filter's, and layering boundaries
+    that are meets.  On the abelian product every commutator is trivial, so
+    a fault shows in the order clause only."""
     G = _ladder_group(names)
     parts = [load(name) for name in names]
     filters = [
@@ -226,6 +234,10 @@ def test_verifiers_match_reference_on_pointwise_products(names):
     ul = series.product_layering([series.upper_central(H) for H in parts], G)
     assert any(f.box != ul.box for f in filters)
     violations = 0
+    for l in _with_faults(ul):
+        got = series.verify_layering(l)
+        assert got == _ref_verify_layering(l)
+        violations += len(got)
     for f in filters:
         for g in _with_faults(f):
             got = series.verify_filter(g)
@@ -285,10 +297,7 @@ def test_verify_filter_computes_each_unordered_pair_once(monkeypatch):
 def test_verify_filter_checks_each_distinct_triple_once(monkeypatch):
     """On the largest refined ladder table, one containment per distinct
     (phi_s, phi_t, phi_{s+t}) and per distinct (phi_s, phi_t) with s <= t."""
-    f = max(
-        (refine.refine_to_fixpoint(_ladder_group(names)).final for names in LADDER),
-        key=lambda f: len(f.grades()),
-    )
+    f = _largest_ladder_filter()
     grades = f.grades()
     igs = {m: f.value(m).igs for m in grades}
     triples = {(igs[s], igs[t], f.value(mon.add(s, t)).igs) for s in grades for t in grades}
@@ -304,6 +313,34 @@ def test_verify_filter_checks_each_distinct_triple_once(monkeypatch):
     monkeypatch.setattr(SubgroupOps, "is_subset", counting)
     assert not series.verify_filter(f)
     assert len(calls) <= len(triples) + len(pairs)
+
+
+def test_verify_filter_decides_each_distinct_triple_once_on_faults(monkeypatch):
+    """On each faulted version of the largest refined ladder table, one
+    commutator per distinct (phi_s, phi_t, phi_{s+t}) and one containment
+    per distinct triple and per distinct (phi_s, phi_t) with s <= t: the
+    violations are listed without a second pass."""
+    f = _largest_ladder_filter()
+    faulted = _with_faults(f)[1:]
+    assert len(f.grades()) >= 64 and len(faulted) == 2
+    calls = {"comm": 0, "is_subset": 0}
+    for name in calls:
+        original = getattr(SubgroupOps, name)
+
+        def counting(self, A, B, name=name, original=original):
+            calls[name] += 1
+            return original(self, A, B)
+
+        monkeypatch.setattr(SubgroupOps, name, counting)
+    for g in faulted:
+        grades = g.grades()
+        igs = {m: g.value(m).igs for m in grades}
+        triples = {(igs[s], igs[t], g.value(mon.add(s, t)).igs) for s in grades for t in grades}
+        pairs = {(igs[s], igs[t]) for s in grades for t in grades if g.monoid.preceq(s, t)}
+        calls.update(comm=0, is_subset=0)
+        assert series.verify_filter(g)
+        assert calls["comm"] <= len(triples)
+        assert calls["is_subset"] <= len(triples) + len(pairs)
 
 
 def test_verify_layering_takes_each_boundary_once(corpus_groups, monkeypatch):

@@ -28,6 +28,7 @@ from .pcgroup import (
     centralizer_mod,
     comm_subgroup,
     full_subgroup,
+    kernel_by_layers,
     subgroup_from_gens,
     trivial_subgroup,
 )
@@ -342,9 +343,10 @@ def central_automorphisms(G: PcGroup) -> List[AutMap]:
     frat = subgroup_from_gens(
         G, list(derived.igs) + [G.power(g, G.p) for g in full.igs]
     )
+    # Omega_1(Z) is the kernel of z |-> z^p, a homomorphism on the abelian
+    # Z, so its exponent k is one on the z with z^p in G_k
     center = centralizer_mod(G, full, trivial_subgroup(G))
-    omega_elems = [z for z in center.elements() if G.power(z, G.p) == G.identity]
-    omega = subgroup_from_gens(G, omega_elems)
+    omega = kernel_by_layers(G, center.igs, lambda z: [G.power(z, G.p)])
     if omega.order == 1 or frat.order == G.order:
         return []
     basis = CosetBasis(full, frat)

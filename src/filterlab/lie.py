@@ -27,8 +27,12 @@ from .series import Filter, Layering, verify_sift
 
 
 class NonElementaryAbelianError(ValueError):
-    def __init__(self, grade, what="factor"):
-        super().__init__(f"{what} at grade {grade} is not elementary abelian")
+    """A section H/N with some h^p outside N.  ``CosetBasis`` raises it with
+    no grade; the graded builders re-raise it naming theirs."""
+
+    def __init__(self, grade=None, what="factor"):
+        where = "section H/N" if grade is None else f"{what} at grade {grade}"
+        super().__init__(f"{where} is not elementary abelian")
         self.grade = grade
 
 
@@ -64,12 +68,14 @@ class CosetBasis:
         self.p = G.p
         self.H = H
         self.N = N
+        if not exponent_p(H, N):
+            raise NonElementaryAbelianError()
         if not N.is_subset(H):
             raise ValueError("N is not contained in H")
-        # N is normal in H, and the igs of H commute and have p-th powers mod N
+        # N is normal in H, and the igs of H commute mod N
         normal = all(N.contains(G.conjugate(x, h)) for x in N.igs for h in H.igs)
         pairs = itertools.combinations(H.igs, 2)
-        if not (normal and exponent_p(H, N) and all(N.contains(G.commutator(*xy)) for xy in pairs)):
+        if not (normal and all(N.contains(G.commutator(*xy)) for xy in pairs)):
             raise ValueError("section H/N is not elementary abelian")
         self.dim = len(H.igs) - len(N.igs)
         # echelon elements keyed by depth, each tagged with its coordinates
@@ -145,9 +151,10 @@ def graded_lie_ring(f: Filter) -> GradedLieRing:
             continue
         H, N = f.value(s), f.boundary_at(s)
         if H != N:
-            if not exponent_p(H, N):
-                raise NonElementaryAbelianError(s)
-            comps[s] = CosetBasis(H, N)
+            try:
+                comps[s] = CosetBasis(H, N)
+            except NonElementaryAbelianError:
+                raise NonElementaryAbelianError(s) from None
     L = GradedLieRing(f, G.p, comps)
     for s, cs in comps.items():
         for t, ct in comps.items():
@@ -265,9 +272,10 @@ def graded_module(f: Filter, l: Layering, ring: Optional[GradedLieRing] = None) 
     strata: Dict[MonoidElem, CosetBasis] = {}
     for s in l.grades():
         H, N = l.boundary_at(s), l.value(s)
-        if not exponent_p(H, N):
-            raise NonElementaryAbelianError(s, what="stratum")
-        strata[s] = CosetBasis(H, N)
+        try:
+            strata[s] = CosetBasis(H, N)
+        except NonElementaryAbelianError:
+            raise NonElementaryAbelianError(s, what="stratum") from None
     M = GradedModule(ring, l, strata)
     for s, cs in ring.comps.items():
         for t, dual_t in strata.items():

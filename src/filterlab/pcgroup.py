@@ -14,7 +14,9 @@ igs members.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from . import linalg
 
 Word = Tuple[Tuple[int, int], ...]  # ((generator index 1-based, exponent), ...)
 Elem = Tuple[int, ...]
@@ -522,26 +524,96 @@ class SubgroupOps:
         return self._memo(self._subset, A, B, Subgroup.is_subset, False)
 
 
+def kernel_by_layers(
+    G: PcGroup, igs: Sequence[Elem], images: Callable[[Elem], Sequence[Elem]]
+) -> Subgroup:
+    """The x of the subgroup D with induced generating sequence ``igs`` whose
+    ``images(x)`` are all the identity, found down the series G_k, one layer
+    G_k/G_{k+1} of order p at a time with GF(p) linear algebra (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
+
+    ``igs`` must give every element of D once as c_1^a_1 ... c_r^a_r, the
+    c_i at distinct depths in increasing order.  With K_0 = D and K_k the x
+    in D whose images all lie in G_{k+1}, the caller guarantees that, on
+    K_{k-1}, x |-> (exponent k of each image of x) is a homomorphism f_k
+    into GF(p)^m.  Exponent k is additive on G_k modulo G_{k+1}, so it is
+    the isomorphism G_k/G_{k+1} -> GF(p).
+
+    - K_k is the kernel of f_k, and K_n is the result.
+    - With c an igs of K_{k-1}, f_k(c^a) = sum a_i f_k(c_i), so K_k is
+      exactly {c^a : A a = 0}, column i of A being f_k(c_i), and a |-> c^a
+      is a bijection from that nullspace onto K_k.
+    - Each row b of the RREF nullspace basis is 0 before its pivot i and
+      1 at it, so c^b has the depth of c_i: the s = dim rows give members
+      of K_k, of order p^s, at distinct depths.
+    - s members y_1, ..., y_s of distinct increasing depths in a subgroup
+      of order p^s are an igs of it: in y_1^e_1 ... y_s^e_s the exponent
+      at depth(y_1) is e_1 times that of y_1, as the rest lies deeper, so
+      e_1 is read off; cancelling y_1^e_1 gives the others in turn.  So
+      the p^s products are distinct, and they are the whole subgroup.
+
+    No closure is needed until the final canonical igs.  When the f_j
+    before layer k are homomorphisms, the images of the basis at layer k
+    lie in G_k; one above depth k raises ``ArithmeticError``.
+    """
+    basis = list(igs)
+    imgs = [images(c) for c in basis]
+    for k in range(1, G.n + 1):
+        if any(0 < depth(w) < k for ws in imgs for w in ws):
+            raise ArithmeticError(f"layer {k}: an image lies above G_{k}")
+        columns = [[w[k - 1] for w in ws] for ws in imgs]
+        if not any(map(any, columns)):
+            continue
+        kernel = []
+        for b in linalg.nullspace(list(zip(*columns)), G.p).tolist():
+            y = G.identity
+            for c, e in zip(basis, b):
+                if e:
+                    y = G.multiply(y, G.power(c, e))
+            kernel.append(y)
+        basis = kernel
+        imgs = [images(c) for c in basis]
+    return Subgroup(G, _canonicalize_igs(G, {depth(c): c for c in basis}))
+
+
 def centralizer_mod(G: PcGroup, H: Subgroup, N: Subgroup) -> Subgroup:
-    """Largest K <= G with [K, H] <= N; requires N normal in G."""
+    """Largest K <= G with [K, H] <= N; requires N normal in G.
+
+    K is the kernel of x |-> ([x, h] mod N)_h over h in igs(H), found by
+    ``kernel_by_layers`` from g_1, ..., g_n.  The image of x at h is the
+    sift r of [x, h] through igs(N), so r = n [x, h] for some n in N, and it
+    stops at r = 1 or at the first depth of r with no member of N.
+
+    - K_{k-1} = {x : [x, H] <= N G_k}.  For x in it, N G_k / N G_{k+1} is
+      central in G/N G_{k+1}, as [N G_k, G] <= [N, G] G_{k+1} <= N G_{k+1}.
+      So [xy, h] = [x, h]^y [y, h] = [x, h][y, h] mod N G_{k+1}, and
+      x |-> [x, h] N G_{k+1} is a homomorphism on K_{k-1}.  H's igs is
+      enough: [x, hh'] = [x, h'][x, h]^h', so the h with [x, h] in
+      N G_{k+1} form a subgroup.
+    - For x in K_{k-1}, r lies in G_k: r is in N G_k, and were
+      j = depth(r) < k, the n in N with n = r modulo G_k would have depth
+      j, where the sift found no member of N.  A residue above depth k
+      makes ``kernel_by_layers`` raise ``ArithmeticError``.
+    - When N has a member of depth k, N G_k = N G_{k+1}, and exponent k
+      of r is 0, as the sift does not stop at k.  Otherwise G_k meets
+      N G_{k+1} in G_{k+1}, so G_k/G_{k+1} -> N G_k / N G_{k+1} is an
+      isomorphism, which sends r to the class of [x, h].  Either way exponent k of r is the layer map,
+      and K_k = {x : [x, H] <= N G_{k+1}}.
+
+    The normality check and the post-check [K, H] <= N both stay.
+    """
     if H.group is not G or N.group is not G:
         raise PcgError("subgroup parent mismatch")
     if not N.is_normal():
         raise PcgError("N is not normal in G")
-    hgens = H.igs
-    members = [
-        x
-        for x in G.elements()
-        if all(N.contains(G.commutator(x, h)) for h in hgens)
-    ]
-    K = subgroup_from_gens(G, members)
+    K = kernel_by_layers(
+        G,
+        G.generators(),
+        lambda x: [sift(G, N._by_depth, G.commutator(x, h)) for h in H.igs],
+    )
     if not comm_subgroup(K, H).is_subset(N):
         raise ArithmeticError("centralizer check failed: [K, H] is not inside N")
     return K
-
-
-def center(G: PcGroup) -> Subgroup:
-    return centralizer_mod(G, full_subgroup(G), trivial_subgroup(G))
 
 
 # -- parsing ---------------------------------------------------------------

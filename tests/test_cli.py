@@ -23,6 +23,14 @@ def test_verify_good_group(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "path", sorted((CORPUS / "products").glob("*.pcg")), ids=lambda path: path.stem
+)
+def test_verify_passes_on_the_product_corpus(path, capsys):
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0, out
+
+
 def test_verify_syntax_error(tmp_path, capsys):
     bad = tmp_path / "broken.pcg"
     bad.write_text("p 2\nn 2\npow 1 = zebra\n")

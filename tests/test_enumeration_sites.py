@@ -8,7 +8,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filterlab"
 
-ENUMERATING = {"Subgroup.meet", "centralizer_mod", "central_automorphisms"}
+ENUMERATING = {"Subgroup.meet"}
 
 
 def _enumeration_sites(tree):

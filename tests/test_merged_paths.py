@@ -325,6 +325,35 @@ def test_ladder_refinement_builds_each_coset_basis_by_one_sift_pass(monkeypatch)
     assert not closures
 
 
+def test_ladder_pass_checks_exponent_p_once_per_coset_basis(monkeypatch):
+    """``CosetBasis`` checks h^p in N, and the graded builders only re-raise
+    its error with their grade: one check per build, 40 builds per pass."""
+    workloads = perfbench_workloads()
+    calls = []
+    check = lie.exponent_p
+
+    def counting(H, N):
+        calls.append(None)
+        return check(H, N)
+
+    monkeypatch.setattr(lie, "exponent_p", counting)
+    for _, factors in workloads.LADDER:
+        refine.refine_to_fixpoint(workloads.build_product(factors))
+    assert len(calls) == 40
+
+
+def test_graded_builders_name_the_grade_of_a_section_not_of_exponent_p():
+    c4 = load("c4")
+    with pytest.raises(lie.NonElementaryAbelianError) as err:
+        lie.CosetBasis(full_subgroup(c4), trivial_subgroup(c4))
+    assert err.value.grade is None
+    assert str(err.value) == "section H/N is not elementary abelian"
+    uc = series.upper_central(c4)
+    with pytest.raises(lie.NonElementaryAbelianError) as err:
+        lie.graded_module(series.exponent_p_lcs(c4), uc)
+    assert str(err.value) == f"stratum at grade {err.value.grade} is not elementary abelian"
+
+
 def test_coset_coords_reject_outside_element(d8):
     lc = series.lower_central(d8)
     cb = lie.CosetBasis(lc.value((2,)), lc.boundary_at((2,)))

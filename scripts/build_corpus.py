@@ -40,7 +40,12 @@ CORPUS = ROOT / "corpus"
 
 
 def fingerprint(G: PcGroup):
-    """Isomorphism-invariant tuple strong enough to separate the corpus."""
+    """Isomorphism-invariant tuple strong enough to separate the corpus.
+
+    The element orders, class sizes and series lengths are read off the
+    Cayley table; the subgroups are built in the pc group, and the order of
+    [G, G] meet G^p comes from ``Subgroup.meet``, a kernel down the pc series.
+    """
     T = oracle.cayley_from_pc(G)
     # element order statistics
     orders = Counter()

@@ -352,21 +352,18 @@ class Subgroup:
         return subgroup_from_gens(self.group, list(self.igs) + list(other.igs))
 
     def meet(self, other: "Subgroup") -> "Subgroup":
-        """Intersection by enumerating the smaller subgroup's elements.
-
-        Only the boundaries of ``series.product_layering`` call it in the
-        package (one atom makes a boundary a single lookup), and outside it
-        ``scripts/build_corpus.py``'s ``fingerprint`` does.
+        """H = self meet N = other: the kernel on H of x |-> (sift residue r
+        of x through igs(N)), by ``kernel_by_layers``.  On K_{k-1} =
+        H meet N G_k the residue lemma of ``sift`` makes exponent k of r the
+        class of x in N G_k / N G_{k+1}: a homomorphism with kernel
+        H meet N G_{k+1}.  So K_n = H meet N, and neither need be normal.
         """
         self._check_parent(other)
-        small, big = (self, other) if self.order <= other.order else (other, self)
-        gens = [x for x in small.elements() if big.contains(x)]
-        return subgroup_from_gens(self.group, gens)
+        G = self.group
+        return kernel_by_layers(G, self.igs, lambda x: [sift(G, other._by_depth, x)])
 
     def elements(self) -> List[Elem]:
         """All elements, as products of igs powers in normal order."""
-        import itertools
-
         G = self.group
         out = [G.identity]
         for h in reversed(self.igs):
@@ -407,6 +404,16 @@ def sift(
     """Reduce x against echelonised elements keyed by depth; identity iff x
     is in their span.  Each step x <- h^-k x clears the leading exponent of x
     against h = by_depth[d]; (d, k) is appended to ``steps`` when given.
+
+    Residue lemma: for ``by_depth`` the igs of a subgroup N and x in N G_k,
+    the residue r = m x (m in N) lies in G_k, and exponent k of r is the
+    class of x in N G_k / N G_{k+1}, a group of order 1 or p as G_k/G_{k+1}
+    is central in G/G_{k+1}.  Were j = depth(r) < k, r = m' g with m' in N
+    and g in G_k, so m' = r g^-1 would be a member of N of depth j, where
+    the sift stopped.  If N has a member of depth k, G_k <= N G_{k+1} and
+    exponent k of r is 0, as the sift does not stop at k.  If not, G_k
+    meets N G_{k+1} in G_{k+1} by the same depth argument, so exponent k
+    reads off N G_k / N G_{k+1}, where r has the class of x = m^-1 r.
     """
     while x != G.identity:
         d = depth(x)
@@ -590,15 +597,9 @@ def centralizer_mod(G: PcGroup, H: Subgroup, N: Subgroup) -> Subgroup:
       x |-> [x, h] N G_{k+1} is a homomorphism on K_{k-1}.  H's igs is
       enough: [x, hh'] = [x, h'][x, h]^h', so the h with [x, h] in
       N G_{k+1} form a subgroup.
-    - For x in K_{k-1}, r lies in G_k: r is in N G_k, and were
-      j = depth(r) < k, the n in N with n = r modulo G_k would have depth
-      j, where the sift found no member of N.  A residue above depth k
-      makes ``kernel_by_layers`` raise ``ArithmeticError``.
-    - When N has a member of depth k, N G_k = N G_{k+1}, and exponent k
-      of r is 0, as the sift does not stop at k.  Otherwise G_k meets
-      N G_{k+1} in G_{k+1}, so G_k/G_{k+1} -> N G_k / N G_{k+1} is an
-      isomorphism, which sends r to the class of [x, h].  Either way exponent k of r is the layer map,
-      and K_k = {x : [x, H] <= N G_{k+1}}.
+    - For x in K_{k-1}, the residue lemma of ``sift`` puts r in G_k and
+      makes exponent k of r the class of [x, h] in N G_k / N G_{k+1}: the
+      layer map, so K_k = {x : [x, H] <= N G_{k+1}}.
 
     The normality check and the post-check [K, H] <= N both stay.
     """
@@ -771,6 +772,6 @@ def direct_product(G1: PcGroup, G2: PcGroup) -> PcGroup:
     return G
 
 
-def embed(G: PcGroup, x: Elem, offset: int, total_n: int) -> Elem:
+def embed(x: Elem, offset: int, total_n: int) -> Elem:
     """Embed a factor element into a product group's coordinates."""
     return (0,) * offset + tuple(x) + (0,) * (total_n - offset - len(x))

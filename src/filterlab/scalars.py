@@ -55,9 +55,6 @@ class Bimap:
     def dims(self) -> Tuple[int, int, int]:
         return self.tensor.shape
 
-    def apply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("a,b,abc->c", u, v, self.tensor) % self.p
-
     def radical_u(self) -> np.ndarray:
         """{u : u o V = 0} as echelon rows."""
         dU, dV, dW = self.dims

@@ -362,7 +362,7 @@ def _product_box_map(parts, G: PcGroup):
             sub_m = m[pos : pos + part.monoid.dim]
             pos += part.monoid.dim
             for h in part.value(sub_m).igs:
-                gens.append(embed(G, h, goff, G.n))
+                gens.append(embed(h, goff, G.n))
         table[m] = Subgroup(G, gens)
     return monoid_, box, table
 

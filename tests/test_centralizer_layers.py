@@ -1,6 +1,8 @@
-"""Centralizers modulo N and Omega_1(Z) by linear algebra down the pc series
-(``pcgroup.kernel_by_layers``), against enumerating references kept here."""
+"""Centralizers modulo N, Omega_1(Z) and intersections by linear algebra down
+the pc series (``pcgroup.kernel_by_layers``), against enumerating references
+kept here."""
 
+import random
 import time
 
 import pytest
@@ -9,8 +11,10 @@ from filterlab import autfilter, pcgroup, series
 from filterlab.pcgroup import (
     centralizer_mod,
     direct_product,
+    full_subgroup,
     kernel_by_layers,
     subgroup_from_gens,
+    trivial_subgroup,
 )
 
 from conftest import corpus_paths, load, perfbench_workloads
@@ -31,6 +35,13 @@ def _ref_omega1_center(G):
         if G.power(z, G.p) == G.identity and all(G.commutator(z, g) == G.identity for g in gens)
     ]
     return subgroup_from_gens(G, members)
+
+
+def _ref_meet(H, K):
+    """H meet K, by testing every element of the smaller one for membership
+    in the other."""
+    small, big = (H, K) if H.order <= K.order else (K, H)
+    return subgroup_from_gens(H.group, [x for x in small.elements() if big.contains(x)])
 
 
 def _omega1_center(G, monkeypatch):
@@ -77,6 +88,36 @@ def test_centralizer_mod_and_omega1_match_enumeration(G, monkeypatch):
         for N in normal:
             assert centralizer_mod(G, H, N) == _ref_centralizer_mod(G, H, N), (H.igs, N.igs)
     assert _omega1_center(G, monkeypatch) == _ref_omega1_center(G)
+
+
+def _meet_pool(G):
+    """The full and trivial subgroups, the series terms and twelve subgroups
+    on one or two random generators (seeded by the group's name), without
+    repeats."""
+    rng = random.Random(G.name)
+    full = full_subgroup(G)
+    pool = {S.igs: S for S in [full, trivial_subgroup(G)] + _series_terms(G)}
+    for _ in range(12):
+        S = subgroup_from_gens(G, [full.random_element(rng) for _ in range(rng.randint(1, 2))])
+        pool.setdefault(S.igs, S)
+    return list(pool.values())
+
+
+@pytest.mark.parametrize("G", _differential_groups())
+def test_meet_matches_enumeration(G):
+    pool = _meet_pool(G)
+    for H in pool:
+        for K in pool:
+            assert H.meet(K) == _ref_meet(H, K), (H.igs, K.igs)
+
+
+def test_meet_pools_hold_pairs_of_non_normal_subgroups():
+    pairs = 0
+    for param in _differential_groups():
+        (G,) = param.values
+        count = sum(not S.is_normal() for S in _meet_pool(G))
+        pairs += count * (count - 1)
+    assert pairs >= 1000
 
 
 def test_kernel_by_layers_raises_on_an_image_above_its_layer(d8):
@@ -128,3 +169,27 @@ def test_upper_central_and_central_automorphisms_at_three_to_the_ten(monkeypatch
     # chi is trivial on <w> when w lies in the Frattini subgroup, and when w
     # generates the c3 it is trivial or the identity map, so x = 1 or x^2 = 1
     assert len(maps) == 7 * 4
+
+
+def test_product_layering_boundaries_at_three_to_the_nine(monkeypatch):
+    h27 = load("h27")
+    G = direct_product(direct_product(h27, h27), h27)
+    assert G.order == 3**9
+
+    def refuse(*_):
+        raise AssertionError("enumerates elements")
+
+    monkeypatch.setattr(pcgroup.PcGroup, "elements", refuse)
+    monkeypatch.setattr(pcgroup.Subgroup, "elements", refuse)
+
+    uc = series.upper_central(h27)
+    layering = series.product_layering([uc, uc, uc], G)
+    grades = layering.grades()
+    assert len(grades) == 27
+    t0 = time.perf_counter()
+    # a meet of direct products of factor subgroups is taken factor by
+    # factor, and each factor chain rises, so each boundary is the value
+    for s in grades:
+        assert layering.boundary_at(s) == layering.value(s), s
+    assert not series.verify_layering(layering)
+    assert time.perf_counter() - t0 < 1.0

@@ -1,14 +1,15 @@
-"""Element enumeration outside ``oracle`` stays confined to a known list of
-sites: a new ``.elements()`` call in the package fails here, and replacing
-an enumerating routine by linear algebra shrinks the list (ROADMAP, "No
-element enumeration outside oracle")."""
+"""No element enumeration outside ``oracle``: a ``.elements()`` call
+anywhere else in the package fails here (ROADMAP, "No element enumeration
+outside oracle").  Centralizers, Omega_1(Z) and intersections are kernels
+down the pc series (``pcgroup.kernel_by_layers``), so the list of known
+sites is empty."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filterlab"
 
-ENUMERATING = {"Subgroup.meet"}
+ENUMERATING = set()
 
 
 def _enumeration_sites(tree):

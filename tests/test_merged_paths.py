@@ -21,18 +21,20 @@ from filterlab.pcgroup import (
 )
 
 from conftest import load, perfbench_workloads
+from test_centralizer_layers import _ref_meet
 
 
 # -- boundaries ----------------------------------------------------------------
 
 
 def _full_box_boundary(bm, s):
-    """Join (filter) or meet (layering) of the values at s + t over every
-    t != 0 in the box, folded from the trivial or the full group."""
+    """Join (filter) or meet (layering, by enumeration) of the values at
+    s + t over every t != 0 in the box, folded from the trivial or the full
+    group."""
     if isinstance(bm, series.Filter):
         acc, op = trivial_subgroup(bm.group), Subgroup.join
     else:
-        acc, op = full_subgroup(bm.group), Subgroup.meet
+        acc, op = full_subgroup(bm.group), _ref_meet
     for t in mon.box_iter(bm.box):
         if t != bm.monoid.zero:
             acc = op(acc, bm.value(mon.add(s, t)))

@@ -26,13 +26,13 @@ from .pcgroup import (
     PcGroup,
     PcgError,
     centralizer_mod,
-    comm_subgroup,
     full_subgroup,
     kernel_by_layers,
+    read_utf8,
     subgroup_from_gens,
     trivial_subgroup,
 )
-from .series import Filter
+from .series import Filter, exponent_p_step
 
 
 class AutMap:
@@ -152,44 +152,31 @@ def parse_aut_lines(G: PcGroup, lines: Sequence[str]) -> List[AutMap]:
 
 
 def load_sidecar(G: PcGroup, path) -> List[AutMap]:
-    from pathlib import Path
-
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PcgError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return parse_aut_lines(G, text.splitlines())
+    return parse_aut_lines(G, read_utf8(path).splitlines())
 
 
 # -- Delta filter --------------------------------------------------------------
 
 
-def is_invariant(f: Filter, a: AutMap) -> bool:
-    """phi_t^a = phi_t for every box grade t."""
-    for t in f.grades():
-        H = f.value(t)
-        if not all(H.contains(a.apply(h)) for h in H.igs):
-            return False
-    return True
-
-
 def delta_grades(a: AutMap, f: Filter, grades: Sequence[MonoidElem]) -> List[MonoidElem]:
     """The s in ``grades`` with a in Delta_s phi: [phi_t, a] <= phi_{t+s}
-    for all t.  Raises ``PcgError`` once if a does not leave f invariant.
+    for all box grades t.  Raises ``PcgError`` once if a does not leave f
+    invariant.
 
-    Generator-level checking suffices because [yx, a] = [y, a]^x [x, a].
+    Generator-level checking suffices because [yx, a] = [y, a]^x [x, a], so
+    the [x, a] for x in igs(phi_t) are formed once and decide every s.
+    Invariance is the case s = 0: for x in phi_t, x^a lies in phi_t exactly
+    when [x, a] = x^-1 x^a does, and phi_t^a <= phi_t is phi_t^a = phi_t
+    as a is a bijection.
     """
-    if not is_invariant(f, a):
+    comms = [(t, aut_commutator(x, a)) for t in f.grades() for x in f.value(t).igs]
+
+    def member(s: MonoidElem) -> bool:
+        return all(f.value(mon.add(t, s)).contains(c) for t, c in comms)
+
+    if not member(f.monoid.zero):
         raise PcgError("filter is not invariant under the automorphism")
-    return [s for s in grades if _commutes_into(a, f, s)]
-
-
-def _commutes_into(a: AutMap, f: Filter, s: MonoidElem) -> bool:
-    for t in f.grades():
-        target = f.value(mon.add(t, s))
-        if not all(target.contains(aut_commutator(x, a)) for x in f.value(t).igs):
-            return False
-    return True
+    return [s for s in grades if member(s)]
 
 
 def delta_membership(a: AutMap, f: Filter, s: MonoidElem) -> bool:
@@ -234,7 +221,7 @@ def delta_layer_dims(gens: Sequence[AutMap], f: Filter) -> DeltaReport:
       y^c = x^(ab) and [y, c] = y^-1 x^(ab).
     - [phi_u, T] <= phi_{s+t+2u} <= T, so phi_u normalises T, and
       [yz, c] = [y, c]^z [z, c] makes S a subgroup.
-    - Each generator passed ``is_invariant`` in ``delta_grades``, so
+    - Each generator passed the invariance test of ``delta_grades``, so
       phi_u^(ba) = phi_u is generated by the images y of igs(phi_u).
     """
     gen_rows: List[Dict] = []
@@ -339,10 +326,7 @@ def central_automorphisms(G: PcGroup) -> List[AutMap]:
     Omega_1(Z(G)); candidates failing bijectivity are dropped.
     """
     full = full_subgroup(G)
-    derived = comm_subgroup(full, full)
-    frat = subgroup_from_gens(
-        G, list(derived.igs) + [G.power(g, G.p) for g in full.igs]
-    )
+    frat = exponent_p_step(full, full)
     # Omega_1(Z) is the kernel of z |-> z^p, a homomorphism on the abelian
     # Z, so its exponent k is one on the z with z^p in G_k
     center = centralizer_mod(G, full, trivial_subgroup(G))

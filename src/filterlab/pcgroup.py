@@ -14,6 +14,7 @@ igs members.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -71,15 +72,13 @@ class PcGroup:
         self.pow_words: Dict[int, Word] = {}
         self.comm_words: Dict[Tuple[int, int], Word] = {}
         for i, w in (pow_words or {}).items():
-            w = tuple(w)
-            self._check_relation_word(w, i, f"pow {i}")
+            w = self._relation_word(w, i, f"pow {i}")
             if w:
                 self.pow_words[i] = w
         for (j, i), w in (comm_words or {}).items():
             if not (1 <= i < j <= n):
                 raise PcgError(f"comm {j} {i}: need n >= j > i >= 1")
-            w = tuple(w)
-            self._check_relation_word(w, j, f"comm {j} {i}")
+            w = self._relation_word(w, j, f"comm {j} {i}")
             if w:
                 self.comm_words[(j, i)] = w
         self.identity: Elem = (0,) * n
@@ -90,14 +89,25 @@ class PcGroup:
             if bad:
                 raise PcgError("inconsistent presentation: " + bad[0])
 
-    def _check_relation_word(self, w: Word, above: int, what: str) -> None:
-        for k, e in w:
+    def _relation_word(self, w: Iterable[Tuple[int, int]], above: int, what: str) -> Word:
+        """w with its exponents cut by ``_cut``, once it is checked to use
+        only generators of index in (above, n]."""
+        w = tuple(w)
+        for k, _ in w:
             if not (1 <= k <= self.n):
                 raise PcgError(f"{what}: generator index {k} out of range")
             if k <= above:
                 raise PcgError(
                     f"{what}: relation word may only use generators of index > {above}"
                 )
+        return tuple((k, self._cut(k, e)) for k, e in w)
+
+    def _cut(self, k: int, e: int) -> int:
+        """The exponent e of a letter g_k^e cut to |e| mod p^(n-k+1), its
+        sign kept.  g_k lies in G_k, of order p^(n-k+1), so the letter keeps
+        its value, and ``mult_word`` makes fewer than |G_k| steps for it."""
+        m = self.p ** (self.n - k + 1)
+        return e % m if e >= 0 else -(-e % m)
 
     @property
     def order(self) -> int:
@@ -165,7 +175,7 @@ class PcGroup:
         for k, e in word:
             if not (1 <= k <= self.n):
                 raise PcgError(f"generator index {k} out of range")
-            x = self.mult_word(x, ((k, e),))
+            x = self.mult_word(x, ((k, self._cut(k, e)),))
         return x
 
     def multiply(self, x: Elem, y: Elem) -> Elem:
@@ -735,15 +745,16 @@ def _check_word_indices(word: Word, above: int, n: int, line_no: int) -> None:
             )
 
 
-def parse_pcg_file(path, check: bool = True) -> PcGroup:
-    from pathlib import Path
-
-    path = Path(path)
+def read_utf8(path) -> str:
+    """The text of a .pcg or .aut file; ``PcgError`` if it is not UTF-8."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise PcgError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return parse_pcgroup(text, name=path.stem, check=check)
+
+
+def parse_pcg_file(path, check: bool = True) -> PcGroup:
+    return parse_pcgroup(read_utf8(path), name=Path(path).stem, check=check)
 
 
 # -- direct products --------------------------------------------------------

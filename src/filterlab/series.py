@@ -134,19 +134,23 @@ class Layering(_BoxMap):
 N_MONOID = GradedMonoid(1, mon.POINTWISE)
 
 
-def lower_central(G: PcGroup) -> Filter:
-    """gamma_1 = G, gamma_{i+1} = [G, gamma_i]; graded over N with phi_0 = G."""
+def _descending(G: PcGroup, step, stalled: str) -> Filter:
+    """phi_0 = phi_1 = G and phi_{i+1} = step(G, phi_i) down to 1, graded
+    over N; ``ValueError(stalled)`` if a step keeps the order."""
     full = full_subgroup(G)
     chain = [full]
     while chain[-1].order > 1:
-        nxt = comm_subgroup(full, chain[-1])
+        nxt = step(full, chain[-1])
         if nxt.order == chain[-1].order:
-            raise ValueError("lower central series did not reach 1 (not nilpotent?)")
+            raise ValueError(stalled)
         chain.append(nxt)
-    table = {(0,): full}
-    for i, H in enumerate(chain, start=1):
-        table[(i,)] = H
+    table = {(i,): H for i, H in enumerate([full] + chain)}
     return Filter(G, N_MONOID, (len(chain),), table)
+
+
+def lower_central(G: PcGroup) -> Filter:
+    """gamma_1 = G, gamma_{i+1} = [G, gamma_i]; graded over N with phi_0 = G."""
+    return _descending(G, comm_subgroup, "lower central series did not reach 1 (not nilpotent?)")
 
 
 def upper_central(G: PcGroup) -> Layering:
@@ -162,22 +166,17 @@ def upper_central(G: PcGroup) -> Layering:
     return Layering(G, N_MONOID, (len(chain) - 1,), table)
 
 
+def exponent_p_step(H: Subgroup, K: Subgroup) -> Subgroup:
+    """[H, K] K^p from igs([H, K]) and the p-th powers of igs(K): for H = G
+    the term after K of the exponent-p series, and Phi(G) for H = K = G."""
+    G = H.group
+    gens = list(comm_subgroup(H, K).igs) + [G.power(h, G.p) for h in K.igs]
+    return subgroup_from_gens(G, gens)
+
+
 def exponent_p_lcs(G: PcGroup) -> Filter:
     """eta_1 = G, eta_{i+1} = [G, eta_i] * eta_i^p; elementary abelian factors."""
-    full = full_subgroup(G)
-    chain = [full]
-    while chain[-1].order > 1:
-        cur = chain[-1]
-        gens = list(comm_subgroup(full, cur).igs)
-        gens += [G.power(h, G.p) for h in cur.igs]
-        nxt = subgroup_from_gens(G, gens)
-        if nxt.order == cur.order:
-            raise ValueError("exponent-p series did not reach 1")
-        chain.append(nxt)
-    table = {(0,): full}
-    for i, H in enumerate(chain, start=1):
-        table[(i,)] = H
-    return Filter(G, N_MONOID, (len(chain),), table)
+    return _descending(G, exponent_p_step, "exponent-p series did not reach 1")
 
 
 # -- verification -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from filterlab.autfilter import (
     aut_commutator,
     central_automorphisms,
     check_derivation_law,
+    delta_grades,
     delta_layer_dims,
     delta_membership,
     identity_aut,
     induced_derivation,
     inner_automorphism,
-    is_invariant,
     pair_law_escapes,
     parse_aut_lines,
     rerandomized_derivation,
@@ -68,7 +70,7 @@ def test_delta_membership_examples(h27):
         h27,
         [h27.generator(2), h27.generator(1), h27.power(h27.generator(3), 2)],
     )
-    assert is_invariant(f, swap)
+    assert delta_grades(swap, f, f.grades()) == [(0,)]  # invariant, in Delta_0 only
     assert not delta_membership(swap, f, (1,))
 
 
@@ -88,7 +90,8 @@ def test_delta_membership_requires_invariance(d8):
     assert not series.verify_filter(f)
     outer = AutMap(d8, [d8.multiply(d8.generator(1), d8.generator(2)),
                         d8.generator(2), d8.generator(3)])
-    assert not is_invariant(f, outer)
+    with pytest.raises(PcgError, match="not invariant"):
+        delta_grades(outer, f, [])  # raised before any grade is decided
     with pytest.raises(PcgError):
         delta_membership(outer, f, (1,))
     with pytest.raises(PcgError, match="not invariant"):
@@ -106,22 +109,80 @@ def test_delta_layer_dims(d8, h27):
         assert not rep.pair_violations
 
 
-def test_delta_layer_dims_checks_invariance_once_per_generator(h27, monkeypatch):
+def test_delta_layer_dims_forms_each_commutator_once_per_generator(h27, monkeypatch):
+    """Per generator a, [x, a] is formed once for each x in igs(phi_t) over
+    the box grades t; those commutators decide invariance and every grade."""
     from filterlab import autfilter
 
     calls = []
-    original = autfilter.is_invariant
+    original = autfilter.aut_commutator
 
-    def counting(f, a):
+    def counting(x, a):
         calls.append(a)
-        return original(f, a)
+        return original(x, a)
 
-    monkeypatch.setattr(autfilter, "is_invariant", counting)
+    monkeypatch.setattr(autfilter, "aut_commutator", counting)
     f = series.exponent_p_lcs(h27)
     gens = central_automorphisms(h27) + [identity_aut(h27)]
     rep = delta_layer_dims(gens, f)
     assert len(rep.generator_grades) == 3
-    assert calls == gens  # not once per (generator, box grade)
+    per_generator = sum(len(f.value(t).igs) for t in f.grades())
+    assert per_generator == 7 and len(f.grades()) == 4
+    assert calls == [a for a in gens for _ in range(per_generator)]
+
+
+def _delta_by_elements(a, f):
+    """None if a moves some phi_t, else the grades s with [x, a] in
+    phi_{t+s} for every element x of every phi_t: Delta_s by definition."""
+    grades = f.grades()
+    for t in grades:
+        H = f.value(t)
+        if {a.apply(x) for x in H.elements()} != set(H.elements()):
+            return None
+    return [
+        s
+        for s in grades
+        if all(
+            f.value(mon.add(t, s)).contains(aut_commutator(x, a))
+            for t in grades
+            for x in f.value(t).elements()
+        )
+    ]
+
+
+def test_delta_grades_matches_the_definition(corpus_groups):
+    """delta_grades against Delta_s read off every element of phi_t, on the
+    groups of order at most 81: the lower central and exponent-p filters and
+    G > <x> > 1 for random x where that is a filter, under the central
+    automorphisms and the inner ones by the generators."""
+    from filterlab.monoid import GradedMonoid
+    from filterlab.pcgroup import full_subgroup, subgroup_from_gens, trivial_subgroup
+    from filterlab.series import Filter
+
+    rng = random.Random(23)
+    raised = decided = 0
+    for name, G in sorted(corpus_groups.items()):
+        if G.order > 81:
+            continue
+        full, one = full_subgroup(G), trivial_subgroup(G)
+        filters = [series.lower_central(G), series.exponent_p_lcs(G)]
+        for _ in range(4):
+            N = subgroup_from_gens(G, [full.random_element(rng)])
+            f = Filter(G, GradedMonoid(1), (2,), {(0,): full, (1,): N, (2,): one})
+            if not series.verify_filter(f):
+                filters.append(f)
+        maps = central_automorphisms(G) + [inner_automorphism(G, g) for g in G.generators()]
+        for f in filters:
+            for a in maps:
+                want = _delta_by_elements(a, f)
+                if want is None:
+                    with pytest.raises(PcgError, match="not invariant"):
+                        delta_grades(a, f, f.grades())
+                    raised += 1
+                else:
+                    assert delta_grades(a, f, f.grades()) == want, name
+                    decided += 1
+    assert raised >= 100 and decided >= 1000, (raised, decided)
 
 
 def test_identity_max_grade_is_box(d8):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from filterlab import oracle
-from filterlab.pcgroup import PcGroup, parse_pcg_file, parse_pcgroup
+from filterlab import oracle, pcgroup, series
+from filterlab.pcgroup import PcGroup, full_subgroup, parse_pcg_file, parse_pcgroup, trivial_subgroup
 
 from conftest import corpus_paths, load
 
@@ -27,10 +27,12 @@ def test_cayley_c3_and_trivial():
     assert T0.order == 1
 
 
-def test_cayley_cap():
-    big = parse_pcgroup("p 2\nn 5\n")
-    with pytest.raises(ValueError):
-        oracle.cayley_from_pc(big, cap=16)
+def test_cayley_cap(monkeypatch):
+    # 2^13 is above ORDER_CAP = 2^12: refused before any element is listed
+    big = parse_pcgroup("p 2\nn 13\n")
+    monkeypatch.setattr(big, "elements", lambda: pytest.fail("elements listed"))
+    with pytest.raises(ValueError, match="order 8192 exceeds oracle cap 4096"):
+        oracle.cayley_from_pc(big)
 
 
 def test_brute_series_examples(d8, h27):
@@ -56,6 +58,56 @@ def test_check_equiv_trivial_group():
     triv = parse_pcgroup("p 2\nn 0\n")
     rep = oracle.check_equiv(triv, oracle.cayley_from_pc(triv))
     assert rep.ok, rep.discrepancies
+
+
+@pytest.mark.parametrize("name", ["d8", "g81_12_maxclass1"])
+def test_check_equiv_reports_a_wrong_derived_subgroup(name, monkeypatch):
+    """check_equiv reads the derived subgroup as gamma_2 of lower_central:
+    a mutant [G, G] = 1 is reported there."""
+    G = load(name)
+    T = oracle.cayley_from_pc(G)
+    original = series.comm_subgroup
+
+    def mutant(H, K):
+        full = full_subgroup(G)
+        return trivial_subgroup(G) if H == full and K == full else original(H, K)
+
+    monkeypatch.setattr(series, "comm_subgroup", mutant)
+    assert oracle.check_equiv(G, T).discrepancies == ["gamma_2 mismatch"]
+
+
+@pytest.mark.parametrize("name", ["d8", "g81_12_maxclass1"])
+def test_check_equiv_reports_a_wrong_centre(name, monkeypatch):
+    """check_equiv reads the centre as zeta^1 of upper_central: a mutant
+    Z(G) = G is reported there."""
+    G = load(name)
+    T = oracle.cayley_from_pc(G)
+    original = series.centralizer_mod
+
+    def mutant(G_, H, N):
+        return full_subgroup(G) if N.order == 1 else original(G_, H, N)
+
+    monkeypatch.setattr(series, "centralizer_mod", mutant)
+    assert oracle.check_equiv(G, T).discrepancies == ["zeta^1 mismatch"]
+
+
+def test_check_equiv_builds_each_centralizer_once(monkeypatch):
+    """One check_equiv on g81_12 calls centralizer_mod once per step of the
+    upper central series and nowhere else."""
+    G = load("g81_12_maxclass1")
+    T = oracle.cayley_from_pc(G)
+    _, zeta = oracle.brute_series(T)
+    calls = []
+    original = pcgroup.centralizer_mod
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (pcgroup, series):
+        monkeypatch.setattr(module, "centralizer_mod", counting)
+    assert oracle.check_equiv(G, T).ok
+    assert len(zeta) == 4 and len(calls) == len(zeta) - 1
 
 
 def test_check_equiv_fault_injection():

@@ -179,6 +179,48 @@ def test_load_sidecar_rejects_non_utf8(tmp_path, d8):
         load_sidecar(d8, bad)
 
 
+# -- huge word exponents ---------------------------------------------------------
+
+
+def test_relation_exponents_are_cut_mod_the_generator_order():
+    """g_k^e keeps |e| mod p^(n-k+1) with its sign, as |G_k| = p^(n-k+1)."""
+    G = pcgroup.PcGroup(3, 4, {1: ((4, -1000000001),)}, {(2, 1): ((3, 10), (4, 3000000004))})
+    assert G.pow_words == {1: ((4, -2),)}
+    assert G.comm_words == {(2, 1): ((3, 1), (4, 1))}
+    # 10^12 is 28 mod 3^4 and 1 mod 3
+    assert G.collect(((1, 10 ** 12), (4, -(10 ** 12)))) == G.collect(((1, 28), (4, -1)))
+    with pytest.raises(pcgroup.PcgError, match="generator index 5 out of range"):
+        G.collect(((5, 10 ** 12),))
+
+
+@pytest.mark.parametrize(
+    "command, huge, cut",
+    [
+        ("verify", "p 2\nn 2\npow 1 = g2^99999999\n", "p 2\nn 2\npow 1 = g2\n"),
+        ("aut", "p 3\nn 2\naut: g1 -> g1 g2^77777777\n", "p 3\nn 2\naut: g1 -> g1 g2^2\n"),
+        ("aut", "p 3\nn 2\naut: g1 -> g1 g2^-77777777\n", "p 3\nn 2\naut: g1 -> g1 g2^-2\n"),
+        (
+            "report",
+            "p 3\nn 3\npow 1 = g3^-1000000001\ncomm 2 1 = g3^3000000004\n",
+            "p 3\nn 3\npow 1 = g3^-2\ncomm 2 1 = g3\n",
+        ),
+    ],
+)
+def test_huge_word_exponents_give_the_output_of_the_cut_file(tmp_path, capsys, command, huge, cut):
+    """Collection makes fewer than p^(n-k+1) steps for a letter g_k^e, so
+    these files finish at once, with the output of the file whose exponents
+    are already cut."""
+    outputs = []
+    for name, text in (("huge", huge), ("cut", cut)):
+        path = tmp_path / name / "g.pcg"
+        path.parent.mkdir()
+        path.write_text(text)
+        code = main([command, str(path)])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].out
+
+
 # -- census workers ------------------------------------------------------------
 
 

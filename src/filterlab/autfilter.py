@@ -164,15 +164,16 @@ def delta_grades(a: AutMap, f: Filter, grades: Sequence[MonoidElem]) -> List[Mon
     invariant.
 
     Generator-level checking suffices because [yx, a] = [y, a]^x [x, a], so
-    the [x, a] for x in igs(phi_t) are formed once and decide every s.
-    Invariance is the case s = 0: for x in phi_t, x^a lies in phi_t exactly
-    when [x, a] = x^-1 x^a does, and phi_t^a <= phi_t is phi_t^a = phi_t
-    as a is a bijection.
+    the [x, a] for x in igs(phi_t) decide every s; each is formed once per
+    distinct x, as nested terms share igs members.  Invariance is the case
+    s = 0: for x in phi_t, x^a lies in phi_t exactly when [x, a] = x^-1 x^a
+    does, and phi_t^a <= phi_t is phi_t^a = phi_t as a is a bijection.
     """
-    comms = [(t, aut_commutator(x, a)) for t in f.grades() for x in f.value(t).igs]
+    pairs = [(t, x) for t in f.grades() for x in f.value(t).igs]
+    comm = {x: aut_commutator(x, a) for x in dict.fromkeys(x for _, x in pairs)}
 
     def member(s: MonoidElem) -> bool:
-        return all(f.value(mon.add(t, s)).contains(c) for t, c in comms)
+        return all(f.value(mon.add(t, s)).contains(comm[x]) for t, x in pairs)
 
     if not member(f.monoid.zero):
         raise PcgError("filter is not invariant under the automorphism")

@@ -58,13 +58,32 @@ def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return np.array(m, dtype=np.int64).reshape(rows, cols), piv_cols
 
 
-def row_space(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis (RREF rows, zero rows dropped) of the row space."""
+def echelon(a: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Canonical basis of the row space (RREF rows, zero rows dropped) with
+    its pivot columns, the ``pivots`` that ``row_coords`` reads."""
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     if a.size == 0:
-        return zeros((0, a.shape[1] if a.ndim == 2 else 0))
+        return zeros((0, a.shape[1] if a.ndim == 2 else 0)), zeros(0, np.intp)
     r, piv = rref(a, p)
-    return r[: len(piv)]
+    return r[: len(piv)], np.array(piv, dtype=np.intp)
+
+
+def row_space(a: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis (RREF rows, zero rows dropped) of the row space."""
+    return echelon(a, p)[0]
+
+
+def pivots(basis: np.ndarray) -> np.ndarray:
+    """The pivot columns P of a basis in RREF, where basis[:, P] = I; raises
+    ValueError for any other basis.  For a basis built elsewhere: ``echelon``
+    returns the pivots with the rows it builds."""
+    basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
+    if basis.shape[0] == 0:
+        return zeros(0, np.intp)
+    piv = (basis != 0).argmax(axis=1)
+    if not np.array_equal(basis[:, piv], identity(len(piv))):
+        raise ValueError("basis is not in reduced row echelon form")
+    return piv
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
@@ -84,27 +103,28 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return row_space(basis, p)
 
 
-def row_coords(v: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray | None:
+def row_coords(
+    v: np.ndarray, basis: np.ndarray, p: int, piv: np.ndarray | None = None
+) -> np.ndarray | None:
     """Coordinates c with v = c @ basis over GF(p), or None if v is outside.
 
-    ``basis`` is in RREF, as ``row_space`` returns it, with pivot columns P.
+    ``basis`` is in RREF with pivot columns P, as ``echelon`` returns them.
     Then basis[:, P] = I, so v = c @ basis forces c = v[P]; one product checks
     it, with no elimination.  ``v`` is a vector or a matrix of row vectors
-    (None unless every row lies in the span).  Raises ValueError unless
-    basis[:, P] is the identity.
+    (None unless every row lies in the span).  ``piv`` is P as the basis
+    carries it; without it P is derived and checked by ``pivots``, which
+    raises ValueError unless basis[:, P] is the identity.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
+    if piv is None:
+        piv = pivots(basis)
     v = mod_p(v, p)
     if basis.shape[0] == 0:
         return None if v.any() else zeros(v.shape[:-1] + (0,))
-    piv = (basis != 0).argmax(axis=1)
-    if not np.array_equal(basis[:, piv], identity(len(piv))):
-        raise ValueError("basis is not in reduced row echelon form")
     c = v[..., piv]
     return c if np.array_equal(c @ basis % p, v) else None
 
 
-def in_row_space(v: np.ndarray, basis: np.ndarray, p: int) -> bool:
-    """True iff v lies in the row space of an RREF ``basis``."""
-    return row_coords(np.asarray(v).reshape(-1), basis, p) is not None
-
+def in_row_space(v: np.ndarray, basis: np.ndarray, p: int, piv: np.ndarray | None = None) -> bool:
+    """True iff v lies in the row space of an RREF ``basis`` (pivots ``piv``)."""
+    return row_coords(np.asarray(v).reshape(-1), basis, p, piv) is not None

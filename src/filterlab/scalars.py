@@ -82,7 +82,7 @@ class AssocAlgebra:
         self.p = p
         self.n = n
         flat = np.asarray(basis, dtype=np.int64).reshape(len(basis), n * n) % p
-        self.flat = linalg.row_space(flat, p)
+        self.flat, self.pivots = linalg.echelon(flat, p)
         self.basis = [v.reshape(n, n) for v in self.flat]
 
     @property
@@ -95,18 +95,23 @@ class AssocAlgebra:
         return self.flat.reshape(-1, self.n, self.n)
 
     def contains(self, m: np.ndarray) -> bool:
-        return linalg.in_row_space(m.reshape(-1), self.flat, self.p)
+        return linalg.in_row_space(m.reshape(-1), self.flat, self.p, self.pivots)
 
     def contains_all(self, ms: np.ndarray) -> bool:
-        """True iff every matrix of the stack ``ms`` lies in the algebra."""
-        return linalg.row_coords(ms.reshape(len(ms), self.n * self.n), self.flat, self.p) is not None
+        """True iff every matrix of the stack ``ms`` (any leading shape) lies
+        in the algebra."""
+        return self.stack_coords(ms) is not None
 
     def coords(self, m: np.ndarray) -> Optional[np.ndarray]:
-        return linalg.row_coords(m.reshape(-1), self.flat, self.p)
+        return linalg.row_coords(m.reshape(-1), self.flat, self.p, self.pivots)
+
+    def stack_coords(self, ms: np.ndarray) -> Optional[np.ndarray]:
+        """One row of coordinates over ``flat`` per matrix of the stack
+        ``ms``, or None if one lies outside."""
+        return linalg.row_coords(ms.reshape(-1, self.n * self.n), self.flat, self.p, self.pivots)
 
     def is_closed(self) -> bool:
-        # one row of the pair table, a @ B for the whole basis stack B, at a time
-        return all(self.contains_all(a @ self.stack) for a in self.basis)
+        return self.contains_all(_pair_products(self.stack, self.stack))
 
     def has_identity(self) -> bool:
         return self.contains(linalg.identity(self.n))
@@ -124,14 +129,13 @@ class AssocAlgebra:
             if not len(cur):
                 return []
             mod = pk * p
-            rows = []
-            for y in cur:
-                vals = np.trace(_mat_power(cur @ y % mod, pk, mod), axis1=1, axis2=2) % mod
-                if (vals % pk).any():
-                    raise ArithmeticError("radical chain divisibility failed")
-                rows.append(vals // pk % p)
-            ker = linalg.nullspace(np.array(rows, dtype=np.int64), p)
-            cur = np.tensordot(ker, cur, axes=1) % p
+            # Tr((xy)^pk) = Tr((yx)^pk), so the pair stack's order is free
+            powers = _mat_power(_pair_products(cur, cur) % mod, pk, mod)
+            vals = np.trace(powers, axis1=2, axis2=3) % mod
+            if (vals % pk).any():
+                raise ArithmeticError("radical chain divisibility failed")
+            ker = linalg.nullspace(vals // pk % p, p)
+            cur = (ker @ cur.reshape(len(cur), -1) % p).reshape(-1, n, n)
             if pk >= n:
                 return list(cur)
             pk *= p
@@ -146,28 +150,35 @@ class AssocAlgebra:
         rad = AssocAlgebra(self.p, self.n, self._radical_chain())
         return (rad,) + self._verify_radical(rad)
 
+    def is_nilpotent(self) -> bool:
+        """True iff J^k = 0 for some k, for J this algebra (closed under
+        products, not necessarily unital).
+
+        Decided on V = GF(p)^n, where J acts on row vectors: J^k = 0 iff
+        V J^k = 0, as only the zero matrix kills every row, and V J^k =
+        (V J^(k-1)) J.  So W_0 = V, W_(i+1) = W_i J is the chain V J^i.  It
+        descends, since J J <= J: V J <= V, and V J^(i+1) = V J^(i-1) (J J)
+        <= V J^i.  A step that keeps dim W_i > 0 repeats forever, so J is not
+        nilpotent; otherwise W reaches 0 within n steps.
+        """
+        W = linalg.identity(self.n)
+        while len(W):
+            nxt = linalg.row_space((W @ self.stack).reshape(-1, self.n), self.p)
+            if len(nxt) == len(W):
+                return False
+            W = nxt
+        return True
+
     def _verify_radical(self, rad: "AssocAlgebra"):
         """Raise unless ``rad`` is a nilpotent two-sided ideal with semisimple
         quotient; returns ``self.quotient(rad)``."""
-        p = self.p
-        R = rad.stack
-        for a in self.basis:
-            if not rad.contains_all(np.concatenate([a @ R, R @ a])):
-                raise ArithmeticError("radical is not a two-sided ideal")
-        # nilpotency: J^k shrinks to zero within dim steps
-        cur = rad
-        for _ in range(rad.dim + 1):
-            if cur.dim == 0:
-                break
-            nxt = AssocAlgebra(
-                p, self.n, [a @ b % p for a in cur.basis for b in rad.basis]
-            )
-            if nxt.dim >= cur.dim and nxt.dim > 0:
-                raise ArithmeticError("radical candidate is not nilpotent")
-            cur = nxt
-        else:
-            if cur.dim:
-                raise ArithmeticError("radical candidate is not nilpotent")
+        A, R = self.stack, rad.stack
+        # every a r and r a, a in A and r in J, as one stack
+        both_sides = np.stack([_pair_products(A, R), _pair_products(R, A).swapaxes(0, 1)])
+        if not rad.contains_all(both_sides):
+            raise ArithmeticError("radical is not a two-sided ideal")
+        if not rad.is_nilpotent():
+            raise ArithmeticError("radical candidate is not nilpotent")
         quot, lift = self.quotient(rad)
         if quot.dim and quot._radical_chain():
             raise ArithmeticError("quotient by radical is not semisimple")
@@ -182,28 +193,24 @@ class AssocAlgebra:
         # [ideal rows | A rows] past the (independent) ideal rows
         m = ideal.dim
         cols = np.concatenate([ideal.flat, self.flat], axis=0).T
-        lift_rows = [self.flat[c - m] for c in linalg.rref(cols, p)[1] if c >= m]
-        q = len(lift_rows)
-        lift_mats = [v.reshape(self.n, self.n) for v in lift_rows]
+        lift_idx = [c - m for c in linalg.rref(cols, p)[1] if c >= m]
+        q = len(lift_idx)
         # the complement and ideal rows are a second basis of A: invert their
         # coordinates over self.flat once, so a product's coordinates over
         # them are a kernel read times that inverse
         k = self.dim
-        combined = np.array(lift_rows + list(ideal.flat), dtype=np.int64)
-        combined = combined.reshape(self.flat.shape)
-        aug = np.concatenate(
-            [linalg.row_coords(combined, self.flat, p), linalg.identity(k)], axis=1
-        )
+        combined = np.concatenate([self.flat[lift_idx], ideal.flat])
+        aug = np.concatenate([self.stack_coords(combined), linalg.identity(k)], axis=1)
         to_lift = linalg.rref(aug, p)[0][:, k : k + q]
 
-        # left regular representation of the quotient
-        lift_stack = np.array(lift_mats, dtype=np.int64).reshape(q, self.n, self.n)
-        reg = []
-        for a in lift_mats:
-            c = linalg.row_coords((a @ lift_stack).reshape(q, -1), self.flat, p)
-            if c is None:
-                raise ValueError("element not in algebra")
-            reg.append((c @ to_lift % p).T)  # column convention flip so x*regmat acts rightly
+        # left regular representation of the quotient, from the pair table of
+        # the lift rows: reg[a] holds a's products, one column each, so that
+        # x * regmat acts rightly
+        lift_stack = self.stack[lift_idx]
+        c = self.stack_coords(_pair_products(lift_stack, lift_stack))
+        if c is None:
+            raise ValueError("element not in algebra")
+        reg = (c.reshape(q, q, k) @ to_lift % p).swapaxes(1, 2)
         quot = AssocAlgebra(p, q, reg)
         if q:
             # quot keeps the RREF of the regular matrices, quot.flat = inv @ reg:
@@ -211,7 +218,7 @@ class AssocAlgebra:
             # reads coordinates over quot.flat
             if quot.dim != q:
                 raise ArithmeticError("regular representation of the quotient is not faithful")
-            reg_coords = linalg.row_coords(np.array(reg).reshape(q, -1), quot.flat, p)
+            reg_coords = quot.stack_coords(reg)
             inv = linalg.rref(np.concatenate([reg_coords, linalg.identity(q)], axis=1), p)[0][:, q:]
             lift_stack = np.tensordot(inv, lift_stack, axes=1) % p
 
@@ -223,11 +230,10 @@ class AssocAlgebra:
     def center(self) -> "AssocAlgebra":
         if self.dim == 0:
             return self
-        p, k, S = self.p, self.dim, self.stack
+        p, k = self.p, self.dim
         # a commutator lies in A, so it is zero iff its coordinates are:
         # column b of the system holds those of [a, b] for every basis a
-        comm = np.stack([S @ b - b @ S for b in S]).reshape(k * k, -1)
-        coords = linalg.row_coords(comm, self.flat, p)
+        coords = self.stack_coords(_commutators(self.stack).swapaxes(0, 1))
         if coords is None:
             raise ArithmeticError("commutator outside the algebra")
         ker = linalg.nullspace(coords.reshape(k, k * k).T, p)  # unknowns = coefficients over basis
@@ -238,11 +244,22 @@ class AssocAlgebra:
         kernel of F - I, row i of F the coordinates of b_i^p.  Its basis is
         the nullspace rows times ``flat``, in that order (already RREF)."""
         p, k = self.p, self.dim
-        frob = linalg.row_coords(_mat_power(self.stack, p, p).reshape(k, -1), self.flat, p)
+        frob = self.stack_coords(_mat_power(self.stack, p, p))
         if frob is None:
             raise ArithmeticError("p-th power outside the algebra")
         fixed = linalg.nullspace((frob - linalg.identity(k)).T, p)
         return AssocAlgebra(p, self.n, (fixed @ self.flat % p).reshape(-1, self.n, self.n))
+
+
+def _pair_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The (len X, len Y, n, n) pair table of two matrix stacks: [i, j] = X[i] Y[j]."""
+    return X[:, None] @ Y[None]
+
+
+def _commutators(S: np.ndarray) -> np.ndarray:
+    """The pair table of commutators of a matrix stack: [i, j] = [S[i], S[j]]."""
+    products = _pair_products(S, S)
+    return products - products.swapaxes(0, 1)
 
 
 def _mat_power(m: np.ndarray, e: int, mod: int) -> np.ndarray:
@@ -283,7 +300,7 @@ class ScalarAlgebra:
         self.bimap = bimap
         self.p = bimap.p
         self.dims = bimap.dims
-        self.flat = linalg.row_space(basis_flat, self.p)
+        self.flat, self.pivots = linalg.echelon(basis_flat, self.p)
         self.sizes = self._component_sizes()
 
     def _component_sizes(self) -> Tuple[int, ...]:
@@ -311,7 +328,7 @@ class ScalarAlgebra:
 
     def contains_tuple(self, t: Sequence[np.ndarray]) -> bool:
         v = np.concatenate([m.reshape(-1) % self.p for m in t])
-        return linalg.in_row_space(v, self.flat, self.p)
+        return linalg.in_row_space(v, self.flat, self.p, self.pivots)
 
     # block-matrix representation (associative kinds only)
     def rep_size(self) -> int:
@@ -389,14 +406,13 @@ def derivation_algebra(b: Bimap) -> ScalarAlgebra:
     """Der(o): triples with (uf) o v + u o (vg) = (u o v) h, closed under bracket."""
     basis = linalg.nullspace(_condition_matrices(b, "Der"), b.p)
     alg = ScalarAlgebra("Der", b, basis)
-    sides = alg.side_stacks()
-    for t in zip(*sides):
-        # brackets [t, x] for every basis element x, one flat row each
-        br = np.concatenate(
-            [(m @ S - S @ m).reshape(alg.dim, -1) for m, S in zip(t, sides)], axis=1
-        )
-        if linalg.row_coords(br, alg.flat, b.p) is None:
-            raise ArithmeticError("derivation algebra not closed under bracket")
+    k = alg.dim
+    # [x, y] for every pair of basis elements, one flat row each
+    brackets = np.concatenate(
+        [_commutators(S).reshape(k * k, S.shape[-1] ** 2) for S in alg.side_stacks()], axis=1
+    )
+    if linalg.row_coords(brackets, alg.flat, b.p, alg.pivots) is None:
+        raise ArithmeticError("derivation algebra not closed under bracket")
     return alg
 
 
@@ -422,10 +438,8 @@ def centroid(b: Bimap) -> ScalarAlgebra:
         [np.concatenate([m.reshape(-1) for m in pre.from_rep(r)]) for r in zen.basis]
     ) if zen.dim else np.zeros((0, sum(d * d for d in pre.sizes)), dtype=np.int64)
     alg = ScalarAlgebra("Cent", b, flat)
-    rep = alg.assoc()
-    for x in rep.basis:
-        if ((x @ rep.stack - rep.stack @ x) % b.p).any():
-            raise ArithmeticError("centroid is not commutative")
+    if (_commutators(alg.assoc().stack) % b.p).any():
+        raise ArithmeticError("centroid is not commutative")
     if not alg.contains_tuple(alg.identity_tuple()):
         raise ArithmeticError("centroid does not contain the identity")
     return alg
@@ -491,9 +505,8 @@ def split_idempotents(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
 
 def _check_commutative_quotient(assoc: AssocAlgebra, rad: AssocAlgebra) -> None:
     """Raise unless A/J is commutative, i.e. every commutator lies in J."""
-    for x in assoc.basis:
-        if not rad.contains_all(x @ assoc.stack - assoc.stack @ x):
-            raise ValueError("quotient by the radical is not commutative")
+    if not rad.contains_all(_commutators(assoc.stack)):
+        raise ValueError("quotient by the radical is not commutative")
 
 
 def _lift_central_idempotents(
@@ -551,6 +564,11 @@ class Emission:
     side: str  # "U", "V", or "W"
     basis: np.ndarray  # echelon rows spanning the subspace
     provenances: List[str]  # every provenance that emitted it, in rank order
+    pivots: Optional[np.ndarray] = None  # of ``basis``; derived and checked if not given
+
+    def __post_init__(self):
+        if self.pivots is None:
+            self.pivots = linalg.pivots(self.basis)
 
     @property
     def provenance(self) -> str:
@@ -582,9 +600,9 @@ ASSOC_KINDS = ("Mid", "Left", "Right", "Cent")  # the kinds of ranks 1 to 4
 def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> bool:
     """True iff S x lies in S for every Der element x, with ``der_sides``
     the Der side stacks (``side_stacks``)."""
-    s = emission.basis  # in RREF, as every emission basis is
+    s = emission.basis
     images = s @ der_sides["UVW".index(emission.side)]
-    return linalg.row_coords(images.reshape(-1, s.shape[1]), s, p) is not None
+    return linalg.row_coords(images.reshape(-1, s.shape[1]), s, p, emission.pivots) is not None
 
 
 class BimapRings:
@@ -644,7 +662,8 @@ class BimapRings:
         def emit(side: str, rows: np.ndarray, prov: str):  # the row space of ``rows``
             d = dims[side]
             rows = np.reshape(rows, (-1, d)) if np.size(rows) else np.zeros((0, d), dtype=np.int64)
-            out.append(Emission(side, linalg.row_space(rows, p), [prov]))
+            basis, piv = linalg.echelon(rows, p)
+            out.append(Emission(side, basis, [prov], piv))
 
         def emit_action(side: str, mats: List[np.ndarray], prov: str):
             # images and kernels of radical elements acting on one side

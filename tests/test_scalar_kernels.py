@@ -418,6 +418,89 @@ def test_bracket_and_commutativity_checks_match_loops_on_bigger_spans(corpus_gro
     assert all(fired.values()), fired
 
 
+# -- the nilpotency chain on V against the J^k products ---------------------------
+
+
+def _products_nilpotent(J):
+    """The chain it replaced: J^(k+1) = span{x y : x in J^k, y in J}, held as
+    n^2-vectors, must shrink to zero within dim J steps."""
+    p, cur = J.p, J
+    for _ in range(J.dim + 1):
+        if cur.dim == 0:
+            return True
+        nxt = AssocAlgebra(p, J.n, [a @ b % p for a in cur.basis for b in J.basis])
+        if nxt.dim >= cur.dim:
+            return False
+        cur = nxt
+    return cur.dim == 0
+
+
+def _ideal_sum(A, J, x):
+    """J + A x A, for a unital A: an ideal, larger than J when x is outside."""
+    S = A.stack
+    return AssocAlgebra(A.p, A.n, np.concatenate([J.stack] + [a @ x @ S for a in S]))
+
+
+def _product_closure(p, n, gens):
+    """The span of ``gens`` closed under products, with no identity added."""
+    span = AssocAlgebra(p, n, gens)
+    while True:
+        S = span.stack
+        nxt = AssocAlgebra(p, n, np.concatenate([S, (S[:, None] @ S[None]).reshape(-1, n, n)]))
+        if nxt.dim == span.dim:
+            return span
+        span = nxt
+
+
+def test_nilpotency_chain_matches_products_on_corpus_radicals(corpus_groups):
+    """Every radical J of the seed tables, J^2, and J + A x A for each lift
+    row x of A/J, all ideals of A.  J + A x A is larger than J, so it is not
+    nilpotent, as J is the largest nilpotent ideal; ``_verify_radical``
+    raises "not nilpotent" on exactly those."""
+    seen = {True: 0, False: 0}
+    for b in _seed_bimaps(corpus_groups):
+        rings = scalars.BimapRings(b)
+        for kind in scalars.ASSOC_KINDS:
+            A, J, quot, lift = rings.radical(kind)
+            square = AssocAlgebra(A.p, A.n, (J.stack[:, None] @ J.stack[None]).reshape(-1, A.n, A.n))
+            perturbed = [_ideal_sum(A, J, lift(row)) for row in linalg.identity(quot.dim)]
+            for cand in [J, square] + perturbed:
+                want = _products_nilpotent(cand)
+                assert cand.is_nilpotent() == want == (cand.dim <= J.dim)
+                seen[want] += 1
+                fired = _fires(lambda: A._verify_radical(cand), ArithmeticError, "not nilpotent")
+                assert fired == (not want)
+    assert all(seen.values()), seen
+
+
+@st.composite
+def _triangular_algebras(draw):
+    """The product closure of random strictly upper triangular matrices,
+    conjugated by a random invertible matrix, with a diagonal unit E_ii
+    added or not: nilpotent exactly without it."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    gens = [
+        np.triu(np.array(draw(entries), dtype=np.int64).reshape(n, n), 1)
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    unit = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if unit is not None:
+        gens.append(np.diag(np.eye(n, dtype=np.int64)[unit]))
+    P = np.tril(np.array(draw(entries), dtype=np.int64).reshape(n, n), -1) + linalg.identity(n)
+    P_inv = linalg.rref(np.concatenate([P, linalg.identity(n)], axis=1), p)[0][:, n:]
+    conj = [P @ g @ P_inv % p for g in gens] or [np.zeros((n, n), dtype=np.int64)]
+    return _product_closure(p, n, conj), unit is None
+
+
+@given(_triangular_algebras())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_nilpotency_chain_matches_products_on_triangular_algebras(case):
+    J, nilpotent = case
+    assert J.is_nilpotent() == _products_nilpotent(J) == nilpotent
+
+
 # -- each batched check still fires ----------------------------------------------
 
 E = {(i, j): np.eye(1, 9, 3 * i + j, dtype=np.int64).reshape(3, 3) for i in range(3) for j in range(3)}

@@ -74,33 +74,44 @@ def row_space(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def pivots(basis: np.ndarray) -> np.ndarray:
-    """The pivot columns P of a basis in RREF, where basis[:, P] = I; raises
-    ValueError for any other basis.  For a basis built elsewhere: ``echelon``
-    returns the pivots with the rows it builds."""
+    """The pivot columns P of a basis in RREF: P strictly increasing and
+    basis[:, P] = I.  Raises ValueError for any other basis.  For a basis
+    built elsewhere: ``echelon`` returns the pivots with the rows it builds."""
     basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
     if basis.shape[0] == 0:
         return zeros(0, np.intp)
     piv = (basis != 0).argmax(axis=1)
-    if not np.array_equal(basis[:, piv], identity(len(piv))):
+    if (np.diff(piv) <= 0).any() or not np.array_equal(basis[:, piv], identity(len(piv))):
         raise ValueError("basis is not in reduced row echelon form")
     return piv
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis (rows) of {x : a @ x = 0} over GF(p)."""
+    """Basis of {x : a @ x = 0} over GF(p), in RREF, from one elimination.
+
+    Let b = a with its columns reversed, R = rref(b) with pivots Q, and F the
+    free columns of b.  For f in F, y_f with y_f[f] = 1, y_f[q_i] = -R[i, f]
+    and zeros elsewhere solves b y = 0, and these span the kernel of b.
+    R[i, f] != 0 only for q_i < f, so y_f lives on f and on pivots left of f.
+    Reversed back, x_f solves a x = 0 with a 1 at f' = n - 1 - f and its other
+    entries at pivot columns (reversed) right of f': its leading 1 is at its
+    own free column, and every other x_g is 0 there, as f' is no pivot.  So
+    the x_f sorted by f' are in RREF, which is unique: no second elimination.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    m, n = a.shape
-    if n == 0:
-        return zeros((0, 0))
-    r, piv = rref(a, p)
-    piv_set = set(piv)
-    free = [j for j in range(n) if j not in piv_set]
-    basis = zeros((len(free), n))
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(piv):
-            basis[k, c] = (-r[i, f]) % p
-    return row_space(basis, p)
+    n = a.shape[1]
+    r, piv = rref(a[:, ::-1], p)
+    r, piv_set = r.tolist(), set(piv)
+    basis = []
+    for f in range(n - 1, -1, -1):  # f' = n - 1 - f ascending
+        if f in piv_set:
+            continue
+        row = [0] * n
+        row[n - 1 - f] = 1
+        for r_i, q in zip(r, piv):
+            row[n - 1 - q] = -r_i[f] % p
+        basis.append(row)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), n)
 
 
 def row_coords(

@@ -1,10 +1,11 @@
 """The five scalar rings of a bimap over GF(p) and their structure theory.
 
-Each ring is the nullspace of a linear system read off the bimap tensor.
-Associative kinds are handled through a faithful block-matrix representation
-(components acting oppositely are transposed), so closure checks, Jacobson
-radicals, quotients, and idempotent lifting all run on plain matrix algebra;
-the idempotents of Z(A/J) are split off its Frobenius-fixed algebra.
+Each ring is the nullspace of a linear system read off the bimap tensor,
+kept as one layout: its faithful block-diagonal matrix algebra (components
+acting oppositely are transposed), echelonised once.  So closure checks, Der's
+bracket, Jacobson radicals, quotients, and idempotent lifting all run on
+plain matrix algebra; the idempotents of Z(A/J) are split off its
+Frobenius-fixed algebra.
 
 The radical uses the characteristic-p trace chain: I_0 is the kernel of the
 ordinary trace form and I_{k+1} = {x in I_k : Tr((xy)^{p^{k+1}}) = 0 for all
@@ -16,6 +17,7 @@ ideal, nilpotent, semisimple quotient.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,6 +38,7 @@ KIND_SIDES: Dict[str, Tuple[str, ...]] = {
 
 # components composing in the opposite ring (transposed in the block rep)
 KIND_OPPOSITE: Dict[str, Tuple[bool, ...]] = {
+    "Der": (False, False, False),
     "Left": (False, False),
     "Mid": (False, True),
     "Right": (False, False),
@@ -55,16 +58,11 @@ class Bimap:
     def dims(self) -> Tuple[int, int, int]:
         return self.tensor.shape
 
-    def radical_u(self) -> np.ndarray:
-        """{u : u o V = 0} as echelon rows."""
-        dU, dV, dW = self.dims
-        flat = self.tensor.reshape(dU, dV * dW)
-        return linalg.nullspace(flat.T, self.p)
-
-    def radical_v(self) -> np.ndarray:
-        dU, dV, dW = self.dims
-        flat = np.transpose(self.tensor, (1, 0, 2)).reshape(dV, dU * dW)
-        return linalg.nullspace(flat.T, self.p)
+    def radical(self, axis: int) -> np.ndarray:
+        """The radical of side ``axis`` (0 for U, 1 for V) as echelon rows:
+        {u : u o V = 0} or {v : U o v = 0}."""
+        t = np.moveaxis(self.tensor, axis, 0)
+        return linalg.nullspace(t.reshape(t.shape[0], -1).T, self.p)
 
 
 def bimap_from_lie_pair(L, s, t) -> Bimap:
@@ -83,11 +81,15 @@ class AssocAlgebra:
         self.n = n
         flat = np.asarray(basis, dtype=np.int64).reshape(len(basis), n * n) % p
         self.flat, self.pivots = linalg.echelon(flat, p)
-        self.basis = [v.reshape(n, n) for v in self.flat]
+
+    @property
+    def basis(self) -> List[np.ndarray]:
+        """The basis matrices, views of ``flat``."""
+        return list(self.stack)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.flat)
 
     @property
     def stack(self) -> np.ndarray:
@@ -292,72 +294,50 @@ def envelope(p: int, n: int, gens: Sequence[np.ndarray]) -> AssocAlgebra:
 # -- the five rings -----------------------------------------------------------
 
 
-class ScalarAlgebra:
-    """Basis of one of the five rings, with tuple and block-matrix views."""
+class ScalarAlgebra(AssocAlgebra):
+    """One of the five rings as its block-diagonal matrix algebra: a tuple
+    (one matrix per side of ``KIND_SIDES``) is the block-diagonal matrix of
+    its components, those of ``KIND_OPPOSITE`` transposed."""
 
     def __init__(self, kind: str, bimap: Bimap, basis_flat: np.ndarray):
+        """``basis_flat`` holds one tuple per row, its components flattened
+        and concatenated."""
         self.kind = kind
         self.bimap = bimap
-        self.p = bimap.p
-        self.dims = bimap.dims
-        self.flat, self.pivots = linalg.echelon(basis_flat, self.p)
-        self.sizes = self._component_sizes()
-
-    def _component_sizes(self) -> Tuple[int, ...]:
-        dU, dV, dW = self.dims
-        by_side = {"U": dU, "V": dV, "W": dW}
-        return tuple(by_side[s] for s in KIND_SIDES[self.kind])
-
-    @property
-    def dim(self) -> int:
-        return self.flat.shape[0]
+        by_side = dict(zip("UVW", bimap.dims))
+        self.sizes = tuple(by_side[s] for s in KIND_SIDES[kind])
+        rows = np.asarray(basis_flat, dtype=np.int64)
+        cuts = np.cumsum([d * d for d in self.sizes])[:-1]
+        comps = [c.reshape(len(rows), d, d) for c, d in zip(np.split(rows, cuts, axis=1), self.sizes)]
+        super().__init__(bimap.p, sum(self.sizes), self.to_rep(comps))
 
     def tuples(self) -> List[Tuple[np.ndarray, ...]]:
         return list(zip(*self.side_stacks()))
 
     def side_stacks(self) -> List[np.ndarray]:
         """Per component, the (dim, d, d) stack of every basis element's matrix."""
-        out, pos = [], 0
-        for d in self.sizes:
-            out.append(self.flat[:, pos : pos + d * d].reshape(self.dim, d, d))
-            pos += d * d
-        return out
-
-    def identity_tuple(self) -> Tuple[np.ndarray, ...]:
-        return tuple(linalg.identity(d) for d in self.sizes)
-
-    def contains_tuple(self, t: Sequence[np.ndarray]) -> bool:
-        v = np.concatenate([m.reshape(-1) % self.p for m in t])
-        return linalg.in_row_space(v, self.flat, self.p, self.pivots)
-
-    # block-matrix representation (associative kinds only)
-    def rep_size(self) -> int:
-        return sum(self.sizes)
+        return list(self.from_rep(self.stack))
 
     def to_rep(self, t: Sequence[np.ndarray]) -> np.ndarray:
-        opp = KIND_OPPOSITE[self.kind]
-        n = self.rep_size()
-        out = np.zeros((n, n), dtype=np.int64)
+        """The block-diagonal matrix of tuple ``t``; components that are
+        stacks of matrices give the stack of block matrices."""
+        n = sum(self.sizes)
+        out = np.zeros(np.shape(t[0])[:-2] + (n, n), dtype=np.int64)
         pos = 0
-        for m, d, o in zip(t, self.sizes, opp):
-            out[pos : pos + d, pos : pos + d] = m.T if o else m
+        for m, d, o in zip(t, self.sizes, KIND_OPPOSITE[self.kind]):
+            out[..., pos : pos + d, pos : pos + d] = np.swapaxes(m, -1, -2) if o else m
             pos += d
         return out
 
     def from_rep(self, r: np.ndarray) -> Tuple[np.ndarray, ...]:
-        opp = KIND_OPPOSITE[self.kind]
+        """The tuple of a block matrix, or of a stack of them, as ``to_rep``."""
         out = []
         pos = 0
-        for d, o in zip(self.sizes, opp):
-            blk = r[pos : pos + d, pos : pos + d]
-            out.append(blk.T if o else blk)
+        for d, o in zip(self.sizes, KIND_OPPOSITE[self.kind]):
+            blk = r[..., pos : pos + d, pos : pos + d]
+            out.append(np.swapaxes(blk, -1, -2) if o else blk)
             pos += d
         return tuple(out)
-
-    def assoc(self) -> AssocAlgebra:
-        if self.kind == "Der":
-            raise ValueError("Der is a Lie ring; use the envelope per side")
-        return AssocAlgebra(self.p, self.rep_size(), [self.to_rep(t) for t in self.tuples()])
 
 
 def _condition_matrices(b: Bimap, kind: str) -> np.ndarray:
@@ -404,14 +384,9 @@ def _condition_matrices(b: Bimap, kind: str) -> np.ndarray:
 
 def derivation_algebra(b: Bimap) -> ScalarAlgebra:
     """Der(o): triples with (uf) o v + u o (vg) = (u o v) h, closed under bracket."""
-    basis = linalg.nullspace(_condition_matrices(b, "Der"), b.p)
-    alg = ScalarAlgebra("Der", b, basis)
-    k = alg.dim
-    # [x, y] for every pair of basis elements, one flat row each
-    brackets = np.concatenate(
-        [_commutators(S).reshape(k * k, S.shape[-1] ** 2) for S in alg.side_stacks()], axis=1
-    )
-    if linalg.row_coords(brackets, alg.flat, b.p, alg.pivots) is None:
+    alg = ScalarAlgebra("Der", b, linalg.nullspace(_condition_matrices(b, "Der"), b.p))
+    # the bracket of block-diagonal matrices is the blockwise one
+    if not alg.contains_all(_commutators(alg.stack)):
         raise ArithmeticError("derivation algebra not closed under bracket")
     return alg
 
@@ -420,12 +395,10 @@ def scalar_ring(b: Bimap, kind: str) -> ScalarAlgebra:
     """Left, Mid, or Right scalars; associative, unital, closure verified."""
     if kind not in ("Left", "Mid", "Right"):
         raise ValueError(f"scalar_ring expects Left/Mid/Right, got {kind}")
-    basis = linalg.nullspace(_condition_matrices(b, kind), b.p)
-    alg = ScalarAlgebra(kind, b, basis)
-    rep = alg.assoc()
-    if not rep.is_closed():
+    alg = ScalarAlgebra(kind, b, linalg.nullspace(_condition_matrices(b, kind), b.p))
+    if not alg.is_closed():
         raise ArithmeticError(f"{kind} ring not closed under composition")
-    if not alg.contains_tuple(alg.identity_tuple()):
+    if not alg.has_identity():
         raise ArithmeticError(f"{kind} ring does not contain the identity")
     return alg
 
@@ -433,14 +406,13 @@ def scalar_ring(b: Bimap, kind: str) -> ScalarAlgebra:
 def centroid(b: Bimap) -> ScalarAlgebra:
     """Cent(o): the centre of the double-condition triple ring; commutative."""
     pre = ScalarAlgebra("Cent", b, linalg.nullspace(_condition_matrices(b, "Cent"), b.p))
-    zen = pre.assoc().center()
-    flat = np.stack(
-        [np.concatenate([m.reshape(-1) for m in pre.from_rep(r)]) for r in zen.basis]
-    ) if zen.dim else np.zeros((0, sum(d * d for d in pre.sizes)), dtype=np.int64)
-    alg = ScalarAlgebra("Cent", b, flat)
-    if (_commutators(alg.assoc().stack) % b.p).any():
+    zen = pre.center()
+    # the ring is the centre itself, its blocks read as Cent's tuples
+    alg = copy.copy(pre)
+    alg.flat, alg.pivots = zen.flat, zen.pivots
+    if (_commutators(alg.stack) % b.p).any():
         raise ArithmeticError("centroid is not commutative")
-    if not alg.contains_tuple(alg.identity_tuple()):
+    if not alg.has_identity():
         raise ArithmeticError("centroid does not contain the identity")
     return alg
 
@@ -455,8 +427,7 @@ def radical(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     """Jacobson radical basis of an associative kind, as matrix tuples."""
     if alg.kind == "Der":
         raise ValueError("radical is defined for the associative kinds only")
-    rad = alg.assoc().radical()
-    return [alg.from_rep(r) for r in rad.basis]
+    return [alg.from_rep(r) for r in alg.radical().basis]
 
 
 # -- idempotents ---------------------------------------------------------------
@@ -497,10 +468,9 @@ def split_idempotents(alg: ScalarAlgebra) -> List[Tuple[np.ndarray, ...]]:
     Cent); each output squares to itself, distinct outputs multiply to zero,
     and the sum is the identity tuple.
     """
-    assoc = alg.assoc()
-    rad, quot, lift = assoc.radical_quotient()
-    _check_commutative_quotient(assoc, rad)
-    return _lift_central_idempotents(alg, assoc, quot, lift)
+    rad, quot, lift = alg.radical_quotient()
+    _check_commutative_quotient(alg, rad)
+    return _lift_central_idempotents(alg, quot, lift)
 
 
 def _check_commutative_quotient(assoc: AssocAlgebra, rad: AssocAlgebra) -> None:
@@ -510,18 +480,18 @@ def _check_commutative_quotient(assoc: AssocAlgebra, rad: AssocAlgebra) -> None:
 
 
 def _lift_central_idempotents(
-    alg: ScalarAlgebra, assoc: AssocAlgebra, quot: AssocAlgebra, lift
+    alg: ScalarAlgebra, quot: AssocAlgebra, lift
 ) -> List[Tuple[np.ndarray, ...]]:
-    """Primitive idempotents of Z(A/J), lifted into A through the radical J.
+    """Primitive idempotents of Z(A/J), lifted into A = ``alg`` through the
+    radical J.
 
-    ``assoc`` is ``alg.assoc()``, and ``quot`` and ``lift`` are A/J and its
-    lift as ``assoc.radical_quotient()`` returns them; the lifts come back
-    as tuples of ``alg``.  Each lift is the p^K-th power, p^K > dim A, of a
-    representative cut down to the corner the earlier lifts leave free; the
-    lifts are checked to be idempotent, pairwise orthogonal and to sum to
-    the identity.
+    ``quot`` and ``lift`` are A/J and its lift as ``alg.radical_quotient()``
+    returns them; the lifts come back as tuples of ``alg``.  Each lift is the
+    p^K-th power, p^K > dim A, of a representative cut down to the corner the
+    earlier lifts leave free; the lifts are checked to be idempotent,
+    pairwise orthogonal and to sum to the identity.
     """
-    p, n = assoc.p, assoc.n
+    p, n = alg.p, alg.n
     if quot.dim == 0:
         return []
     # A is unital, so the regular image of 1_A, I_q, is the identity of A/J
@@ -529,7 +499,7 @@ def _lift_central_idempotents(
         raise ValueError("algebra has no identity element")
     prim_q = _split_primitive(quot.center(), linalg.identity(quot.n))
     K = 1
-    while p ** K <= max(assoc.dim, 1):
+    while p ** K <= max(alg.dim, 1):
         K += 1
     exp = p ** K
     ident = linalg.identity(n)
@@ -624,10 +594,10 @@ class BimapRings:
         return self.rings[kind]
 
     def radical(self, kind: str) -> tuple:
-        """(A, J, A/J, lift) of an associative ring."""
+        """(A, J, A/J, lift) of the associative ring A of ``kind``."""
         if kind not in self.radicals:
-            assoc = self.ring(kind).assoc()
-            self.radicals[kind] = (assoc,) + assoc.radical_quotient()
+            alg = self.ring(kind)
+            self.radicals[kind] = (alg,) + alg.radical_quotient()
         return self.radicals[kind]
 
     def envelope(self, pos: int) -> AssocAlgebra:
@@ -680,20 +650,18 @@ class BimapRings:
                     if rad.dim:
                         emit_action(side, list(rad.basis), "der")
         elif rank > len(ASSOC_KINDS):
-            emit("U", b.radical_u(), "bimap-radical")
-            emit("V", b.radical_v(), "bimap-radical")
+            for axis, side in enumerate("UV"):
+                emit(side, b.radical(axis), "bimap-radical")
         else:
             kind = ASSOC_KINDS[rank - 1]
-            alg = self.ring(kind)
-            assoc, rad, quot, lift = self.radical(kind)
+            alg, rad, quot, lift = self.radical(kind)
             if rad.dim:
-                rad_tuples = [alg.from_rep(r) for r in rad.basis]
-                for pos, side in enumerate(KIND_SIDES[kind]):
-                    emit_action(side, [t[pos] for t in rad_tuples], kind.lower())
+                for side, mats in zip(KIND_SIDES[kind], alg.from_rep(rad.stack)):
+                    emit_action(side, list(mats), kind.lower())
             if kind == "Cent":
-                _check_commutative_quotient(assoc, rad)
+                _check_commutative_quotient(alg, rad)
             if kind in ("Mid", "Cent"):
-                for e in _lift_central_idempotents(alg, assoc, quot, lift):
+                for e in _lift_central_idempotents(alg, quot, lift):
                     for pos, side in enumerate(KIND_SIDES[kind]):
                         emit(side, e[pos], kind.lower() + "-idem")
         return out

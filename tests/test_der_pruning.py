@@ -47,7 +47,7 @@ REORDERED = Bimap(3, np.array([[[1], [1]], [[0], [2]], [[1], [2]]]))
 def _assert_lift_multiplicative(b):
     rings = scalars.all_rings(b)
     for kind in ("Mid", "Left", "Right", "Cent"):
-        A = rings[kind].assoc()
+        A = rings[kind]
         J, quot, lift = A.radical_quotient()
         p = A.p
         lifts = [lift(quot.coords(x)) for x in quot.basis]

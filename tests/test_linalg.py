@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from filterlab import linalg
@@ -44,6 +44,45 @@ def test_nullspace_annihilates(case):
     assert len(linalg.rref(a, p)[1]) + ns.shape[0] == a.shape[1]
 
 
+def _two_pass_nullspace(a, p):
+    """The kernel as ``nullspace`` built it with two eliminations: one
+    vector per free column of rref(a), then their row space."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    n = a.shape[1]
+    if n == 0:
+        return linalg.zeros((0, 0))
+    r, piv = linalg.rref(a, p)
+    free = [j for j in range(n) if j not in set(piv)]
+    basis = linalg.zeros((len(free), n))
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for i, c in enumerate(piv):
+            basis[k, c] = (-r[i, f]) % p
+    return linalg.row_space(basis, p)
+
+
+@st.composite
+def kernel_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    a = random_matrix(draw, p, rows, cols)
+    return p, a * draw(st.booleans())  # all-zero about half the time
+
+
+@given(kernel_cases())
+@example((5, linalg.zeros((0, 0))))
+@example((5, linalg.zeros((0, 3))))
+@example((5, linalg.zeros((2, 0))))
+@example((5, linalg.zeros((3, 4))))
+@settings(max_examples=300, deadline=None)
+def test_nullspace_is_the_two_pass_kernel(case):
+    """One elimination gives the same RREF kernel as two, on 0-row and
+    all-zero matrices too."""
+    p, a = case
+    got, want = linalg.nullspace(a, p), _two_pass_nullspace(a, p)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 @given(mats)
 @settings(max_examples=100)
 def test_rref_idempotent(case):
@@ -75,7 +114,8 @@ def test_row_coords_outside_is_none():
 
 
 @pytest.mark.parametrize(
-    "basis", [[[1, 1], [0, 1]], [[2, 0]], [[0, 0]], [[1, 0], [1, 1]], [[0, 1], [1, 0], [1, 1]]]
+    "basis",
+    [[[1, 1], [0, 1]], [[2, 0]], [[0, 0]], [[1, 0], [1, 1]], [[0, 1], [1, 0], [1, 1]], [[0, 1], [1, 0]]],
 )
 def test_row_coords_rejects_non_rref_basis(basis):
     with pytest.raises(ValueError, match="reduced row echelon"):

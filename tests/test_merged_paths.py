@@ -392,8 +392,8 @@ def _corpus_bimaps(groups):
 def _check_lift(alg, idems, central_mod_radical):
     p = alg.p
     reps = [alg.to_rep(e) for e in idems]
-    n = alg.rep_size()
-    assert all(alg.contains_tuple(e) for e in idems)
+    n = alg.n
+    assert all(alg.contains(r) for r in reps)
     for i, a in enumerate(reps):
         assert not ((a @ a - a) % p).any()
         for j, b in enumerate(reps):
@@ -401,10 +401,9 @@ def _check_lift(alg, idems, central_mod_radical):
                 assert not (a @ b % p).any()
     assert not ((sum(reps, np.zeros((n, n), dtype=np.int64)) - np.eye(n, dtype=np.int64)) % p).any()
     if central_mod_radical:
-        assoc = alg.assoc()
-        rad = assoc.radical()
+        rad = alg.radical()
         for e in reps:
-            for a in assoc.basis:
+            for a in alg.basis:
                 assert rad.contains((e @ a - a @ e) % p)
 
 
@@ -413,8 +412,7 @@ def test_single_lift_on_mid_and_cent_rings(corpus_groups):
     for b in _corpus_bimaps(corpus_groups):
         rings = scalars.all_rings(b)
         cent = scalars.split_idempotents(rings["Cent"])
-        assoc = rings["Mid"].assoc()
-        mid = scalars._lift_central_idempotents(rings["Mid"], assoc, *assoc.radical_quotient()[1:])
+        mid = scalars._lift_central_idempotents(rings["Mid"], *rings["Mid"].radical_quotient()[1:])
         _check_lift(rings["Cent"], cent, central_mod_radical=False)
         _check_lift(rings["Mid"], mid, central_mod_radical=True)
         multi["Cent"] += len(cent) > 1
@@ -488,13 +486,13 @@ def _solve_identity(assoc):
     return out
 
 
-def _solve_lift(alg, assoc, rad, monkeypatch):
+def _solve_lift(alg, rad, monkeypatch):
     """The idempotent lift run on the solve-based quotient and identity."""
-    quot, lift = _solve_quotient(assoc, rad)
+    quot, lift = _solve_quotient(alg, rad)
     split = scalars._split_primitive
     with monkeypatch.context() as m:
         m.setattr(scalars, "_split_primitive", lambda zq, unit: split(zq, _solve_identity(quot)))
-        return scalars._lift_central_idempotents(alg, assoc, quot, lift)
+        return scalars._lift_central_idempotents(alg, quot, lift)
 
 
 def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkeypatch):
@@ -503,16 +501,15 @@ def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkey
         rings = scalars.all_rings(b)
         for kind in ("Mid", "Cent"):
             alg = rings[kind]
-            assoc = alg.assoc()
-            rad, quot, lift = assoc.radical_quotient()
-            ref, ref_lift = _solve_quotient(assoc, rad)
+            rad, quot, lift = alg.radical_quotient()
+            ref, ref_lift = _solve_quotient(alg, rad)
             assert np.array_equal(quot.flat, ref.flat)
             # the complement is the greedy choice, one elimination per row
             greedy, span = [], rad.flat
-            for v in assoc.flat:
-                if not linalg.in_row_space(v, span, assoc.p):
-                    greedy.append(v.reshape(assoc.n, assoc.n))
-                    span = linalg.row_space(np.concatenate([span, v.reshape(1, -1)]), assoc.p)
+            for v in alg.flat:
+                if not linalg.in_row_space(v, span, alg.p):
+                    greedy.append(v.reshape(alg.n, alg.n))
+                    span = linalg.row_space(np.concatenate([span, v.reshape(1, -1)]), alg.p)
             assert len(greedy) == quot.dim
             for c, m in zip(linalg.identity(quot.dim), greedy):
                 assert np.array_equal(lift(c), m)
@@ -520,8 +517,8 @@ def test_quotient_identity_and_lift_match_solve_references(corpus_groups, monkey
                 assert np.array_equal(lift(c), ref_lift(c))
             if quot.dim:
                 assert np.array_equal(_solve_identity(ref), linalg.identity(quot.n))
-            got = scalars._lift_central_idempotents(alg, assoc, quot, lift)
-            want = _solve_lift(alg, assoc, rad, monkeypatch)
+            got = scalars._lift_central_idempotents(alg, quot, lift)
+            want = _solve_lift(alg, rad, monkeypatch)
             assert len(got) == len(want)
             for e, f in zip(got, want):
                 assert all(np.array_equal(x, y) for x, y in zip(e, f))

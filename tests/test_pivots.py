@@ -2,7 +2,8 @@
 the rows, the scalar algebras and emissions keep them next to their basis,
 and ``row_coords`` reads them rather than deriving and checking them again
 on every call.  ``linalg.pivots`` derives them for a basis built elsewhere,
-once, and raises on a basis that is not in RREF."""
+once, and raises on a basis that is not in RREF.  Each ``nullspace`` call
+eliminates once, and a census pass pins its ``rref`` calls."""
 
 import ast
 from pathlib import Path
@@ -19,6 +20,10 @@ PACKAGE = ROOT / "src" / "filterlab"
 # basis that reaches ``row_coords`` there was built by ``echelon``
 DERIVATIONS = 0
 
+# ``linalg.rref`` calls in that pass: each ring is echelonised once, in its
+# block-matrix layout, and each ``nullspace`` call eliminates once
+RREF_CALLS = 1120
+
 # functions of the package that call ``row_coords`` or ``in_row_space``
 # without the pivots, so that each call derives them again
 DERIVING_SITES = set()
@@ -27,9 +32,13 @@ DERIVING_SITES = set()
 @pytest.fixture(scope="module")
 def census_pass():
     """Every (rows, pivots) that ``echelon`` built, every (basis, pivots)
-    that ``row_coords`` was given, and the call counts, over one census."""
-    built, carried, counts = [], [], {"pivots": 0, "row_coords": 0}
+    that ``row_coords`` was given, and the call counts, over one census;
+    ``counts["per_nullspace"]`` holds the ``rref`` calls of each
+    ``nullspace`` call."""
+    built, carried = [], []
+    counts = {"pivots": 0, "row_coords": 0, "rref": 0, "per_nullspace": []}
     echelon, pivots, row_coords = linalg.echelon, linalg.pivots, linalg.row_coords
+    rref, nullspace = linalg.rref, linalg.nullspace
 
     def recording_echelon(a, p):
         out = echelon(a, p)
@@ -46,10 +55,22 @@ def census_pass():
             carried.append((np.array(basis, dtype=np.int64), piv))
         return row_coords(v, basis, p, piv)
 
+    def counting_rref(a, p):
+        counts["rref"] += 1
+        return rref(a, p)
+
+    def counting_nullspace(a, p):
+        before = counts["rref"]
+        out = nullspace(a, p)
+        counts["per_nullspace"].append(counts["rref"] - before)
+        return out
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(linalg, "echelon", recording_echelon)
         m.setattr(linalg, "pivots", counting_pivots)
         m.setattr(linalg, "row_coords", recording_row_coords)
+        m.setattr(linalg, "rref", counting_rref)
+        m.setattr(linalg, "nullspace", counting_nullspace)
         summary = census.run_census(ROOT / "corpus" / "order16", jobs=1)
     assert not summary.skipped and len(summary.groups) == 14
     return built, carried, counts
@@ -67,6 +88,12 @@ def test_census_derives_pivots_at_most_once_per_basis_built(census_pass):
     built, carried, counts = census_pass
     assert counts["pivots"] == DERIVATIONS <= len(built)
     assert len(carried) == counts["row_coords"] > 0
+
+
+def test_census_eliminates_once_per_nullspace_and_ring(census_pass):
+    _, _, counts = census_pass
+    assert counts["per_nullspace"] and set(counts["per_nullspace"]) == {1}
+    assert counts["rref"] == RREF_CALLS
 
 
 def _deriving_sites(tree):
@@ -110,7 +137,7 @@ def test_deriving_sites_walker_counts_arguments():
     assert _deriving_sites(tree) == {"f", "A.g"}
 
 
-@pytest.mark.parametrize("basis", [[[1, 1], [0, 1]], [[2, 0]], [[1, 0], [1, 1]]])
+@pytest.mark.parametrize("basis", [[[1, 1], [0, 1]], [[2, 0]], [[1, 0], [1, 1]], [[0, 1], [1, 0]]])
 def test_a_basis_from_outside_is_checked_once(basis, monkeypatch):
     basis = np.array(basis, dtype=np.int64)
     with pytest.raises(ValueError, match="reduced row echelon"):

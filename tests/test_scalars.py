@@ -154,7 +154,7 @@ def test_mid_of_symplectic_is_full_matrix_algebra():
     mid = scalar_ring(b, "Mid")
     assert mid.dim == 4
     assert not radical(mid)
-    assert mid.assoc().center().dim == 1  # central simple of dim 4 = M_2
+    assert mid.center().dim == 1  # central simple of dim 4 = M_2
 
 
 def test_ring_closure_and_identity_membership():
@@ -162,10 +162,10 @@ def test_ring_closure_and_identity_membership():
         b = symplectic(p)
         for kind in ("Left", "Mid", "Right"):
             alg = scalar_ring(b, kind)
-            assert alg.contains_tuple(alg.identity_tuple())
-            assert alg.assoc().is_closed()
+            assert alg.has_identity()
+            assert alg.is_closed()
         cent = centroid(b)
-        assert cent.contains_tuple(cent.identity_tuple())
+        assert cent.has_identity()
 
 
 def test_centroid_direct_sum():
@@ -296,5 +296,5 @@ def test_radical_nilpotent_two_sided(corpus_groups):
     b = bimap_from_lie_pair(L, (1,), (1,))
     for kind in ("Left", "Mid", "Right", "Cent"):
         alg = all_rings(b)[kind]
-        rad = alg.assoc().radical()  # raises if the verification fails
+        rad = alg.radical()  # raises if the verification fails
         assert rad.dim <= alg.dim

@@ -2,7 +2,8 @@
 
 An automorphism is stored by its generator images.  For an A-invariant filter
 phi, membership of a in Delta_s phi means [phi_t, a] <= phi_{t+s} for every
-grade t; on a box past stabilisation checking box grades is exact.  The
+grade t; checking the grades of phi is exact: the grades of a box past
+stabilisation, or the ends of a chain (``delta_grades``).  The
 pair law [Delta_s, Delta_t] <= Delta_{s+t} is checked on given generators at
 any group order, from x^(ba) against x^(ab), with no map inverted.  Each
 member induces a grade-shifting derivation of the graded Lie ring by
@@ -160,7 +161,7 @@ def load_sidecar(G: PcGroup, path) -> List[AutMap]:
 
 def delta_grades(a: AutMap, f: Filter, grades: Sequence[MonoidElem]) -> List[MonoidElem]:
     """The s in ``grades`` with a in Delta_s phi: [phi_t, a] <= phi_{t+s}
-    for all box grades t.  Raises ``PcgError`` once if a does not leave f
+    for all grades t of f.  Raises ``PcgError`` once if a does not leave f
     invariant.
 
     Generator-level checking suffices because [yx, a] = [y, a]^x [x, a], so
@@ -168,6 +169,9 @@ def delta_grades(a: AutMap, f: Filter, grades: Sequence[MonoidElem]) -> List[Mon
     distinct x, as nested terms share igs members.  Invariance is the case
     s = 0: for x in phi_t, x^a lies in phi_t exactly when [x, a] = x^-1 x^a
     does, and phi_t^a <= phi_t is phi_t^a = phi_t as a is a bijection.
+    The grades of a chain are its ends, and they decide every t in N^d:
+    phi_t = C_i for the least end u_i >= t, and t + s <= u_i + s in lex, so
+    phi_{t+s} >= phi_{u_i+s}.
     """
     pairs = [(t, x) for t in f.grades() for x in f.value(t).igs]
     comm = {x: aut_commutator(x, a) for x in dict.fromkeys(x for _, x in pairs)}
@@ -195,7 +199,7 @@ class DeltaReport:
 def pair_law_escapes(
     a: AutMap, b: AutMap, f: Filter, st: MonoidElem
 ) -> List[Tuple[MonoidElem, Elem]]:
-    """The (u, y) with y = x^(ba) for x in igs(phi_u), u a box grade, and
+    """The (u, y) with y = x^(ba) for x in igs(phi_u), u a grade of f, and
     [y, [a, b]] = y^-1 x^(ab) outside phi_{st+u}.  For a, b that leave f
     invariant it is empty iff [phi_u, [a, b]] <= phi_{st+u} for every u
     (proof in ``delta_layer_dims``)."""
@@ -214,7 +218,7 @@ def delta_layer_dims(gens: Sequence[AutMap], f: Filter) -> DeltaReport:
     """Classify generators by their maximal Delta grade and check the pair law.
 
     For generators a, b at maximal grades s, t the law asks phi_u <= S =
-    {y in phi_u : [y, c] in T} at every box grade u, where c = [a, b] =
+    {y in phi_u : [y, c] in T} at every grade u of f, where c = [a, b] =
     a^-1 b^-1 a b and T = phi_{s+t+u}.  ``pair_law_escapes`` decides it
     with no map inverted, and a violation names the y that escapes:
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -83,15 +83,6 @@ def box_enumerate(bound: MonoidElem) -> List[MonoidElem]:
     if any(c < 0 for c in bound):
         raise ValueError("box bound must be non-negative")
     return [tuple(m) for m in itertools.product(*(range(c + 1) for c in bound))]
-
-
-def box_iter(bound: MonoidElem) -> Iterator[MonoidElem]:
-    for m in itertools.product(*(range(c + 1) for c in bound)):
-        yield tuple(m)
-
-
-def in_box(m: MonoidElem, bound: MonoidElem) -> bool:
-    return len(m) == len(bound) and all(0 <= x <= b for x, b in zip(m, bound))
 
 
 def clamp(m: MonoidElem, bound: MonoidElem) -> MonoidElem:

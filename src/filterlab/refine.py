@@ -2,11 +2,10 @@
 
 Each insertion extends the grading monoid by one lexicographic coordinate
 (appended least-significant), threading the new subgroup between phi_s and
-its boundary.  Grades for the extended filter are generated by the closure
-rules (order rule plus iterated commutator rule), which touch each distinct
-value once per sweep and cannot leave the box (proof in ``_closure``); the
-result is verified against the filter axioms, and a table that fails them
-raises instead of being patched.
+its boundary.  The closure works on the chain of distinct values
+(``series.LexFilter``) and its pairs of ends, and ends at the least filter
+over the seeds (proofs in ``_close``); the result is verified against the
+filter axioms, and a chain that fails them raises instead of being patched.
 Every candidate inserts (proof in ``refine_to_fixpoint``), so a refinement
 inserts the first candidate of each table and tries no other.  A table's
 candidates are searched by provenance rank (``CandidateTable``): the rings
@@ -16,6 +15,8 @@ table builds the others only for ``ring_dims`` and ``seed_refined_by``.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import monoid as mon, scalars
 from .lie import CosetBasis, GradedLieRing, graded_lie_ring
-from .monoid import GradedMonoid, MonoidElem
+from .monoid import MonoidElem
 from .pcgroup import (
     Elem,
     PcGroup,
@@ -33,14 +34,7 @@ from .pcgroup import (
     subgroup_from_gens,
     trivial_subgroup,
 )
-from .series import (
-    Filter,
-    distinct_codes,
-    exponent_p_lcs,
-    pair_index,
-    value_labels,
-    verify_filter,
-)
+from .series import Filter, LexFilter, exponent_p_lcs, verify_filter
 
 
 class RefinementError(RuntimeError):
@@ -66,102 +60,83 @@ def lift_subspace(comp: CosetBasis, subspace: np.ndarray) -> Subgroup:
     return H
 
 
-def _closure(
-    G: PcGroup,
-    box: MonoidElem,
-    seeds: Dict[MonoidElem, Subgroup],
-    ops: SubgroupOps,
-) -> Dict[MonoidElem, Subgroup]:
-    """Smallest box table containing the seeds and closed under both rules.
+def _close(ends: List[MonoidElem], values: List[Subgroup], ops: SubgroupOps):
+    """The least lex filter above the chain (ends, values), as a chain.
 
-    Each seed is a canonical subgroup and goes into its grade as it is.
+    While some pair of ends has X = [C_i, C_j] outside psi(w), w = u_i + u_j,
+    X is joined into every value at or below w, the interval that holds w is
+    split at w, and equal neighbours merge, keeping the later end: the least
+    order-reversing map above psi with X at w.
 
-    A sweep runs the order rule as a descending lex cascade, then the
-    commutator rule as a Jacobi step: the values are labelled once, and for
-    each distinct (in-box target w, label a, label b) with both values
-    nontrivial, [A, B] is joined into the value at w.  Both rules are
-    monotone and inflationary on the finite lattice of tables.  So each join
-    keeps the table below the least table T that contains the seeds and is
-    closed under both rules (if X <= T then [X_u, X_v] <= [T_u, T_v] <= T_w),
-    and a sweep that changes nothing leaves a closed table, which is then T.
-    The order in which the rules are applied does not change the table.
+    Fixpoint.  Let T be the least lex filter above the seed chain sigma.
+    Each join keeps psi <= T: if psi <= T, X <= [T(u_i), T(u_j)] <= T(w) <=
+    T(v) for v <= w.  The join is monotone and inflationary, so psi only
+    grows.  At the fixpoint all end pairs pass, so psi is a filter
+    (``series.LexFilter``) above sigma, and psi = T.
 
-    A commutator whose grade w = u + v leaves the box is contained in
-    phi_{clamp(w)} once the sweeps end, so it needs no check.  The final
-    table is lex-monotone (the order rule), hence pointwise-monotone.  Set
-    u' = clamp(w) - v.  Then 0 <= u' <= u pointwise, as v <= clamp(w), and
-    u' + v = clamp(w) lies in the box, so
-    [phi_u, phi_v] <= [phi_u', phi_v] <= phi_{clamp(w)}.
-    ``verify_filter`` checks exactly these triples on the final table.
+    Termination.  Let rho(w) = eta(w_1), eta the exponent-p seed over N and
+    b_1 its first grade with eta(b_1) = 1.  rho is order-reversing in lex
+    order and [rho(u), rho(v)] <= rho(u + v).  By induction over the
+    insertions every filter lies below rho, as H <= phi_s, and then so does
+    T.  Every seed end has first coordinate >= 1, as phi_{e_1} = G = phi_0
+    (``refine_to_fixpoint``).  A join at w has 1 != X <= T(w) <= rho(w), so
+    w_1 < b_1, and every new end is such a w, the sum of two ends.  So each
+    end is a sum of fewer than b_1 seed ends, in a finite set E.  psi is
+    determined by its values on E, which holds its ends, and each join
+    strictly grows psi at w in E, so the closure stops after at most
+    |E| log_p|G| joins.
     """
-    grades = mon.box_enumerate(box)
-    n = len(grades)
-    trivial = trivial_subgroup(G)
-    vals: List[Subgroup] = [trivial] * n
-    for i, m in enumerate(grades):
-        if m in seeds:
-            vals[i] = seeds[m]
-    idx, inbox = pair_index(box)
-    targets = idx[inbox]
-    rows, cols = np.nonzero(inbox)
-
-    changed = True
-    while changed:
-        changed = False
-        # order rule: descending lex cascade
-        for cur in range(n - 2, -1, -1):
-            if not ops.is_subset(vals[cur + 1], vals[cur]):
-                vals[cur] = ops.join(vals[cur], vals[cur + 1])
-                changed = True
-        # commutator rule, one join per distinct (target, value, value)
-        labels, reps = value_labels(vals)
-        k = len(reps)
-        nontrivial = np.array([H.order > 1 for H in reps])
-        a, b = labels[rows], labels[cols]
-        live = nontrivial[a] & nontrivial[b]
-        codes = (targets[live].astype(np.int64) * k + a[live]) * k + b[live]
-        for code in distinct_codes(codes, n * k * k).tolist():
-            rest, y = divmod(code, k)
-            w, x = divmod(rest, k)
-            c = ops.comm(reps[x], reps[y])
-            if c.order > 1 and not ops.is_subset(c, vals[w]):
-                vals[w] = ops.join(vals[w], c)
-                changed = True
-    return dict(zip(grades, vals))
+    trivial = trivial_subgroup(ops.group)
+    while True:
+        for i, j in itertools.combinations_with_replacement(range(len(ends)), 2):
+            w = mon.add(ends[i], ends[j])
+            X = ops.comm(values[i], values[j])
+            l = bisect.bisect_left(ends, w)
+            at = values[l] if l < len(values) else trivial
+            if not ops.is_subset(X, at):
+                break
+        else:
+            return ends, values
+        tail = l + (l < len(ends) and ends[l] == w)
+        ends = ends[:l] + [w] + ends[tail:]
+        values = [ops.join(C, X) for C in values[:l]] + [ops.join(at, X)] + values[tail:]
+        keep = [i for i in range(len(ends)) if i + 1 == len(ends) or values[i] != values[i + 1]]
+        ends, values = [ends[i] for i in keep], [values[i] for i in keep]
 
 
-def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
+def insert_refinement(f: Filter | LexFilter, s: MonoidElem, H: Subgroup) -> LexFilter:
     """Extend f over N^(d+1), lexicographic, with H threaded at grade (s, 1).
 
-    One closure psi on the box (B, E), B = f.box, gives the table; the new
-    coordinate is cut back to the least E' >= 1 from which its levels are
-    equal up to E.  In B, m+ is the lex successor of m and ceil(w) the
-    lex-least grade at or above w in N^d; phi is 1 past the last grade.  f is
-    the exponent-p seed or an output of this function, so by induction
-    (P) phi_clamp(w) = phi_ceil(w) for all w: B is past stabilisation.  And
-    s_1 >= 1, as phi_{e_1} = G (``refine_to_fixpoint``) makes the boundary
-    at s equal to G when s_1 = 0.
+    f is the exponent-p seed (over N, where pointwise is lex order) or an
+    output of this function; its chain is its grades m with phi_m !=
+    phi_{m+e_d}, and s is an end, as phi_s > H > phi_{s+e_d}.  The seed chain
+    sigma appends 0 to every end and puts H at (s, 1), just after (s, 0):
+    the least lex-monotone map with phi_m at (m, 0) and H at (s, 1).  The
+    output is the least lex filter above sigma (``_close``).
 
-    1. phi_m at each (m, c) is a closed table holding the seeds, so
-       psi_(m,c) <= phi_m = psi_(m,0).
-    2. Degree bound.  Let k(m) be the largest k with k*s <= m pointwise, and
-       X = psi at c <= k(m), X = phi_{m+} at c > k(m).  X <= psi, X holds
-       the seeds and is lex-monotone, and X is closed: if u + v = (m, c)
-       with c > k(m), say u = (m1, c1) has c1 > k(m1), then [X_u, X_v] <=
-       [phi_{m1+}, phi_{m2}] <= phi_clamp(m1+ + m2) = phi_ceil(m1+ + m2) <=
-       phi_{m+} by (P).  So X = psi: psi_(m,c) = phi_{m+} once c*s_1 > m_1,
-       hence for c >= E = (b_1 - 1) // s_1 + 1 ((P): phi_m = 1 if m_1 = b_1).
-    3. Cut-back.  psi restricted to (B, E') is closed, and the closure on
-       (B, E') read through the clamp is closed on (B, E), so the two agree
-       on (B, E'), and psi_(m,E') = psi_(m,E) = phi_{m+}.  With step 1 and
-       (P) for f this gives (P) for the output.
-    4. Old coordinates.  By (P), psi o clamp = psi o ceil is lex-monotone, so
-       it is closed on (B+1, E'+1) and holds the closure Z there; Z restricted
-       to (B, E') is closed, so Z_w >= Z_ceil(w) >= psi_ceil(w).  Hence Z =
-       psi o clamp: the one-larger box adds nothing in any coordinate.
+    Relation to the box closure, which stored a lex filter on a box B with
+    a table psi, read an off-box grade at its clamp into B, and proved for
+    each output
+    (P) psi(clamp w) = psi(ceil w), ceil w the lex-least grade of B at or
+    above w, with psi = 1 past B.
+
+    (a) A table with (P) is its chain, ends the grades g of B with psi(g)
+        != psi(clamp(g + e_d)) = psi(g+), g+ the lex successor of g in B
+        (ceil(g + e_d) = g+).  psi is lex-monotone on B, so psi(ceil w) is
+        the value at the least such g at or above ceil w, that is at or
+        above w, and 1 when there is none.
+    (b) The box closure of the seeds phi_m at every (m, 0) of B and H at
+        (s, 1), read through the clamp, is the least filter above them,
+        which is the least filter above sigma.  It is a filter: (P) makes
+        it lex-order-reversing, and [psi(clamp u), psi(clamp v)] <=
+        psi(clamp(clamp u + clamp v)) = psi(clamp(u + v)), as the closure
+        holds a commutator whose grade leaves B at its clamp.  A filter Z
+        above the seeds is closed for the sums inside B, so Z >= psi on B,
+        and off B, Z(w) >= Z(ceil w) >= psi(ceil w) = psi(clamp w).
+    So the chain equals the box table read through the clamp.
     """
     G = f.group
-    H = subgroup_from_gens(G, H.igs)  # canonical, so the closure seeds it as is
+    H = subgroup_from_gens(G, H.igs)  # canonical, as the chain's values are
     bound = f.boundary_at(s)
     val = f.value(s)
     if not (bound.is_subset(H) and H.is_subset(val)):
@@ -170,15 +145,13 @@ def insert_refinement(f: Filter, s: MonoidElem, H: Subgroup) -> Filter:
         raise RefinementError("containment violated: insertion must be strict")
     if not H.is_normal():
         raise RefinementError("inserted subgroup is not normal")
-    seeds: Dict[MonoidElem, Subgroup] = {m + (0,): f.value(m) for m in f.grades()}
-    seeds[s + (1,)] = H
-    top = (f.box[0] - 1) // s[0] + 1
-    table = _closure(G, f.box + (top,), seeds, SubgroupOps(G))
-    while top > 1 and all(table[m + (top - 1,)] == table[m + (top,)] for m in f.grades()):
-        top -= 1
-    box = f.box + (top,)
-    table = {w: table[w] for w in mon.box_iter(box)}
-    out = Filter(G, GradedMonoid(f.monoid.dim + 1, mon.LEX), box, table)
+    chain = [m for m in f.grades() if f.value(m) != f.boundary_at(m)]
+    ends = [m + (0,) for m in chain]
+    values = [f.value(m) for m in chain]
+    at = chain.index(s) + 1
+    ends.insert(at, s + (1,))
+    values.insert(at, H)
+    out = LexFilter(G, f.monoid.dim + 1, *_close(ends, values, SubgroupOps(G)))
     bad = verify_filter(out)
     if bad:
         raise RefinementError(f"refined table is not a filter: {bad[0]}")
@@ -202,7 +175,7 @@ class RefinementReport:
     order: int
     seed_dims: List[int]
     steps: List[RefinementStep]
-    final: Filter
+    final: LexFilter | Filter
     classification: str
     cap_hit: bool
     runtime_ms: int
@@ -226,8 +199,8 @@ class CandidateTable:
     """The candidates of one table, searched rank by rank.
 
     A candidate is (sort key, grade, basis, provenances): a subspace that
-    ``scalars.characteristic_subspaces`` returns for an in-box product
-    L_s x L_t, proper (0 < dim < dim L_g, g the grade of its side).  The full
+    ``scalars.characteristic_subspaces`` returns for a product L_s x L_t
+    with L_{s+t} != 0, proper (0 < dim < dim L_g, g the grade of its side).  The full
     sort orders all of them by (rank of provs[0], grade, dim, echelon form),
     stably over the products in loop order.  A product on which
     ``der_envelopes_full`` holds has no proper Der-invariant subspace (see
@@ -256,7 +229,7 @@ class CandidateTable:
 
     def __init__(self, L: GradedLieRing):
         self.L = L
-        self.products = []  # (s, t, rings) for every in-box product
+        self.products = []  # (s, t, rings) for every product with L_{s+t} != 0
         for s in L.comps:
             for t in L.comps:
                 if L.dim(mon.add(s, t)):
@@ -305,14 +278,14 @@ def refine_to_fixpoint(G: PcGroup, group_id: str = "") -> RefinementReport:
        f.value(m), and the closure only enlarges values, so phi_{e_1} = G in
        every refined filter, e_1 = (1, 0, ..., 0).
     2. By the filter axiom, [G, phi_s] = [phi_{e_1}, phi_s] <= phi_{s+e_1}
-       <= phi_{s+e_d} = boundary(phi_s), as s + e_d <= s + e_1 in lex ((P)
-       of ``insert_refinement``).  So every H with boundary(phi_s) <= H <=
+       <= phi_{s+e_d} = boundary(phi_s), as s + e_d <= s + e_1 in lex and
+       phi is order-reversing.  So every H with boundary(phi_s) <= H <=
        phi_s is normal: [G, H] <= boundary(phi_s) <= H.
     3. A candidate has 0 < dim < dim L_s, and it lifts through the ring's
        own component L_s = phi_s / boundary(phi_s), so ``lift_subspace``
        gives boundary(phi_s) < H < phi_s.  None of ``insert_refinement``'s
        containment, strictness or normality checks can fail on it.
-    4. The closure's box is past stabilisation (``insert_refinement``), so
+    4. The closure ends at the least filter over the seeds (``_close``), so
        only the ``verify_filter`` post-check is left.  A raise there is a
        defect: it propagates, and the census skips the group (stage refine).
 

@@ -118,28 +118,41 @@ class AssocAlgebra:
     def has_identity(self) -> bool:
         return self.contains(linalg.identity(self.n))
 
-    def _radical_chain(self) -> List[np.ndarray]:
+    def _kernel_rows(self, ker: np.ndarray) -> "AssocAlgebra":
+        """The span of the rows of ker @ flat, for ker in RREF with pivots Q
+        as ``nullspace`` returns it, with no elimination: the product is in
+        RREF with pivots P[Q], P those of ``flat``.  Its columns P[Q] are
+        ker[:, Q] = I, as flat[:, P] = I.  Row i is flat[Q_i] plus multiples
+        of the rows flat[j], j > Q_i, which are 0 up to their pivots P[j] >
+        P[Q_i] and 0 at P[Q_i]; so its leading 1 is at P[Q_i]."""
+        sub = AssocAlgebra.__new__(AssocAlgebra)
+        sub.p, sub.n = self.p, self.n
+        sub.flat = ker @ self.flat % self.p
+        leading = (ker != 0).argmax(axis=1) if len(ker) else linalg.zeros(0, np.intp)
+        sub.pivots = self.pivots[leading]
+        return sub
+
+    def _radical_chain(self) -> "AssocAlgebra":
         # descending chain A = A_0 >= A_1 >= ... with
         #   A_{i+1} = {x in A_i : Tr((x~ y~)^{p^i}) = 0 mod p^{i+1}, all y in A_i}
         # on integral lifts x~ (entries 0..p-1); the value at level i is
         # divisible by p^i on A_i, so dividing gives an F_p-linear system.
         # After the level with p^i >= n the chain equals the Jacobson radical.
         p, n = self.p, self.n
-        cur = self.stack
+        cur = self
         pk = 1
         while True:
-            if not len(cur):
-                return []
+            if not cur.dim:
+                return cur
             mod = pk * p
             # Tr((xy)^pk) = Tr((yx)^pk), so the pair stack's order is free
-            powers = _mat_power(_pair_products(cur, cur) % mod, pk, mod)
+            powers = _mat_power(_pair_products(cur.stack, cur.stack) % mod, pk, mod)
             vals = np.trace(powers, axis1=2, axis2=3) % mod
             if (vals % pk).any():
                 raise ArithmeticError("radical chain divisibility failed")
-            ker = linalg.nullspace(vals // pk % p, p)
-            cur = (ker @ cur.reshape(len(cur), -1) % p).reshape(-1, n, n)
+            cur = cur._kernel_rows(linalg.nullspace(vals // pk % p, p))
             if pk >= n:
-                return list(cur)
+                return cur
             pk *= p
 
     def radical(self) -> "AssocAlgebra":
@@ -149,7 +162,7 @@ class AssocAlgebra:
     def radical_quotient(self):
         """(J, A/J, lift): the verified radical J with the quotient and lift
         that its verification built, as ``quotient`` returns them."""
-        rad = AssocAlgebra(self.p, self.n, self._radical_chain())
+        rad = self._radical_chain()
         return (rad,) + self._verify_radical(rad)
 
     def is_nilpotent(self) -> bool:
@@ -182,7 +195,7 @@ class AssocAlgebra:
         if not rad.is_nilpotent():
             raise ArithmeticError("radical candidate is not nilpotent")
         quot, lift = self.quotient(rad)
-        if quot.dim and quot._radical_chain():
+        if quot.dim and quot._radical_chain().dim:
             raise ArithmeticError("quotient by radical is not semisimple")
         return quot, lift
 
@@ -238,19 +251,17 @@ class AssocAlgebra:
         coords = self.stack_coords(_commutators(self.stack).swapaxes(0, 1))
         if coords is None:
             raise ArithmeticError("commutator outside the algebra")
-        ker = linalg.nullspace(coords.reshape(k, k * k).T, p)  # unknowns = coefficients over basis
-        return AssocAlgebra(p, self.n, (ker @ self.flat % p).reshape(-1, self.n, self.n))
+        # unknowns = coefficients over basis
+        return self._kernel_rows(linalg.nullspace(coords.reshape(k, k * k).T, p))
 
     def frobenius_fixed(self) -> "AssocAlgebra":
         """{x in A : x^p = x} for a commutative A, where x -> x^p is linear: the
-        kernel of F - I, row i of F the coordinates of b_i^p.  Its basis is
-        the nullspace rows times ``flat``, in that order (already RREF)."""
+        kernel of F - I, row i of F the coordinates of b_i^p, times ``flat``."""
         p, k = self.p, self.dim
         frob = self.stack_coords(_mat_power(self.stack, p, p))
         if frob is None:
             raise ArithmeticError("p-th power outside the algebra")
-        fixed = linalg.nullspace((frob - linalg.identity(k)).T, p)
-        return AssocAlgebra(p, self.n, (fixed @ self.flat % p).reshape(-1, self.n, self.n))
+        return self._kernel_rows(linalg.nullspace((frob - linalg.identity(k)).T, p))
 
 
 def _pair_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Central series, filters, layerings, boundaries, axiom checks, products.
 
-A filter or layering is stored on a finite box past the stabilisation point
-of the underlying series, and an off-box grade reads the value at its clamp
-into the box, which is then the true value, so all axiom checks on the box
-are exact.  The lex maps are the filters of ``refine.insert_refinement``, and
-they satisfy (P) phi_clamp(w) = phi_ceil(w), ceil(w) the lex-least box grade
-at or above w, with phi = 1 past the last grade (proof there).
+A pointwise filter or layering (an N-graded series, a product map) is stored
+on a finite box past the stabilisation point of the underlying series: an
+off-box grade reads the value at its clamp into the box, which is then the
+true value, so the axiom checks on the box grades are exact.  A lex filter,
+the output of ``refine.insert_refinement``, is stored as its chain of
+distinct values (``LexFilter``): ends u_0 <_lex ... <_lex u_k and values
+C_0 > ... > C_k, and its axioms are checked on the (k+1)^2 pairs of ends.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -46,7 +48,7 @@ class Violation:
 
 
 class _BoxMap:
-    """Shared storage, evaluation and boundaries for filters and layerings."""
+    """Shared storage, evaluation and boundaries for pointwise maps."""
 
     def __init__(
         self,
@@ -57,44 +59,40 @@ class _BoxMap:
     ):
         if len(box) != monoid.dim:
             raise ValueError("box dimension does not match monoid")
+        if monoid.order_kind == mon.LEX:
+            raise ValueError("a lex filter is stored as its chain (LexFilter), not on a box")
         self.group = group
         self.monoid = monoid
         self.box = box
         self.table = dict(table)
-        for m in mon.box_iter(box):
+        for m in mon.box_enumerate(box):
             if m not in self.table:
                 raise ValueError(f"missing table entry at {m}")
 
     def grades(self) -> List[MonoidElem]:
         return mon.box_enumerate(self.box)
 
-    def in_box(self, m: MonoidElem) -> bool:
+    def value(self, m: MonoidElem) -> Subgroup:
         if len(m) != self.monoid.dim:
             raise ValueError(f"grade {m} does not match monoid dimension {self.monoid.dim}")
-        return mon.in_box(m, self.box)
-
-    def value(self, m: MonoidElem) -> Subgroup:
-        if self.in_box(m):
-            return self.table[m]
-        return self.table[mon.clamp(m, self.box)]
+        got = self.table.get(m)
+        return got if got is not None else self.table[mon.clamp(m, self.box)]
 
     def _fold_successors(self, s: MonoidElem, op) -> Subgroup:
         """The binary subgroup operation op folded over the values at s + a
         for the atoms a of the monoid; with one atom it is a single lookup.
 
         This is the fold over every t != 0 in N^d: t lies at or above an
-        atom a, and then phi_{s+t} <= phi_{s+a} and pi^{s+t} >= pi^{s+a}.
-        Pointwise, a = e_i with t_i > 0: s + e_i <= s + t survives the clamp
-        and the table is monotone.  Lex maps are filters with (P), a = e_d
-        and s + e_d <= s + t; clamp need not keep lex order, but ceil does,
-        and phi o clamp = phi o ceil.  As clamp(s + a) = clamp(clamp(s) + a),
-        an off-box s has the boundary of clamp(s).
+        atom a = e_i with t_i > 0, then s + e_i <= s + t pointwise, which
+        the clamp keeps, and the table is monotone, so phi_{s+t} <= phi_{s+a}
+        and pi^{s+t} >= pi^{s+a}.  As clamp(s + a) = clamp(clamp(s) + a), an
+        off-box s has the boundary of clamp(s).
         """
         values = [self.value(mon.add(s, a)) for a in self.monoid.atoms]
         return functools.reduce(op, values)
 
     def boundary(self):
-        table = {s: self.boundary_at(s) for s in mon.box_iter(self.box)}
+        table = {s: self.boundary_at(s) for s in self.grades()}
         return type(self)(self.group, self.monoid, self.box, table)
 
     def orders(self) -> List[int]:
@@ -102,7 +100,7 @@ class _BoxMap:
 
 
 class Filter(_BoxMap):
-    """Order-reversing phi with [phi_s, phi_t] <= phi_{s+t}.
+    """Order-reversing phi with [phi_s, phi_t] <= phi_{s+t}, pointwise.
 
     Off the box the map is evaluated at the grade clamped into the box; with
     the box past stabilisation in every coordinate direction this is the true
@@ -112,8 +110,52 @@ class Filter(_BoxMap):
 
     def boundary_at(self, s: MonoidElem) -> Subgroup:
         """The join of phi_{s+t} over t != 0, that is of phi_{s+a} over the
-        atoms a: for a lex filter the one value phi_{s+e_d}."""
+        atoms a."""
         return self._fold_successors(s, Subgroup.join)
+
+
+class LexFilter:
+    """A filter over N^d, lexicographic, stored as its chain of distinct
+    values: ends u_0 <_lex ... <_lex u_k and values C_0, ..., C_k, with
+    phi(w) = C_i for the least i with w <=_lex u_i, and phi(w) = 1 past u_k.
+
+    Its grades are the ends.  For a chain C_0 > ... > C_k every u_i is a
+    grade where phi steps down, phi(u_i) = C_i > phi(u_i + e_d), as u_i + e_d
+    is the lex successor of u_i; and phi steps down nowhere else.  The
+    filter axioms are then decided on the ends alone (``verify_filter``):
+
+    - Order.  phi is order-reversing iff C_j <= C_i for i <= j: any w <= w'
+      read C_i and C_j with i <= j, or 1 at w'.
+    - Commutators.  Let phi(w) = C_i and phi(w') = C_j (a trivial value has
+      trivial commutators).  Then w <= u_i and w' <= u_j, and lex order is
+      compatible with addition (a <= b implies a + c <= b + c), so w + w' <=
+      u_i + w' <= u_i + u_j, and phi(w + w') >= phi(u_i + u_j) >= [C_i, C_j]
+      when the (k+1)^2 end pairs pass.  So they decide [phi_w, phi_w'] <=
+      phi_{w+w'} on all of N^d.
+    """
+
+    def __init__(self, group: PcGroup, dim: int, ends: List[MonoidElem], values: List[Subgroup]):
+        self.group, self.monoid = group, GradedMonoid(dim, mon.LEX)
+        self.ends, self.values = tuple(ends), tuple(values)
+        if len(self.ends) != len(self.values) or any(len(u) != dim for u in self.ends):
+            raise ValueError("a chain needs one value per end, each end of the monoid dimension")
+        if any(u >= v for u, v in zip(self.ends, self.ends[1:])):
+            raise ValueError("chain ends must increase lexicographically")
+        self.trivial = trivial_subgroup(group)
+
+    def grades(self) -> List[MonoidElem]:
+        return list(self.ends)
+
+    def value(self, w: MonoidElem) -> Subgroup:
+        if len(w) != self.monoid.dim:
+            raise ValueError(f"grade {w} does not match monoid dimension {self.monoid.dim}")
+        i = bisect.bisect_left(self.ends, w)
+        return self.values[i] if i < len(self.values) else self.trivial
+
+    def boundary_at(self, s: MonoidElem) -> Subgroup:
+        """The join of phi_{s+t} over t != 0: the value at the lex successor
+        s + e_d, which every such s + t lies at or above."""
+        return self.value(mon.add(s, self.monoid.atoms[0]))
 
 
 class Layering(_BoxMap):
@@ -189,31 +231,6 @@ def _containment_witness(C: Subgroup, target: Subgroup) -> Optional[Elem]:
     return None
 
 
-def pair_index(box: MonoidElem, target: Optional[MonoidElem] = None):
-    """For the grades g_0, ..., g_{n-1} of ``box_enumerate(box)`` (lex order):
-    ``idx[i, j]`` is the index in ``box_enumerate(target)`` of
-    clamp(g_i + g_j, target) and ``inbox[i, j]`` marks the sums that lie in
-    ``target``, which defaults to ``box``.  As g_0 = 0, row 0 indexes the
-    clamped grades themselves.
-
-    Built one coordinate at a time in int32: a grade's index is the sum of
-    its coordinates times the lex strides, and clamping works per coordinate.
-    """
-    target = box if target is None else target
-    grades = np.array(mon.box_enumerate(box), dtype=np.int32).reshape(-1, len(box))
-    n = grades.shape[0]
-    idx = np.zeros((n, n), dtype=np.int32)
-    inbox = np.ones((n, n), dtype=bool)
-    stride = 1
-    for k in reversed(range(len(box))):
-        c = grades[:, k]
-        total = c[:, None] + c[None, :]
-        inbox &= total <= target[k]
-        idx += np.minimum(total, target[k]) * np.int32(stride)
-        stride *= target[k] + 1
-    return idx, inbox
-
-
 def value_labels(values: List[Subgroup]):
     """Int labels of ``values`` by igs, numbered in order of first
     appearance, and one representative subgroup per label."""
@@ -276,9 +293,10 @@ def _order_clause(ops, clause, grades, monoid, reps, lo, hi) -> List[Violation]:
     return _listed(clause, grades, codes, dict.fromkeys(bad))
 
 
-def verify_filter(f: Filter) -> List[Violation]:
+def verify_filter(f: Filter | LexFilter) -> List[Violation]:
     """Every violation of [phi_s, phi_t] <= phi_{s+t}, then of phi_t <= phi_s
-    for s <= t, over the box grades in grade order.
+    for s <= t, over the grades in grade order: the box grades of a
+    ``Filter``, the ends of a ``LexFilter`` (enough, proof there).
 
     A clause depends on the grades only through their values, so it is
     decided once per distinct label triple (phi_s, phi_t, phi_{s+t}) and
@@ -286,11 +304,12 @@ def verify_filter(f: Filter) -> List[Violation]:
     """
     ops = SubgroupOps(f.group)
     grades = f.grades()
-    idx, _ = pair_index(f.box)
-    labels, reps = value_labels([f.table[m] for m in grades])
-    s, t = labels[:, None], labels[None, :]
+    n = len(grades)
+    sums = [f.value(mon.add(s, t)) for s in grades for t in grades]
+    labels, reps = value_labels([f.value(m) for m in grades] + sums)
+    s, t, st = labels[:n, None], labels[None, :n], labels[n:].reshape(n, n)
     return _commutator_clause(
-        ops, "[phi_s,phi_t] <= phi_{s+t}", grades, reps, s, t, labels[idx], igs_first=True
+        ops, "[phi_s,phi_t] <= phi_{s+t}", grades, reps, s, t, st, igs_first=True
     ) + _order_clause(ops, "s<t but phi_s < phi_t", grades, f.monoid, reps, t, s)
 
 
@@ -305,7 +324,7 @@ def verify_layering(l: Layering) -> List[Violation]:
     ops = SubgroupOps(l.group)
     grades = l.grades()
     n = len(grades)
-    labels, reps = value_labels([l.table[m] for m in grades] + [l.boundary_at(t) for t in grades])
+    labels, reps = value_labels([l.value(m) for m in grades] + [l.boundary_at(t) for t in grades])
     s, t = labels[:n, None], labels[None, :n]
     return _commutator_clause(
         ops, "[pi^s, d^t pi] <= pi^t", grades, reps, s, labels[None, n:], t
@@ -323,12 +342,10 @@ def verify_sift(f: Filter, l: Layering) -> List[Violation]:
     ops = SubgroupOps(f.group)
     grades = f.grades()
     n = len(grades)
-    idx, _ = pair_index(f.box, l.box)
-    labels, reps = value_labels([f.table[m] for m in grades] + [l.table[m] for m in l.grades()])
-    phi, pi = labels[:n, None], labels[n:]
-    return _commutator_clause(
-        ops, "[phi_s, pi^{s+t}] <= pi^t", grades, reps, phi, pi[idx], pi[idx[0]][None, :]
-    )
+    sums = [l.value(mon.add(s, t)) for s in grades for t in grades]
+    labels, reps = value_labels([f.value(m) for m in grades] + [l.value(t) for t in grades] + sums)
+    phi, pi, pi_sum = labels[:n, None], labels[None, n : 2 * n], labels[2 * n :].reshape(n, n)
+    return _commutator_clause(ops, "[phi_s, pi^{s+t}] <= pi^t", grades, reps, phi, pi_sum, pi)
 
 
 # -- products ---------------------------------------------------------------
@@ -354,7 +371,7 @@ def _product_box_map(parts, G: PcGroup):
     # exponents 1, and each block's pivot coordinates are 0 in the other
     # blocks: it is the canonical igs that subgroup_from_gens would return.
     table: Dict[MonoidElem, Subgroup] = {}
-    for m in mon.box_iter(box):
+    for m in mon.box_enumerate(box):
         gens: List[Elem] = []
         pos = 0
         for part, goff in zip(parts, offsets):

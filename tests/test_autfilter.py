@@ -363,3 +363,24 @@ def test_sidecar_parsing(d8):
         parse_aut_lines(d8, ["aut: g9 -> g1"])
     with pytest.raises(PcgError):
         parse_aut_lines(d8, ["aut: g1 -> g2"])  # invalid image map
+
+
+def test_factor_swap_of_h27xh27_moves_the_refined_filter():
+    """Today's behaviour, pinned: the swap of the two h27 factors leaves the
+    exponent-p filter invariant but not the refined one.  The one step
+    inserts <g3, g4, g5, g6>, the second factor with the centre of the
+    first, at grade (1,), and the swap moves it."""
+    from filterlab import refine
+    from filterlab.pcgroup import parse_pcg_file
+
+    from conftest import CORPUS
+
+    G = parse_pcg_file(CORPUS / "products" / "h27xh27.pcg")
+    lines = ["aut: g1 -> g4", "aut: g2 -> g5", "aut: g3 -> g6", "aut: g4 -> g1", "aut: g5 -> g2", "aut: g6 -> g3"]
+    (swap,) = parse_aut_lines(G, lines)
+    report = refine.refine_to_fixpoint(G)
+    assert [step.igs for step in report.steps] == [tuple(G.generator(i) for i in (3, 4, 5, 6))]
+    final = report.final
+    with pytest.raises(PcgError, match="not invariant"):
+        delta_grades(swap, final, [(0,)])
+    assert delta_grades(swap, series.exponent_p_lcs(G), [(0,)]) == [(0,)]

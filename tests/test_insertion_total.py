@@ -3,9 +3,10 @@ candidate of each table with no trial, and the census breakdown reads the
 seed candidates with no insertion, on the strength of that lemma (proof in
 the ``refine_to_fixpoint`` docstring).  Here every candidate of every table
 on the first-candidate chain is lifted and inserted, for every corpus file
-and every ladder product of the benchmark, and each insertion's box and
-table are checked against the retry loop that sized the box before the
-degree bound (proof in the ``insert_refinement`` docstring)."""
+and every ladder product of the benchmark, and each insertion's chain is
+checked against the box closure it replaced (``box_reference``), with the
+box grown by a retry loop until one larger adds nothing, as it was sized
+before the degree bound."""
 
 import collections
 
@@ -17,6 +18,7 @@ from filterlab.lie import graded_lie_ring
 from filterlab.pcgroup import SubgroupOps, parse_pcg_file, subgroup_from_gens
 from filterlab.series import exponent_p_lcs, verify_filter
 
+from box_reference import box_closure, chain_mismatches
 from conftest import CORPUS, corpus_paths, perfbench_workloads, reference_candidates
 
 workloads = perfbench_workloads()
@@ -30,28 +32,31 @@ CASES = [
 ]
 
 
-def _retry_insertion(f, s, H):
-    """Box and table of the insertion as it was: closures on (B, extra) and
-    on the box one larger in every coordinate, with extra raised from 1
-    until the two agree under the clamp."""
-    G = f.group
+def _retry_insertion(box, table, s, H):
+    """Box and table of the insertion into the box table (box, table) as it
+    was: closures on (B, extra) and on the box one larger in every
+    coordinate, with extra raised from 1 until the two agree under the
+    clamp."""
+    G = H.group
     ops = SubgroupOps(G)
-    seeds = {m + (0,): f.value(m) for m in f.grades()}
+    seeds = {m + (0,): table[m] for m in mon.box_enumerate(box)}
     seeds[s + (1,)] = subgroup_from_gens(G, H.igs)
     for extra in range(1, 2 * len(bin(G.order)) + 1):
-        box = f.box + (extra,)
-        table = refine._closure(G, box, seeds, ops)
-        big_box = tuple(b + 1 for b in box)
-        big = refine._closure(G, big_box, seeds, ops)
-        if all(big[w] == table[mon.clamp(w, box)] for w in mon.box_iter(big_box)):
-            return box, table
+        new = box + (extra,)
+        out = box_closure(G, new, seeds, ops)
+        big_box = tuple(b + 1 for b in new)
+        big = box_closure(G, big_box, seeds, ops)
+        if all(big[w] == out[mon.clamp(w, new)] for w in mon.box_enumerate(big_box)):
+            return new, out
     raise AssertionError("refined filter does not stabilise in the new grade")
 
 
 def _first_candidate_chain(G):
     """The steps of the first-candidate chain; on the way, every candidate
-    of every table is lifted and inserted, and each insertion verified."""
+    of every table is lifted and inserted, and each insertion verified and
+    compared with the box closure."""
     f = exponent_p_lcs(G)
+    box, table = f.box, f.table
     steps = []
     while len(steps) < refine.CAP:
         L = graded_lie_ring(f)
@@ -63,11 +68,12 @@ def _first_candidate_chain(G):
             H = refine.lift_subspace(L.comps[grade], basis)
             out = refine.insert_refinement(f, grade, H)
             assert verify_filter(out) == []
-            assert (out.box, out.table) == _retry_insertion(f, grade, H), grade
+            reference = _retry_insertion(box, table, grade, H)
+            assert not chain_mismatches(out, *reference), grade
             step = refine.RefinementStep(grade, provs[0], f.value(grade).order // H.order, H.igs)
-            inserted.append((step, out))
-        steps.append(inserted[0][0])
-        f = inserted[0][1]
+            inserted.append((step, out, reference))
+        step, f, (box, table) = inserted[0]
+        steps.append(step)
     return steps
 
 
@@ -78,7 +84,7 @@ def test_every_candidate_inserts(build):
 
 
 def test_one_closure_per_insertion(monkeypatch):
-    """The degree bound sizes the box up front: a census over order 16 runs
+    """The chain closure needs no box to size: a census over order 16 runs
     one closure per insertion, with no retry and no check closure."""
     calls = collections.Counter()
 
@@ -91,8 +97,8 @@ def test_one_closure_per_insertion(monkeypatch):
 
         monkeypatch.setattr(refine, name, counted)
 
-    count("_closure")
+    count("_close")
     count("insert_refinement")
     census.run_census(CORPUS / "order16")
     assert calls["insert_refinement"] > 0
-    assert calls["_closure"] == calls["insert_refinement"]
+    assert calls["_close"] == calls["insert_refinement"]

@@ -81,11 +81,11 @@ def test_atoms():
 def test_every_nonzero_grade_lies_above_an_atom(kind):
     for box in ((2,), (1, 2), (2, 0, 1), (1, 1, 1, 1)):
         m = mon.GradedMonoid(len(box), kind)
-        for t in mon.box_iter(box):
+        for t in mon.box_enumerate(box):
             if t != m.zero:
                 assert any(m.preceq(a, t) for a in m.atoms), (kind, t)
         # and no atom lies above another nonzero grade: they are minimal
         for a in m.atoms:
             assert not any(
-                t not in (m.zero, a) and m.preceq(t, a) for t in mon.box_iter((1,) * len(box))
+                t not in (m.zero, a) and m.preceq(t, a) for t in mon.box_enumerate((1,) * len(box))
             )

@@ -21,8 +21,10 @@ PACKAGE = ROOT / "src" / "filterlab"
 DERIVATIONS = 0
 
 # ``linalg.rref`` calls in that pass: each ring is echelonised once, in its
-# block-matrix layout, and each ``nullspace`` call eliminates once
-RREF_CALLS = 1120
+# block-matrix layout, each ``nullspace`` call eliminates once, and the
+# kernel rows of a centre, a Frobenius-fixed part or a radical are not
+# echelonised again (``AssocAlgebra._kernel_rows``)
+RREF_CALLS = 1042
 
 # functions of the package that call ``row_coords`` or ``in_row_space``
 # without the pivots, so that each call derives them again

@@ -1,10 +1,10 @@
 """Handlers of ``RefinementError`` in the package stay confined to a known
 list of sites.  Every candidate inserts (``refine.refine_to_fixpoint``), so
 a refinement never catches a failed insertion to try the next candidate: a
-new handler that skips past one fails here.  The closure cannot escape its
-box (``refine._closure``), so ``insert_refinement`` has no retry to catch;
-only ``analyze_file`` handles one, recording a group that failed to refine
-as skipped."""
+new handler that skips past one fails here.  The chain closure needs no box
+to outgrow (``refine._close``), so ``insert_refinement`` has no retry to
+catch; only ``analyze_file`` handles one, recording a group that failed to
+refine as skipped."""
 
 import ast
 from pathlib import Path

@@ -368,7 +368,7 @@ def test_batched_kernels_match_per_pair_loops(corpus_groups):
                 sub = _drop_first(A)
                 seen["not closed"] += not _loop_is_closed(sub)
                 assert sub.is_closed() == _loop_is_closed(sub)
-            got, want = A._radical_chain(), _loop_radical_chain(A)
+            got, want = A._radical_chain().basis, _loop_radical_chain(A)
             assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
             assert _equal_algebras(A.center(), _loop_center(A))
         # Z(A/J) of Mid and Cent is where the lift splits idempotents

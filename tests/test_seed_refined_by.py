@@ -35,7 +35,7 @@ def _restricted_refinement_flagged(G, ring: str, gathered: dict) -> bool:
     f = exponent_p_lcs(G)
     steps = []
     while len(steps) < refine.CAP:
-        key = (f.box, tuple(sorted((m, H.igs) for m, H in f.table.items())))
+        key = (f.monoid, tuple((m, f.value(m).igs) for m in f.grades()))
         if key not in gathered:
             L = graded_lie_ring(f)
             gathered[key] = reference_candidates(L)[0], L.comps

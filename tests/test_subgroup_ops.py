@@ -1,4 +1,4 @@
-"""Differential tests for the per-call subgroup memo, for the refinement
+"""Differential tests for the per-call subgroup memo, for the reference box
 closure's Jacobi sweep over distinct values and the axiom verifiers'
 distinct-triple checks, for the depth-by-depth solve (inverse, commutator,
 conjugate, collection with negative letters), for the one-commutator
@@ -27,6 +27,7 @@ from filterlab.pcgroup import (
 )
 from filterlab.series import Layering, Violation
 
+import box_reference
 from conftest import corpus_paths, load
 
 
@@ -118,29 +119,37 @@ def _word_inverse(G, x):
 # -- fault injection ---------------------------------------------------------------
 
 
+def _rebuilt(bm, table):
+    """bm with the values at its grades taken from ``table``: a box map on
+    the same box, or a chain on the same ends."""
+    if isinstance(bm, series.LexFilter):
+        return series.LexFilter(bm.group, bm.monoid.dim, bm.grades(), [table[u] for u in bm.grades()])
+    return type(bm)(bm.group, bm.monoid, bm.box, table)
+
+
 def _swapped(bm):
-    """The table with the values at the first two grades of different value
+    """The map with the values at the first two grades of different value
     swapped, or None if every value is equal."""
     grades = bm.grades()
+    table = {m: bm.value(m) for m in grades}
     for a, b in itertools.combinations(grades, 2):
-        if bm.table[a] != bm.table[b]:
-            table = dict(bm.table)
+        if table[a] != table[b]:
             table[a], table[b] = table[b], table[a]
-            return type(bm)(bm.group, bm.monoid, bm.box, table)
+            return _rebuilt(bm, table)
     return None
 
 
 def _shrunk(bm):
-    """The table with its largest proper value replaced by the subgroup its
+    """The map with its largest proper value replaced by the subgroup its
     igs tail generates (one generator fewer)."""
     G = bm.group
-    grades = [m for m in bm.grades() if 1 < bm.table[m].order < G.order]
+    table = {m: bm.value(m) for m in bm.grades()}
+    grades = [m for m in table if 1 < table[m].order < G.order]
     if not grades:
         return None
-    m = max(grades, key=lambda g: (bm.table[g].order, g))
-    table = dict(bm.table)
-    table[m] = subgroup_from_gens(G, bm.table[m].igs[1:])
-    return type(bm)(bm.group, bm.monoid, bm.box, table)
+    m = max(grades, key=lambda g: (table[g].order, g))
+    table[m] = subgroup_from_gens(G, table[m].igs[1:])
+    return _rebuilt(bm, table)
 
 
 def _with_faults(bm):
@@ -175,10 +184,11 @@ def _ladder_group(factors):
 
 
 @functools.lru_cache(maxsize=None)
-def _largest_ladder_filter():
-    """The refined filter of the ladder product with the most box grades."""
-    finals = [refine.refine_to_fixpoint(_ladder_group(names)).final for names in LADDER]
-    return max(finals, key=lambda f: len(f.grades()))
+def _largest_box_filter():
+    """The exponent-p product filter of d8 x q8 x d8: 64 box grades, 27
+    distinct values."""
+    names = ("d8", "q8", "d8")
+    return series.product_filter([series.exponent_p_lcs(load(n)) for n in names], _ladder_group(names))
 
 
 # -- verifiers ---------------------------------------------------------------------
@@ -278,7 +288,7 @@ def test_product_maps_match_closure_on_basic_pairs():
 
 
 def test_verify_filter_computes_each_unordered_pair_once(monkeypatch):
-    f = max(_refined_up_to_81().values(), key=lambda f: len(f.grades()))
+    f = _largest_box_filter()
     values = {f.value(m).igs for m in f.grades()}
     assert len(f.grades()) >= 16 and len(values) < len(f.grades())
     pairs = []
@@ -295,14 +305,14 @@ def test_verify_filter_computes_each_unordered_pair_once(monkeypatch):
 
 
 def test_verify_filter_checks_each_distinct_triple_once(monkeypatch):
-    """On the largest refined ladder table, one containment per distinct
-    (phi_s, phi_t, phi_{s+t}) and per distinct (phi_s, phi_t) with s <= t."""
-    f = _largest_ladder_filter()
+    """On a 64-grade product table, one containment per distinct (phi_s,
+    phi_t, phi_{s+t}) and per distinct (phi_s, phi_t) with s <= t."""
+    f = _largest_box_filter()
     grades = f.grades()
     igs = {m: f.value(m).igs for m in grades}
     triples = {(igs[s], igs[t], f.value(mon.add(s, t)).igs) for s in grades for t in grades}
     pairs = {(igs[s], igs[t]) for s in grades for t in grades if f.monoid.preceq(s, t)}
-    assert len(grades) >= 64 and 10 * len(triples) < len(grades) ** 2
+    assert len(grades) >= 64 and 2 * len(triples) < len(grades) ** 2
     calls = []
     original = SubgroupOps.is_subset
 
@@ -316,11 +326,11 @@ def test_verify_filter_checks_each_distinct_triple_once(monkeypatch):
 
 
 def test_verify_filter_decides_each_distinct_triple_once_on_faults(monkeypatch):
-    """On each faulted version of the largest refined ladder table, one
-    commutator per distinct (phi_s, phi_t, phi_{s+t}) and one containment
-    per distinct triple and per distinct (phi_s, phi_t) with s <= t: the
-    violations are listed without a second pass."""
-    f = _largest_ladder_filter()
+    """On each faulted version of a 64-grade product table, one commutator
+    per distinct (phi_s, phi_t, phi_{s+t}) and one containment per distinct
+    triple and per distinct (phi_s, phi_t) with s <= t: the violations are
+    listed without a second pass."""
+    f = _largest_box_filter()
     faulted = _with_faults(f)[1:]
     assert len(f.grades()) >= 64 and len(faulted) == 2
     calls = {"comm": 0, "is_subset": 0}
@@ -362,8 +372,8 @@ def test_verify_layering_takes_each_boundary_once(corpus_groups, monkeypatch):
 
 
 def test_closure_puts_seeds_in_as_they_are(monkeypatch):
-    """A closed table seeds a closure that joins nothing and keeps every
-    seed object."""
+    """A closed chain seeds a closure that joins nothing and keeps every
+    value object."""
     f = _refined_up_to_81()["g16_03_c2sq_rtimes_c4"]
     joins = []
     original = Subgroup.join
@@ -373,10 +383,10 @@ def test_closure_puts_seeds_in_as_they_are(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Subgroup, "join", counting)
-    seeds = dict(f.table)
-    table = refine._closure(f.group, f.box, seeds, SubgroupOps(f.group))
+    ends, values = refine._close(f.grades(), list(f.values), SubgroupOps(f.group))
     assert not joins
-    assert all(table[m] is seeds[m] for m in f.grades())
+    assert ends == f.grades()
+    assert all(got is want for got, want in zip(values, f.values))
 
 
 def _gauss_seidel_closure(G, box, seeds, ops):
@@ -387,7 +397,7 @@ def _gauss_seidel_closure(G, box, seeds, ops):
     trivial = trivial_subgroup(G)
     table = {m: trivial for m in grades}
     for m, H in seeds.items():
-        if mon.in_box(m, box):
+        if m in table:
             table[m] = H
     changed = True
     while changed:
@@ -407,7 +417,7 @@ def _gauss_seidel_closure(G, box, seeds, ops):
                 c = ops.comm(table[u], table[v])
                 if c.order == 1:
                     continue
-                if mon.in_box(w, box):
+                if w in table:
                     if not ops.is_subset(c, table[w]):
                         table[w] = ops.join(table[w], c)
                         changed = True
@@ -422,11 +432,11 @@ def _gauss_seidel_closure(G, box, seeds, ops):
     ids=["corpus<=81"] + ["x".join(f) for f in LADDER],
 )
 def test_jacobi_closure_matches_gauss_seidel(names, monkeypatch):
-    """Every closure of a refinement, and the closure on each insertion's
-    box one larger in every coordinate, equals the Gauss-Seidel closure, and
-    keeps the seed objects it keeps."""
-    jacobi = refine._closure
-    insert = refine.insert_refinement
+    """Every reference box closure of a refinement, and the closure on each
+    insertion's box one larger in every coordinate, equals the Gauss-Seidel
+    closure, and keeps the seed objects it keeps."""
+    jacobi = box_reference.box_closure
+    insert = box_reference.reference_insertion
     calls = []
 
     def compared(G, box, seeds, ops):
@@ -434,24 +444,24 @@ def test_jacobi_closure_matches_gauss_seidel(names, monkeypatch):
         want = _gauss_seidel_closure(G, box, seeds, SubgroupOps(G))
         assert got == want, box
         for m, H in seeds.items():
-            if mon.in_box(m, box) and want[m] is H:
+            if want.get(m) is H:
                 assert got[m] is H, m
         calls.append(seeds)
         return got
 
-    def inserted(f, s, H):
-        out = insert(f, s, H)
-        compared(f.group, tuple(b + 1 for b in out.box), calls[-1], SubgroupOps(f.group))
+    def inserted(box, table, s, H):
+        out = insert(box, table, s, H)
+        compared(H.group, tuple(b + 1 for b in out[0]), calls[-1], SubgroupOps(H.group))
         return out
 
-    monkeypatch.setattr(refine, "_closure", compared)
-    monkeypatch.setattr(refine, "insert_refinement", inserted)
+    monkeypatch.setattr(box_reference, "box_closure", compared)
+    monkeypatch.setattr(box_reference, "reference_insertion", inserted)
     if names is None:
         groups = [load(p.stem) for p in corpus_paths() if load(p.stem).order <= 81]
     else:
         groups = [_ladder_group(names)]
     for G in groups:
-        refine.refine_to_fixpoint(G)
+        assert not box_reference.refine_with_reference(G)[1]
     assert calls
 
 
@@ -462,7 +472,7 @@ def test_a_commutator_join_runs_another_sweep():
     [g3, g1] = g4 for grade (2,)."""
     G = load("g16_08_sd16")
     seeds = {(0,): full_subgroup(G), (1,): subgroup_from_gens(G, [(1, 0, 0, 0)])}
-    for closure in (refine._closure, _gauss_seidel_closure):
+    for closure in (box_reference.box_closure, _gauss_seidel_closure):
         assert closure(G, (2,), seeds, SubgroupOps(G))[(2,)].order == 2
 
 
@@ -472,7 +482,8 @@ def test_insert_refinement_canonicalises_a_hand_built_subgroup():
     H = subgroup_from_gens(G, [G.generator(1)])
     hand = Subgroup(G, (G.power(G.generator(1), 2),))  # leading exponent 2
     assert hand.igs != H.igs
-    assert refine.insert_refinement(f, (1,), hand).table == refine.insert_refinement(f, (1,), H).table
+    got, want = refine.insert_refinement(f, (1,), hand), refine.insert_refinement(f, (1,), H)
+    assert (got.ends, got.values) == (want.ends, want.values)
 
 
 # -- the memo ---------------------------------------------------------------------

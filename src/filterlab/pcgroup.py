@@ -276,26 +276,28 @@ class PcGroup:
         """Overlap conditions of the rewriting system; empty list means consistent."""
         out: List[str] = []
         gens = self.generators()
+        # g^(p-1) and g^p of each generator, formed once for every check
+        below = [self.power(g, self.p - 1) for g in gens]
+        pth = [self.power(g, self.p) for g in gens]
 
         def record(msg: str) -> bool:
             out.append(msg)
             return len(out) >= limit
 
         for i in range(1, self.n + 1):
-            gi = gens[i - 1]
-            gp = self.power(gi, self.p)
+            gi, gp = gens[i - 1], pth[i - 1]
             if self.multiply(gi, gp) != self.multiply(gp, gi):
                 if record(f"g{i} * g{i}^p != g{i}^p * g{i}"):
                     return out
         for j in range(2, self.n + 1):
             for i in range(1, j):
                 gi, gj = gens[i - 1], gens[j - 1]
-                lhs = self.multiply(self.power(gj, self.p - 1), self.multiply(gj, gi))
-                if self.multiply(self.power(gj, self.p), gi) != lhs:
+                lhs = self.multiply(below[j - 1], self.multiply(gj, gi))
+                if self.multiply(pth[j - 1], gi) != lhs:
                     if record(f"overlap g{j}^p . g{i}"):
                         return out
-                rhs = self.multiply(self.multiply(gj, gi), self.power(gi, self.p - 1))
-                if self.multiply(gj, self.power(gi, self.p)) != rhs:
+                rhs = self.multiply(self.multiply(gj, gi), below[i - 1])
+                if self.multiply(gj, pth[i - 1]) != rhs:
                     if record(f"overlap g{j} . g{i}^p"):
                         return out
         for k in range(3, self.n + 1):

@@ -10,9 +10,13 @@ Frobenius-fixed algebra.
 The radical uses the characteristic-p trace chain: I_0 is the kernel of the
 ordinary trace form and I_{k+1} = {x in I_k : Tr((xy)^{p^{k+1}}) = 0 for all
 y in I_k}; the chain stops once p^k exceeds the representation degree, where
-it equals the Jacobson radical.  For p larger than the degree this is the
-classical trace-form kernel.  The result is verified a posteriori: two-sided
-ideal, nilpotent, semisimple quotient.
+it equals the Jacobson radical.  When I_0 (A_1 in the code) is nilpotent it
+is the radical (Dickson; proof in ``AssocAlgebra._radical``), so it is
+returned after the two-sided-ideal and nilpotency checks, with no later
+level and no quotient.  Otherwise the chain runs to its end and the result
+is verified a posteriori: two-sided ideal, nilpotent, semisimple quotient.
+A/J and its lift are built only where that verification needs them or an
+idempotent lift reads them (Mid and Cent).
 """
 
 from __future__ import annotations
@@ -132,38 +136,70 @@ class AssocAlgebra:
         sub.pivots = self.pivots[leading]
         return sub
 
-    def _radical_chain(self) -> "AssocAlgebra":
+    def _trace_level(self, pk: int) -> "AssocAlgebra":
+        """A_{i+1} of the chain below, for this algebra A_i and pk = p^i."""
+        p = self.p
+        mod = pk * p
+        # Tr((xy)^pk) = Tr((yx)^pk), so the pair stack's order is free
+        powers = _mat_power(_pair_products(self.stack, self.stack) % mod, pk, mod)
+        vals = np.trace(powers, axis1=2, axis2=3) % mod
+        if (vals % pk).any():
+            raise ArithmeticError("radical chain divisibility failed")
+        return self._kernel_rows(linalg.nullspace(vals // pk % p, p))
+
+    def _radical_chain(self, pk: int = 1) -> "AssocAlgebra":
         # descending chain A = A_0 >= A_1 >= ... with
         #   A_{i+1} = {x in A_i : Tr((x~ y~)^{p^i}) = 0 mod p^{i+1}, all y in A_i}
         # on integral lifts x~ (entries 0..p-1); the value at level i is
         # divisible by p^i on A_i, so dividing gives an F_p-linear system.
         # After the level with p^i >= n the chain equals the Jacobson radical.
-        p, n = self.p, self.n
+        # This algebra is A_i for pk = p^i.
         cur = self
-        pk = 1
-        while True:
-            if not cur.dim:
-                return cur
-            mod = pk * p
-            # Tr((xy)^pk) = Tr((yx)^pk), so the pair stack's order is free
-            powers = _mat_power(_pair_products(cur.stack, cur.stack) % mod, pk, mod)
-            vals = np.trace(powers, axis1=2, axis2=3) % mod
-            if (vals % pk).any():
-                raise ArithmeticError("radical chain divisibility failed")
-            cur = cur._kernel_rows(linalg.nullspace(vals // pk % p, p))
-            if pk >= n:
-                return cur
-            pk *= p
+        while cur.dim:
+            cur = cur._trace_level(pk)
+            if pk >= self.n:
+                break
+            pk *= self.p
+        return cur
+
+    def _radical(self):
+        """(J, quotient): the Jacobson radical J, checked, with ``quotient``
+        the (A/J, lift) that its verification built, or None.
+
+        The first level of the chain is A_1, the kernel of the trace form
+        Tr(xy) mod p.  When A_1 is nilpotent it is J (Dickson), with no
+        further level and no quotient built:
+          - J <= A_1: for x in J and y in A, xy lies in the ideal J, so it is
+            nilpotent and Tr(xy) = 0.
+          - A_1 is a two-sided ideal: for x in A_1 and a, y in A,
+            Tr((ax)y) = Tr(x(ya)) = 0 and Tr((xa)y) = Tr(x(ay)) = 0.
+          - A nilpotent two-sided ideal lies in J, so A_1 <= J.
+        So A/J is semisimple by the definition of J; the ideal check still
+        runs, and nilpotency is the test that chose this branch.  Otherwise
+        (for instance GF(p) 1 in M_n with p | n, where Tr(1) = 0) the later
+        levels run and ``_verify_radical`` checks the result in full.  For
+        n = 1, A_1 is the chain's last level and always nilpotent: a
+        non-nilpotent A_1 in GF(p) = M_1 would hold 1, and Tr(1 1) = 1.
+        """
+        first = self._trace_level(1) if self.dim else self
+        if first.is_nilpotent():
+            self._check_two_sided(first)
+            return first, None
+        rad = first._radical_chain(self.p)
+        return rad, self._verify_radical(rad)
 
     def radical(self) -> "AssocAlgebra":
-        """Jacobson radical via the characteristic-p integral trace chain."""
-        return self.radical_quotient()[0]
+        """Jacobson radical via the characteristic-p integral trace chain,
+        certified as ``_radical`` says; A/J is built only if the
+        verification needs it."""
+        return self._radical()[0]
 
     def radical_quotient(self):
-        """(J, A/J, lift): the verified radical J with the quotient and lift
-        that its verification built, as ``quotient`` returns them."""
-        rad = self._radical_chain()
-        return (rad,) + self._verify_radical(rad)
+        """(J, A/J, lift): the radical of ``radical`` with the quotient and
+        lift as ``quotient`` returns them, taken from the verification when
+        it built them."""
+        rad, built = self._radical()
+        return (rad,) + (self.quotient(rad) if built is None else built)
 
     def is_nilpotent(self) -> bool:
         """True iff J^k = 0 for some k, for J this algebra (closed under
@@ -184,14 +220,18 @@ class AssocAlgebra:
             W = nxt
         return True
 
-    def _verify_radical(self, rad: "AssocAlgebra"):
-        """Raise unless ``rad`` is a nilpotent two-sided ideal with semisimple
-        quotient; returns ``self.quotient(rad)``."""
+    def _check_two_sided(self, rad: "AssocAlgebra") -> None:
+        """Raise unless ``rad`` is a two-sided ideal of this algebra."""
         A, R = self.stack, rad.stack
         # every a r and r a, a in A and r in J, as one stack
         both_sides = np.stack([_pair_products(A, R), _pair_products(R, A).swapaxes(0, 1)])
         if not rad.contains_all(both_sides):
             raise ArithmeticError("radical is not a two-sided ideal")
+
+    def _verify_radical(self, rad: "AssocAlgebra"):
+        """Raise unless ``rad`` is a nilpotent two-sided ideal with semisimple
+        quotient; returns ``self.quotient(rad)``."""
+        self._check_two_sided(rad)
         if not rad.is_nilpotent():
             raise ArithmeticError("radical candidate is not nilpotent")
         quot, lift = self.quotient(rad)
@@ -576,6 +616,7 @@ PROVENANCE_RANK = {
 }
 RANKS = range(max(PROVENANCE_RANK.values()) + 1)
 ASSOC_KINDS = ("Mid", "Left", "Right", "Cent")  # the kinds of ranks 1 to 4
+LIFTED_KINDS = ("Mid", "Cent")  # the kinds whose central idempotents are emitted
 
 
 def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> bool:
@@ -588,9 +629,10 @@ def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> b
 
 class BimapRings:
     """The rings of one bimap: Der at once, the others on first use, each
-    built at most once.  So is each associative ring's verified radical,
-    with the quotient kept for the idempotent lift, and Der's envelope on
-    each side, which serves both the prune test and Der's emissions.
+    built at most once.  So is each associative ring's checked radical,
+    with Mid's and Cent's quotient kept for the idempotent lift, and Der's
+    envelope on each side, which serves both the prune test and Der's
+    emissions.
     """
 
     def __init__(self, b: Bimap):
@@ -605,10 +647,15 @@ class BimapRings:
         return self.rings[kind]
 
     def radical(self, kind: str) -> tuple:
-        """(A, J, A/J, lift) of the associative ring A of ``kind``."""
+        """(A, J, A/J, lift) of the associative ring A of ``kind``; A/J and
+        its lift are built for the kinds whose idempotents are lifted, Mid
+        and Cent, and are None for Left and Right."""
         if kind not in self.radicals:
             alg = self.ring(kind)
-            self.radicals[kind] = (alg,) + alg.radical_quotient()
+            if kind in LIFTED_KINDS:
+                self.radicals[kind] = (alg,) + alg.radical_quotient()
+            else:
+                self.radicals[kind] = (alg, alg.radical(), None, None)
         return self.radicals[kind]
 
     def envelope(self, pos: int) -> AssocAlgebra:
@@ -671,7 +718,7 @@ class BimapRings:
                     emit_action(side, list(mats), kind.lower())
             if kind == "Cent":
                 _check_commutative_quotient(alg, rad)
-            if kind in ("Mid", "Cent"):
+            if kind in LIFTED_KINDS:
                 for e in _lift_central_idempotents(alg, quot, lift):
                     for pos, side in enumerate(KIND_SIDES[kind]):
                         emit(side, e[pos], kind.lower() + "-idem")

@@ -583,21 +583,28 @@ def test_n_graded_layering_paths_never_meet(corpus_groups, monkeypatch):
 # -- one radical per ring ------------------------------------------------------
 
 
+def _count_radicals(monkeypatch):
+    """A list that gets one entry per radical built, through either entry
+    point: ``radical`` and ``radical_quotient`` do not call each other."""
+    calls = []
+    for name in ("radical", "radical_quotient"):
+        original = getattr(scalars.AssocAlgebra, name)
+
+        def counting(self, original=original):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(scalars.AssocAlgebra, name, counting)
+    return calls
+
+
 def test_characteristic_subspaces_build_each_radical_once(monkeypatch):
     L = lie.graded_lie_ring(series.exponent_p_lcs(load("g81_12_maxclass1")))
     b = scalars.bimap_from_lie_pair(L, (1,), (1,))
     rings = scalars.BimapRings(b)
     for kind in scalars.KINDS:
         rings.ring(kind)
-    calls = []
-    original = scalars.AssocAlgebra.radical_quotient
-
-    def counting(self):
-        calls.append(self)
-        return original(self)
-
-    # radical() goes through radical_quotient, so this counts every radical
-    monkeypatch.setattr(scalars.AssocAlgebra, "radical_quotient", counting)
+    calls = _count_radicals(monkeypatch)
     scalars.characteristic_subspaces(b, rings)
     assert len(calls) == 7  # Der on U, V, W; Mid, Left, Right, Cent
 
@@ -605,14 +612,7 @@ def test_characteristic_subspaces_build_each_radical_once(monkeypatch):
 def test_report_scalars_stage_builds_each_radical_once(monkeypatch):
     from filterlab.cli import _stage_payloads
 
-    calls = []
-    original = scalars.AssocAlgebra.radical_quotient
-
-    def counting(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(scalars.AssocAlgebra, "radical_quotient", counting)
+    calls = _count_radicals(monkeypatch)
     payload = _stage_payloads(load("g81_12_maxclass1"), ["scalars"])
     assert len(payload["scalars"]) == 3
     assert len(calls) == 21  # per bimap: Der on U, V, W; Mid, Left, Right, Cent

@@ -21,10 +21,16 @@ PACKAGE = ROOT / "src" / "filterlab"
 DERIVATIONS = 0
 
 # ``linalg.rref`` calls in that pass: each ring is echelonised once, in its
-# block-matrix layout, each ``nullspace`` call eliminates once, and the
-# kernel rows of a centre, a Frobenius-fixed part or a radical are not
-# echelonised again (``AssocAlgebra._kernel_rows``)
-RREF_CALLS = 1042
+# block-matrix layout, each ``nullspace`` call eliminates once, the kernel
+# rows of a centre, a Frobenius-fixed part or a radical are not echelonised
+# again (``AssocAlgebra._kernel_rows``), and a radical certified by its
+# trace form builds no quotient unless an idempotent lift reads it
+RREF_CALLS = 869
+
+# radicals of that pass, and those whose chain runs past its first level
+# because the trace-form kernel A_1 is not nilpotent
+RADICALS = 55
+PAST_FIRST_LEVEL = 19
 
 # functions of the package that call ``row_coords`` or ``in_row_space``
 # without the pivots, so that each call derives them again
@@ -38,9 +44,10 @@ def census_pass():
     ``counts["per_nullspace"]`` holds the ``rref`` calls of each
     ``nullspace`` call."""
     built, carried = [], []
-    counts = {"pivots": 0, "row_coords": 0, "rref": 0, "per_nullspace": []}
+    counts = {"pivots": 0, "row_coords": 0, "rref": 0, "per_nullspace": [], "radicals": 0, "chain_from": []}
     echelon, pivots, row_coords = linalg.echelon, linalg.pivots, linalg.row_coords
     rref, nullspace = linalg.rref, linalg.nullspace
+    radical, radical_chain = scalars.AssocAlgebra._radical, scalars.AssocAlgebra._radical_chain
 
     def recording_echelon(a, p):
         out = echelon(a, p)
@@ -67,7 +74,17 @@ def census_pass():
         counts["per_nullspace"].append(counts["rref"] - before)
         return out
 
+    def counting_radical(self):
+        counts["radicals"] += 1
+        return radical(self)
+
+    def recording_chain(self, pk=1):
+        counts["chain_from"].append(pk)
+        return radical_chain(self, pk)
+
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(scalars.AssocAlgebra, "_radical", counting_radical)
+        m.setattr(scalars.AssocAlgebra, "_radical_chain", recording_chain)
         m.setattr(linalg, "echelon", recording_echelon)
         m.setattr(linalg, "pivots", counting_pivots)
         m.setattr(linalg, "row_coords", recording_row_coords)
@@ -96,6 +113,17 @@ def test_census_eliminates_once_per_nullspace_and_ring(census_pass):
     _, _, counts = census_pass
     assert counts["per_nullspace"] and set(counts["per_nullspace"]) == {1}
     assert counts["rref"] == RREF_CALLS
+
+
+def test_census_runs_few_chains_past_the_trace_form_kernel(census_pass):
+    """A chain starts past level 1 only where A_1 is not nilpotent; the
+    others that run are the semisimplicity checks of those radicals'
+    quotients, from level 0."""
+    _, _, counts = census_pass
+    assert counts["radicals"] == RADICALS
+    past = [pk for pk in counts["chain_from"] if pk != 1]
+    assert len(past) == PAST_FIRST_LEVEL and set(past) <= {2}
+    assert len(counts["chain_from"]) <= 2 * PAST_FIRST_LEVEL
 
 
 def _deriving_sites(tree):

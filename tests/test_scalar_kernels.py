@@ -5,8 +5,11 @@ the per-pair loop it replaced, on every bimap of the seed tables (the
 graded Lie ring of the exponent-p lower central series) of the corpus; the
 rref against the numpy row-by-row elimination it replaced; the
 Frobenius-fixed idempotent split against a sympy factoring reference, on the
-corpus and on generated split fields.  The last tests check that each
-batched post-check still fires, with its message.
+corpus and on generated split fields.  The trace-form certificate of
+``radical`` and ``radical_quotient`` is checked against the chain run to its
+end and verified in full, on the seed rings and on generated algebras,
+among them some whose trace-form kernel is not nilpotent.  The last tests
+check that each batched post-check still fires, with its message.
 """
 
 import numpy as np
@@ -323,6 +326,18 @@ def _fires(fn, exc, message):
     return False
 
 
+def _full_radical(rings, kind):
+    """(A, J, A/J, lift) of ``kind``: ``BimapRings.radical`` builds A/J for
+    Mid and Cent only, so for Left and Right it comes from
+    ``radical_quotient``, on the same J."""
+    A, J, quot, lift = rings.radical(kind)
+    if quot is None:
+        assert kind not in scalars.LIFTED_KINDS
+        J2, quot, lift = A.radical_quotient()
+        assert _equal_algebras(J, J2)
+    return A, J, quot, lift
+
+
 def _equal_algebras(A, B):
     return A.n == B.n and np.array_equal(A.flat, B.flat)
 
@@ -342,7 +357,7 @@ def test_batched_kernels_match_per_pair_loops(corpus_groups):
         rings = scalars.BimapRings(b)
         der = rings.ring("Der")
         assert _loop_bracket_closed(der)
-        radicals = {kind: rings.radical(kind) for kind in scalars.ASSOC_KINDS}
+        radicals = {kind: _full_radical(rings, kind) for kind in scalars.ASSOC_KINDS}
         algebras = []
         for pos, d in enumerate(b.dims):
             gens = [t[pos] for t in der.tuples()]
@@ -461,7 +476,7 @@ def test_nilpotency_chain_matches_products_on_corpus_radicals(corpus_groups):
     for b in _seed_bimaps(corpus_groups):
         rings = scalars.BimapRings(b)
         for kind in scalars.ASSOC_KINDS:
-            A, J, quot, lift = rings.radical(kind)
+            A, J, quot, lift = _full_radical(rings, kind)
             square = AssocAlgebra(A.p, A.n, (J.stack[:, None] @ J.stack[None]).reshape(-1, A.n, A.n))
             perturbed = [_ideal_sum(A, J, lift(row)) for row in linalg.identity(quot.dim)]
             for cand in [J, square] + perturbed:
@@ -499,6 +514,122 @@ def _triangular_algebras(draw):
 def test_nilpotency_chain_matches_products_on_triangular_algebras(case):
     J, nilpotent = case
     assert J.is_nilpotent() == _products_nilpotent(J) == nilpotent
+
+
+# -- the trace-form certificate against the verified chain -------------------------
+
+
+def _certified(A):
+    """True iff A_1, the kernel of the trace form, is nilpotent: then
+    ``radical`` returns it with no further chain level."""
+    return (A._trace_level(1) if A.dim else A).is_nilpotent()
+
+
+def _assert_radical_matches_verified_chain(A):
+    """``radical`` and ``radical_quotient`` against the chain run to its end
+    and verified in full, quotient included: the same J, pivots, A/J and
+    lift."""
+    J = A._radical_chain()
+    quot, lift = A._verify_radical(J)
+    got_J, got_quot, got_lift = A.radical_quotient()
+    for R in (A.radical(), got_J):
+        assert _equal_algebras(R, J) and np.array_equal(R.pivots, J.pivots)
+    assert _equal_algebras(got_quot, quot) and np.array_equal(got_quot.pivots, quot.pivots)
+    for c in linalg.identity(quot.dim):
+        assert np.array_equal(got_lift(c), lift(c))
+
+
+def test_radical_matches_the_verified_chain_on_seed_rings(corpus_groups):
+    """Every associative ring and Der envelope of the 70 seed bimaps; 76 of
+    the 490 have an A_1 that is not nilpotent (d8's Mid is M_2(GF(2)) on
+    two copies, h27's Left is GF(3) 1 in M_3), so both branches run."""
+    seen = {True: 0, False: 0}
+    bimaps = 0
+    for b in _seed_bimaps(corpus_groups):
+        bimaps += 1
+        rings = scalars.BimapRings(b)
+        algebras = [rings.ring(kind) for kind in scalars.ASSOC_KINDS]
+        algebras += [rings.envelope(pos) for pos in range(3)]
+        for A in algebras:
+            seen[_certified(A)] += 1
+            _assert_radical_matches_verified_chain(A)
+    assert bimaps == 70 and seen == {True: 414, False: 76}
+
+
+def _inflated(A):
+    """A acting on p copies of its space, a -> diag(a, ..., a): its trace
+    form is p Tr = 0, so A_1 is all of it, and its radical is J(A) inflated."""
+    p, n = A.p, A.n
+    return AssocAlgebra(p, n * p, [np.kron(linalg.identity(p), m) for m in A.basis])
+
+
+@given(_split_field_algebras())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_radical_matches_the_verified_chain_on_split_fields(case):
+    A, _ = case
+    assert _certified(A) and A.radical().dim == 0
+    _assert_radical_matches_verified_chain(A)
+    big = _inflated(A)
+    assert not _certified(big) and big.radical().dim == 0
+    _assert_radical_matches_verified_chain(big)
+
+
+@given(_triangular_algebras())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_radical_matches_the_verified_chain_on_triangular_algebras(case):
+    A, nilpotent = case
+    _assert_radical_matches_verified_chain(A)
+    assert A.radical().dim == A.dim if nilpotent else A.radical().dim < A.dim
+    big = _inflated(A)
+    # with the unit E_ii, A_1 of the inflation holds a non-nilpotent element
+    assert _certified(big) == nilpotent
+    _assert_radical_matches_verified_chain(big)
+    assert big.radical().dim == A.radical().dim
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 4), (2, 6), (3, 3), (3, 9), (5, 5)])
+def test_scalars_of_degree_divisible_by_p_are_semisimple(p, n):
+    """GF(p) 1 in M_n with p | n: Tr(1 1) = n = 0, so A_1 = A is not
+    nilpotent, and the later chain levels find J = 0."""
+    A = AssocAlgebra(p, n, [linalg.identity(n)])
+    assert A._trace_level(1).dim == 1 and not _certified(A)
+    assert A.radical().dim == 0
+    J, quot, lift = A.radical_quotient()
+    assert J.dim == 0 and quot.dim == 1 and np.array_equal(lift(np.array([1])), linalg.identity(n))
+    _assert_radical_matches_verified_chain(A)
+
+
+def _counting(monkeypatch, names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(AssocAlgebra, name)
+
+        def counting(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(AssocAlgebra, name, counting)
+    return calls
+
+
+def test_a_certified_radical_builds_no_quotient_and_no_second_level(monkeypatch):
+    upper = AssocAlgebra(3, 2, [E2[0, 0], E2[0, 1], E2[1, 1]])
+    calls = _counting(monkeypatch, ("quotient", "_radical_chain", "_verify_radical"))
+    assert upper.radical().dim == 1
+    assert calls == {"quotient": 0, "_radical_chain": 0, "_verify_radical": 0}
+    assert upper.radical_quotient()[1].dim == 2
+    assert calls == {"quotient": 1, "_radical_chain": 0, "_verify_radical": 0}
+    # GF(2) 1 in M_2: past the first level, verified in full with its quotient
+    scalar = AssocAlgebra(2, 2, [I2])
+    assert scalar.radical().dim == 0
+    assert calls == {"quotient": 2, "_radical_chain": 2, "_verify_radical": 1}
+
+
+def test_only_mid_and_cent_keep_their_quotient():
+    rings = scalars.BimapRings(Bimap(3, np.array([[[1], [0]], [[0], [1]]])))
+    for kind in scalars.ASSOC_KINDS:
+        A, J, quot, lift = rings.radical(kind)
+        assert (quot is None) == (lift is None) == (kind not in scalars.LIFTED_KINDS)
 
 
 # -- each batched check still fires ----------------------------------------------

@@ -69,8 +69,9 @@ def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResu
         return GroupResult(path.stem, G.order, "", [], [])
     try:
         full = refine.refine_to_fixpoint(G, group_id=path.stem)
-    # NonElementaryAbelianError and PcgError are ValueErrors
-    except (refine.RefinementError, ArithmeticError, ValueError) as exc:
+    # NonElementaryAbelianError and PcgError are ValueErrors; a MemoryError
+    # is numpy refusing an oversize array for this group alone
+    except (refine.RefinementError, ArithmeticError, ValueError, MemoryError) as exc:
         return GroupResult(path.stem, G.order, "", [], [], error=f"refine: {exc}")
     flagged_by = [
         ring for ring in BREAKDOWN_RINGS if full.flagged and refine.seed_refined_by(full, ring)

@@ -47,10 +47,13 @@ def _is_prime(p: int) -> bool:
 class PcGroup:
     """Immutable pc presentation with collection-based arithmetic.
 
-    Products are collected from the left one generator at a time through
-    per-generator tables, ``_mult_cache[k][x] = x * g_k``, filled on demand.
-    They are keyed by normal forms, so each holds at most |G| entries.
-    ``power(x, e)`` starts from x and makes e - 1 multiplies.
+    Products are collected from the left one letter g_k^e at a time through
+    power tables, ``_powers[k][e][x] = x * g_k^e`` for 1 <= e < p, filled on
+    demand.  The e = 1 table is ``_mult_cache[k]``, filled by collection;
+    an e >= 2 entry is filled on a miss as e single steps of it.  Tables are
+    keyed by normal forms, so each holds at most |G| entries and all of them
+    together at most n(p - 1)|G|.  The public entries check argument lengths
+    once per call; ``power(x, e)`` starts from x and makes e - 1 multiplies.
     """
 
     def __init__(
@@ -84,6 +87,9 @@ class PcGroup:
         self.identity: Elem = (0,) * n
         self.factors: List[Tuple[int, "PcGroup"]] = []  # (offset, factor) when built as a direct product
         self._mult_cache: List[Dict[Elem, Elem]] = [{} for _ in range(n + 1)]
+        self._powers: List[list] = [
+            [None, t] + [{} for _ in range(p - 2)] for t in self._mult_cache
+        ]
         if check and n > 0:
             bad = self.consistency_violations()
             if bad:
@@ -116,10 +122,11 @@ class PcGroup:
     # -- collection ------------------------------------------------------
     #
     # Collection from the left (Holt, Eick and O'Brien, Handbook of
-    # Computational Group Theory, 2005, ch. 8).  ``_mult_cache[0]`` is
-    # unused.  ``multiply``, ``divide`` and the positive letters of
-    # ``mult_word`` read the table of g_k inline and call ``_mult_gen`` only
-    # on a miss.
+    # Computational Group Theory, 2005, ch. 8).  Row 0 of ``_mult_cache``
+    # and of ``_powers`` is unused.  ``_mul``, ``_div`` and the positive
+    # letters of ``mult_word`` read the (k, e) table inline and call
+    # ``_fill`` only on a miss.  The public entries check argument lengths
+    # once and run on these unchecked cores.
 
     def _mult_gen(self, x: Elem, k: int) -> Elem:
         """Normal form of x * g_k, stored in the table of g_k."""
@@ -128,7 +135,7 @@ class PcGroup:
         if hit is not None:
             return hit
         p = self.p
-        if all(x[m] == 0 for m in range(k, self.n)):
+        if not any(x[k:]):
             e = x[k - 1] + 1
             if e < p:
                 res = x[: k - 1] + (e,) + x[k:]
@@ -151,22 +158,36 @@ class PcGroup:
         table[x] = res
         return res
 
+    def _fill(self, x: Elem, k: int, e: int) -> Elem:
+        """x * g_k^e for e > 0 after a miss in its table.  For e = 1 that
+        is ``_mult_gen``; for e >= 2 it is e single steps through the table
+        of g_k, stored in the (k, e) table when e < p.  So every entry
+        equals its e single steps, on inconsistent presentations too, and
+        an e >= p (no normal form) is only walked."""
+        if e == 1:
+            return self._mult_gen(x, k)
+        table = self._mult_cache[k]
+        z = x
+        for _ in range(e):
+            w = table.get(z)
+            z = w if w is not None else self._mult_gen(z, k)
+        if e < self.p:
+            self._powers[k][e][x] = z
+        return z
+
     def mult_word(self, x: Elem, w: Iterable[Tuple[int, int]]) -> Elem:
         """Normal form of x times a word (letters with any integer exponents)."""
-        tables = self._mult_cache
+        powers, p = self._powers, self.p
         for k, e in w:
             if e > 0:
-                table = tables[k]
-                while e > 0:
-                    z = table.get(x)
-                    x = z if z is not None else self._mult_gen(x, k)
-                    e -= 1
+                z = powers[k][e].get(x) if e < p else None
+                x = z if z is not None else self._fill(x, k, e)
             elif e < 0:
                 # the solve for g_k^-1 only meets relation words of
                 # generators after k, so this recursion terminates
-                gi = self.inverse(self.generator(k))
+                gi = self._div(self.generator(k), self.identity)
                 for _ in range(-e):
-                    x = self.multiply(x, gi)
+                    x = self._mul(x, gi)
         return x
 
     def collect(self, word: Iterable[Tuple[int, int]]) -> Elem:
@@ -178,24 +199,18 @@ class PcGroup:
             x = self.mult_word(x, ((k, self._cut(k, e)),))
         return x
 
-    def multiply(self, x: Elem, y: Elem) -> Elem:
-        """Normal form of x * y: x times g1^y1 ... gn^yn, letter by letter."""
-        if len(x) != self.n or len(y) != self.n:
-            self._check_elems(x, y)
-        # mult_word(x, enumerate(y, 1)) without the call and the sign test
-        # per letter: that costs verify about 3% of its wall time
-        tables = self._mult_cache
+    def _mul(self, x: Elem, y: Elem) -> Elem:
+        """x * g1^y1 ... gn^yn, one table read per letter with 0 < y_k < p;
+        no length check.  An entry y_k < 0 takes no step."""
+        powers, p = self._powers, self.p
         for k, e in enumerate(y, 1):
             if e > 0:
-                table = tables[k]
-                while e > 0:
-                    z = table.get(x)
-                    x = z if z is not None else self._mult_gen(x, k)
-                    e -= 1
+                z = powers[k][e].get(x) if e < p else None
+                x = z if z is not None else self._fill(x, k, e)
         return x
 
-    def divide(self, a: Elem, b: Elem) -> Elem:
-        """a^-1 b, found as the y with a * g1^y1 ... gn^yn = b.
+    def _div(self, a: Elem, b: Elem) -> Elem:
+        """a^-1 b, found as the y with a * g1^y1 ... gn^yn = b; no length check.
 
         Relation words use only generators after their left-hand side, so
         right multiplication by g_k^e adds e mod p to exponent k and changes
@@ -203,27 +218,18 @@ class PcGroup:
         before depth k, y_k = b_k - (its exponent k) mod p makes it agree up
         to depth k, and later steps keep that; after depth n it equals b.
         """
-        if len(a) != self.n or len(b) != self.n:
-            self._check_elems(a, b)
-        p = self.p
-        tables = self._mult_cache
+        powers, p = self._powers, self.p
         y = []
         for k, bk in enumerate(b, 1):
             e = (bk - a[k - 1]) % p
             y.append(e)
             if e:
-                table = tables[k]
-                while e > 0:
-                    z = table.get(a)
-                    a = z if z is not None else self._mult_gen(a, k)
-                    e -= 1
+                z = powers[k][e].get(a)
+                a = z if z is not None else self._fill(a, k, e)
         return tuple(y)
 
-    def inverse(self, x: Elem) -> Elem:
-        return self.divide(x, self.identity)
-
-    def power(self, x: Elem, e: int) -> Elem:
-        """x^e, for e >= 1 as x times e - 1 further factors x.
+    def _pow(self, x: Elem, e: int) -> Elem:
+        """x^e for e >= 0, as x times e - 1 further factors x; no length check.
 
         Starting from x rather than the identity is exact: collecting
         identity * x walks g1^x1 ... gn^xn, and when g_k is multiplied on,
@@ -231,24 +237,49 @@ class PcGroup:
         branch with the new exponent at most x_k < p and only writes it in.
         So identity * x = x for a normal form x.
         """
-        if len(x) != self.n:
-            self._check_elems(x)
-        if e < 0:
-            return self.power(self.inverse(x), -e)
         if e == 0:
             return self.identity
         acc = x
         for _ in range(e - 1):
-            acc = self.multiply(acc, x)
+            acc = self._mul(acc, x)
         return acc
+
+    def multiply(self, x: Elem, y: Elem) -> Elem:
+        """Normal form of x * y."""
+        if len(x) != self.n or len(y) != self.n:
+            self._check_elems(x, y)
+        return self._mul(x, y)
+
+    def divide(self, a: Elem, b: Elem) -> Elem:
+        """a^-1 b."""
+        if len(a) != self.n or len(b) != self.n:
+            self._check_elems(a, b)
+        return self._div(a, b)
+
+    def inverse(self, x: Elem) -> Elem:
+        if len(x) != self.n:
+            self._check_elems(x)
+        return self._div(x, self.identity)
+
+    def power(self, x: Elem, e: int) -> Elem:
+        """x^e for any integer e."""
+        if len(x) != self.n:
+            self._check_elems(x)
+        if e < 0:
+            x, e = self._div(x, self.identity), -e
+        return self._pow(x, e)
 
     def commutator(self, x: Elem, y: Elem) -> Elem:
         """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy)."""
-        return self.divide(self.multiply(y, x), self.multiply(x, y))
+        if len(x) != self.n or len(y) != self.n:
+            self._check_elems(x, y)
+        return self._div(self._mul(y, x), self._mul(x, y))
 
     def conjugate(self, x: Elem, g: Elem) -> Elem:
         """x^g = g^-1 x g."""
-        return self.divide(g, self.multiply(x, g))
+        if len(x) != self.n or len(g) != self.n:
+            self._check_elems(x, g)
+        return self._div(g, self._mul(x, g))
 
     def generator(self, k: int) -> Elem:
         if not (1 <= k <= self.n):
@@ -275,10 +306,17 @@ class PcGroup:
     def consistency_violations(self, limit: int = 1) -> List[str]:
         """Overlap conditions of the rewriting system; empty list means consistent."""
         out: List[str] = []
+        mul = self._mul
         gens = self.generators()
-        # g^(p-1) and g^p of each generator, formed once for every check
-        below = [self.power(g, self.p - 1) for g in gens]
-        pth = [self.power(g, self.p) for g in gens]
+        # g^(p-1) and g^p of each generator and g_j g_i for j > i, formed
+        # once for every check
+        below = [self._pow(g, self.p - 1) for g in gens]
+        pth = [self._pow(g, self.p) for g in gens]
+        prod = {
+            (j, i): mul(gens[j - 1], gens[i - 1])
+            for j in range(2, self.n + 1)
+            for i in range(1, j)
+        }
 
         def record(msg: str) -> bool:
             out.append(msg)
@@ -286,26 +324,23 @@ class PcGroup:
 
         for i in range(1, self.n + 1):
             gi, gp = gens[i - 1], pth[i - 1]
-            if self.multiply(gi, gp) != self.multiply(gp, gi):
+            if mul(gi, gp) != mul(gp, gi):
                 if record(f"g{i} * g{i}^p != g{i}^p * g{i}"):
                     return out
         for j in range(2, self.n + 1):
             for i in range(1, j):
-                gi, gj = gens[i - 1], gens[j - 1]
-                lhs = self.multiply(below[j - 1], self.multiply(gj, gi))
-                if self.multiply(pth[j - 1], gi) != lhs:
+                gi, gj, gjgi = gens[i - 1], gens[j - 1], prod[j, i]
+                if mul(pth[j - 1], gi) != mul(below[j - 1], gjgi):
                     if record(f"overlap g{j}^p . g{i}"):
                         return out
-                rhs = self.multiply(self.multiply(gj, gi), below[i - 1])
-                if self.multiply(gj, pth[i - 1]) != rhs:
+                if mul(gj, pth[i - 1]) != mul(gjgi, below[i - 1]):
                     if record(f"overlap g{j} . g{i}^p"):
                         return out
         for k in range(3, self.n + 1):
             for j in range(2, k):
                 for i in range(1, j):
-                    gk, gj, gi = gens[k - 1], gens[j - 1], gens[i - 1]
-                    a = self.multiply(gk, self.multiply(gj, gi))
-                    b = self.multiply(self.multiply(gk, gj), gi)
+                    a = mul(gens[k - 1], prod[j, i])
+                    b = mul(prod[k, j], gens[i - 1])
                     if a != b:
                         if record(f"overlap g{k} g{j} g{i}"):
                             return out
@@ -381,8 +416,8 @@ class Subgroup:
         for h in reversed(self.igs):
             powers = [G.identity]
             for _ in range(G.p - 1):
-                powers.append(G.multiply(powers[-1], h))
-            out = [G.multiply(pw, x) for pw in powers for x in out]
+                powers.append(G._mul(powers[-1], h))
+            out = [G._mul(pw, x) for pw in powers for x in out]
         return out
 
     def random_element(self, rng) -> Elem:
@@ -391,7 +426,7 @@ class Subgroup:
         for h in self.igs:
             e = rng.randrange(G.p)
             if e:
-                x = G.multiply(x, G.power(h, e))
+                x = G._mul(x, G._pow(h, e))
         return x
 
     def is_normal(self) -> bool:
@@ -427,13 +462,15 @@ def sift(
     meets N G_{k+1} in G_{k+1} by the same depth argument, so exponent k
     reads off N G_k / N G_{k+1}, where r has the class of x = m^-1 r.
     """
+    if len(x) != G.n:
+        G._check_elems(x)
     while x != G.identity:
         d = depth(x)
         h = by_depth.get(d)
         if h is None:
             return x
         k = (x[d - 1] * pow(h[d - 1], G.p - 2, G.p)) % G.p
-        x = G.divide(G.power(h, k), x)
+        x = G._div(G._pow(h, k), x)
         if steps is not None:
             steps.append((d, k))
     return x
@@ -446,14 +483,14 @@ def _canonicalize_igs(G: PcGroup, by_depth: Dict[int, Elem]) -> Tuple[Elem, ...]
     canon: Dict[int, Elem] = {}
     for d in sorted(by_depth):
         h = by_depth[d]
-        h = G.power(h, pow(h[d - 1], G.p - 2, G.p))
+        h = G._pow(h, pow(h[d - 1], G.p - 2, G.p))
         canon[d] = h
     for d in sorted(canon, reverse=True):
         for d2 in sorted(x for x in canon if x > d):
             h = canon[d]
             c = h[d2 - 1]
             if c:
-                canon[d] = G.multiply(h, G.power(G.inverse(canon[d2]), c))
+                canon[d] = G._mul(h, G._pow(G._div(canon[d2], G.identity), c))
     return tuple(canon[d] for d in sorted(canon))
 
 
@@ -473,7 +510,7 @@ def subgroup_from_gens(G: PcGroup, gens: Iterable[Elem]) -> Subgroup:
         # and h, so sifting it uses only deeper members; by induction from
         # the deepest member their span is a subgroup, which then also holds
         # [h, x] = [x, h]^-1.
-        queue.append(G.power(x, G.p))
+        queue.append(G._pow(x, G.p))
         for h in list(by_depth.values()):
             if h != x:
                 queue.append(G.commutator(x, h))
@@ -588,7 +625,7 @@ def kernel_by_layers(
             y = G.identity
             for c, e in zip(basis, b):
                 if e:
-                    y = G.multiply(y, G.power(c, e))
+                    y = G._mul(y, G._pow(c, e))
             kernel.append(y)
         basis = kernel
         imgs = [images(c) for c in basis]

@@ -1,10 +1,11 @@
 """The collection kernel against the letter-by-letter collector it replaces.
 
-``multiply``, ``divide`` and ``power`` read the per-generator tables
-``PcGroup._mult_cache[k]`` inline; the reference below is the old collector,
-one cached ``_mult_gen`` call per letter keyed on (x, k), with ``power``
-starting from the identity.  Also here: the table bound, the argument
-checks, and the zero sections of ``lie.CosetBasis``.
+``multiply``, ``divide`` and ``power`` read the power tables
+``PcGroup._powers[k][e]`` (x -> x * g_k^e) once per nonzero letter; the
+reference below is the old collector, one cached ``_mult_gen`` call per
+single step keyed on (x, k), with ``power`` starting from the identity.
+Also here: the table bound, each table entry against its e single steps,
+the argument checks, and the zero sections of ``lie.CosetBasis``.
 """
 
 import functools
@@ -15,9 +16,16 @@ import pytest
 
 from filterlab import refine
 from filterlab.lie import CosetBasis
-from filterlab.pcgroup import PcgError, depth, parse_pcg_file, sift, subgroup_from_gens
+from filterlab.pcgroup import (
+    PcgError,
+    depth,
+    parse_pcg_file,
+    parse_pcgroup,
+    sift,
+    subgroup_from_gens,
+)
 
-from conftest import corpus_paths, perfbench_workloads
+from conftest import CORPUS, corpus_paths, perfbench_workloads
 
 workloads = perfbench_workloads()
 
@@ -96,10 +104,31 @@ class _LetterCollector:
 SMALL = [p for p in corpus_paths() if parse_pcg_file(p).order <= 64]
 LARGE = [p for p in corpus_paths() if parse_pcg_file(p).order > 64]
 
+# Inconsistent presentations, parsed as ``verify`` parses them (check=False):
+# the one of tests/test_cli.py::test_verify_inconsistent_relations and two
+# with p > 2, the second with relation exponents of p or more.
+INCONSISTENT = {
+    "incoherent": "p 2\nn 4\ncomm 2 1 = g3\ncomm 3 2 = g4\n",
+    "incoherent3": "p 3\nn 3\npow 1 = g2\ncomm 2 1 = g3\n",
+    "incoherent5": "p 5\nn 3\npow 1 = g2^7 g3^3\ncomm 2 1 = g3^9\n",
+}
+# Every pair is met in these: the small corpus groups, the inconsistent
+# presentations, and h125, where p = 5 and so e runs up to 4.
+FULL = {
+    **{p.stem: lambda p=p: parse_pcg_file(p) for p in SMALL},
+    **{
+        name: lambda name=name, text=text: parse_pcgroup(text, name, check=False)
+        for name, text in INCONSISTENT.items()
+    },
+    "h125": lambda: parse_pcg_file(CORPUS / "basic" / "h125.pcg"),
+}
+
 
 def _check_pair(G, ref, a, b):
     assert G.multiply(a, b) == ref.multiply(a, b), (G.name, a, b)
     assert G.divide(a, b) == ref.divide(a, b), (G.name, a, b)
+    want = ref.divide(ref.multiply(b, a), ref.multiply(a, b))
+    assert G.commutator(a, b) == want, (G.name, a, b)
 
 
 def _check_powers(G, ref, x):
@@ -108,18 +137,33 @@ def _check_powers(G, ref, x):
 
 
 def _check_tables(G):
-    assert len(G._mult_cache) == G.n + 1
-    for k, table in enumerate(G._mult_cache):
-        assert len(table) <= G.order, (G.name, k, len(table))
-        for x in table:
-            assert len(x) == G.n and all(0 <= c < G.p for c in x), (G.name, k, x)
+    """Every (k, e) table: at most |G| entries, keyed by normal forms; the
+    e = 1 table is ``_mult_cache[k]`` and agrees with the reference, and
+    each e >= 2 entry is e single steps through it."""
+    ref = _LetterCollector(G)
+    assert len(G._mult_cache) == len(G._powers) == G.n + 1
+    for k in range(1, G.n + 1):
+        row = G._powers[k]
+        assert len(row) == G.p and row[0] is None and row[1] is G._mult_cache[k]
+        for e in range(1, G.p):
+            assert len(row[e]) <= G.order, (G.name, k, e, len(row[e]))
+            for x, z in row[e].items():
+                assert len(x) == G.n and all(0 <= c < G.p for c in x), (G.name, k, e, x)
+                if e == 1:
+                    want = ref.mult_gen(x, k)
+                else:
+                    want = x
+                    for _ in range(e):
+                        want = G._mult_cache[k][want]
+                assert z == want, (G.name, k, e, x)
 
 
 @functools.lru_cache(maxsize=None)
-def _full_pass(path):
-    """A fresh copy of a group of order <= 64 after the kernel has met every
-    pair and every power."""
-    G = parse_pcg_file(path)
+def _full_pass(name):
+    """A fresh copy of the group ``FULL[name]`` after the kernel has met
+    every pair and every power."""
+    G = FULL[name]()
+    assert bool(G.consistency_violations()) == (name in INCONSISTENT)
     ref = _LetterCollector(G)
     elems = list(G.elements())
     for a in elems:
@@ -129,19 +173,20 @@ def _full_pass(path):
     return G
 
 
-@pytest.mark.parametrize("path", SMALL, ids=[p.stem for p in SMALL])
-def test_kernel_matches_letter_collector_on_every_pair(path):
-    G = _full_pass(path)
+@pytest.mark.parametrize("name", FULL)
+def test_kernel_matches_letter_collector_on_every_pair(name):
+    G = _full_pass(name)
     for x in G.elements():
         # the lemma power() starts from: identity * x = x for a normal form
         assert G.multiply(G.identity, x) == x
 
 
-@pytest.mark.parametrize("path", SMALL, ids=[p.stem for p in SMALL])
-def test_each_table_holds_at_most_the_group_order(path):
-    G = _full_pass(path)
+@pytest.mark.parametrize("name", FULL)
+def test_each_table_holds_at_most_the_group_order(name):
+    G = _full_pass(name)
     _check_tables(G)
     assert all(G._mult_cache[1:]), "a full pass fills every generator's table"
+    assert all(G._powers[k][G.p - 1] for k in range(1, G.n + 1)), "and every power table"
 
 
 def _cases(paths):
@@ -174,21 +219,35 @@ def test_wrong_length_arguments_raise(d8, e):
     with pytest.raises(PcgError):
         d8.power(short, e)
     for args in ((short, good), (good, short), (good + (0,), good)):
+        for op in (d8.multiply, d8.divide, d8.commutator, d8.conjugate):
+            with pytest.raises(PcgError):
+                op(*args)
+    for op in (d8.inverse, lambda x: sift(d8, {}, x)):
         with pytest.raises(PcgError):
-            d8.multiply(*args)
-        with pytest.raises(PcgError):
-            d8.divide(*args)
-
+            op(short)
 
 
 def test_negative_entries_of_y_take_no_steps(d8):
     # y must be a normal form; an entry below 0 is skipped as it was by the
-    # letter-by-letter collector, not walked down forever
+    # letter-by-letter collector, not walked down forever, and reads no
+    # table (index -1 would be the last power table); an entry of p or
+    # more is walked as that many single steps
     x = d8.generator(2)
     assert d8.multiply(x, (-1,) + (0,) * (d8.n - 1)) == x
     assert d8.multiply(x, (-1,) + (0,) * (d8.n - 2) + (1,)) == _LetterCollector(d8).multiply(
         x, (-1,) + (0,) * (d8.n - 2) + (1,)
     )
+    h27 = parse_pcg_file(CORPUS / "basic" / "h27.pcg")
+    ref = _LetterCollector(h27)
+    g2 = h27.generator(2)
+    assert h27.multiply(g2, (4, 0, 0)) == h27.multiply(g2, (1, 0, 0))
+    for y in [(-1, 0, 0), (0, -1, 0), (-2, -1, 1), (0, 0, -1), (4, 0, 0), (3, 5, 0), (2, 7, 3)]:
+        for a in (h27.identity, g2, (2, 1, 2)):
+            assert h27.multiply(a, y) == ref.multiply(a, y), (a, y)
+    for a in h27.elements():
+        _check_pair(h27, ref, a, (2, 2, 2))
+    _check_tables(h27)
+
 
 # -- zero sections of CosetBasis -----------------------------------------------------
 

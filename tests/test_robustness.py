@@ -69,7 +69,7 @@ def test_refine_failure_is_one_skipped_entry(tmp_path, monkeypatch, inner, stage
 
 
 @pytest.mark.parametrize(
-    "exc", [ArithmeticError("arith"), ValueError("value")]
+    "exc", [ArithmeticError("arith"), ValueError("value"), MemoryError("memory")]
 )
 def test_other_refine_errors_are_recorded(tmp_path, monkeypatch, exc):
     d = _census_dir(tmp_path, ["order16/g16_01_c16.pcg"])

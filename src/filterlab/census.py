@@ -4,12 +4,16 @@ Each group is refined once with the full emission set and classified.  A
 flagged group counts for Der, Mid or Cent when that ring emitted some
 candidate of the seed table.  Every candidate inserts and a parsed group
 declares no direct factors, so that is the flag of a refinement restricted to
-the ring (``refine.seed_refined_by``).  The census prints no ``ring_dims``,
-so a ring other than Der is built only where the rank search or that flag
-asks for it (on orders 16 and 81: Mid and Cent of flagged groups).
-Workers share nothing; aggregation is a deterministic fold over results
-sorted by group id, so serial and parallel runs produce byte-identical
-summaries.
+the ring (``refine.seed_refined_by``), decided at the first proper
+Der-invariant emission of the ring's rank.  The census prints no
+``ring_dims``, so a ring other than Der is built only where the rank search
+or that flag asks for it (on orders 16 and 81: Mid and Cent of flagged
+groups).  Every such Cent there is GF(p) 1, which emits with no radical or
+lift, and a Mid flag builds A/J only where no radical emission of Mid is a
+candidate.  An error while deciding a flag skips the group, as one while
+refining does.  Workers share nothing; aggregation is a deterministic fold
+over results sorted by group id, so serial and parallel runs produce
+byte-identical summaries.
 """
 
 from __future__ import annotations
@@ -57,9 +61,9 @@ def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResu
     given) is parsed but not refined.  A flagged group is flagged by each
     breakdown ring that emitted a seed candidate; every candidate inserts
     and the group has no declared factors, so that is the flag of a
-    refinement restricted to the ring.  A failure while refining is
-    returned as the result's error, "refine: <message>", so the census goes
-    on."""
+    refinement restricted to the ring.  A failure while refining or
+    deciding a flag is returned as the result's error, "refine: <message>",
+    so the census goes on."""
     path = Path(path_str)
     try:
         G = parse_pcg_file(path)
@@ -69,13 +73,13 @@ def analyze_file(path_str: str, order_filter: Optional[int] = None) -> GroupResu
         return GroupResult(path.stem, G.order, "", [], [])
     try:
         full = refine.refine_to_fixpoint(G, group_id=path.stem)
+        flagged_by = [
+            ring for ring in BREAKDOWN_RINGS if full.flagged and refine.seed_refined_by(full, ring)
+        ]
     # NonElementaryAbelianError and PcgError are ValueErrors; a MemoryError
     # is numpy refusing an oversize array for this group alone
     except (refine.RefinementError, ArithmeticError, ValueError, MemoryError) as exc:
         return GroupResult(path.stem, G.order, "", [], [], error=f"refine: {exc}")
-    flagged_by = [
-        ring for ring in BREAKDOWN_RINGS if full.flagged and refine.seed_refined_by(full, ring)
-    ]
     steps = [refine.step_to_json(s) for s in full.steps]
     return GroupResult(path.stem, G.order, full.classification, steps, flagged_by)
 

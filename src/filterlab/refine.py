@@ -10,7 +10,9 @@ Every candidate inserts (proof in ``refine_to_fixpoint``), so a refinement
 inserts the first candidate of each table and tries no other.  A table's
 candidates are searched by provenance rank (``CandidateTable``): the rings
 of a rank are built only when every lower rank is empty, and the seed
-table builds the others only for ``ring_dims`` and ``seed_refined_by``.
+table builds the others only for ``ring_dims`` and ``seed_refined_by``,
+which walks a rank's emissions only up to its first candidate
+(``CandidateTable.nonempty``).
 """
 
 from __future__ import annotations
@@ -224,7 +226,8 @@ class CandidateTable:
        the full sort's ``candidates[0]`` with the same provs[0], and
        ``first()`` is None iff the full sort is empty (``cap_hit``).  And
        ``rank(r)`` is not empty iff some candidate of the full sort lists a
-       rank-r provenance (``seed_refined_by``).
+       rank-r provenance (``seed_refined_by``), which ``nonempty`` decides
+       at the first such emission, without building the rest of the rank.
     """
 
     def __init__(self, L: GradedLieRing):
@@ -251,6 +254,27 @@ class CandidateTable:
             out.sort(key=lambda c: c[0])
             self._ranks[r] = out
         return self._ranks[r]
+
+    def nonempty(self, r: int) -> bool:
+        """Whether ``rank(r)`` holds a candidate: read from ``rank(r)`` when
+        it is built, else True at the first rank-r emission of a live
+        product that is proper and Der-invariant, building no later one.
+
+        This is ``bool(rank(r))``.  ``rank(r)`` merges each live product's
+        rank-r emissions, which only drops duplicates and joins their
+        provenances, and keeps the merged subspaces that are Der-invariant
+        and proper.  Both properties depend on the subspace alone, so a
+        merged subspace is kept iff each emission of it would be, and
+        ``rank(r)`` is not empty iff some emission passes both tests.
+        """
+        if r in self._ranks:
+            return bool(self._ranks[r])
+        for s, t, rings in self.live:
+            side_grade = {"U": s, "V": t, "W": mon.add(s, t)}
+            for e in rings.emissions(r):
+                if 0 < e.dim < self.L.dim(side_grade[e.side]) and rings.der_invariant(e):
+                    return True
+        return False
 
     def first(self):
         """The first candidate of the full sort, or None if there is none."""
@@ -340,10 +364,14 @@ def seed_refined_by(report: RefinementReport, ring: str) -> bool:
        rank (``CandidateTable.rank``), where Der-invariance and properness
        are decided per subspace, whatever lower rank also emits it.
     4. Every candidate lifts and inserts (``refine_to_fixpoint``).  So the
-       restricted run is flagged iff it has a first-table candidate at all.
+       restricted run is flagged iff it has a first-table candidate at all,
+       that is iff ``rank(r)`` is not empty, which ``nonempty`` decides at
+       the first proper Der-invariant emission (proof there).  Der's rank
+       is always built by ``first()``; the others are walked only as far as
+       that first emission.
     """
     # a ring's provenances share its rank
-    return bool(report.seed_table.rank(scalars.PROVENANCE_RANK[ring.lower()]))
+    return report.seed_table.nonempty(scalars.PROVENANCE_RANK[ring.lower()])
 
 
 def _product_series_values(G: PcGroup) -> Optional[set]:

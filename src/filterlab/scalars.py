@@ -17,13 +17,18 @@ level and no quotient.  Otherwise the chain runs to its end and the result
 is verified a posteriori: two-sided ideal, nilpotent, semisimple quotient.
 A/J and its lift are built only where that verification needs them or an
 idempotent lift reads them (Mid and Cent).
+
+A ring's emissions are yielded one by one (``BimapRings.emissions``), so a
+consumer that stops at the first one it needs builds no later one, and an
+A/J only when it reaches the idempotent images.  A ring of dimension 1 is
+GF(p) 1: it emits with no radical, quotient or lift.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -629,8 +634,9 @@ def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> b
 
 class BimapRings:
     """The rings of one bimap: Der at once, the others on first use, each
-    built at most once.  So is each associative ring's checked radical,
-    with Mid's and Cent's quotient kept for the idempotent lift, and Der's
+    built at most once.  So is each associative ring's checked radical J;
+    Mid's and Cent's A/J and its lift are built after J and only when asked
+    for (the quotient of J's verification, when it built one).  So is Der's
     envelope on each side, which serves both the prune test and Der's
     emissions.
     """
@@ -638,7 +644,7 @@ class BimapRings:
     def __init__(self, b: Bimap):
         self.b = b
         self.rings: Dict[str, ScalarAlgebra] = {"Der": derivation_algebra(b)}
-        self.radicals: Dict[str, tuple] = {}
+        self.radicals: Dict[str, tuple] = {}  # kind -> (J, (A/J, lift) or None)
         self._envelopes: Dict[int, AssocAlgebra] = {}
 
     def ring(self, kind: str) -> ScalarAlgebra:
@@ -646,17 +652,25 @@ class BimapRings:
             self.rings[kind] = centroid(self.b) if kind == "Cent" else scalar_ring(self.b, kind)
         return self.rings[kind]
 
+    def _jacobson(self, kind: str) -> AssocAlgebra:
+        """J of the associative ring of ``kind``, certified as
+        ``AssocAlgebra._radical`` says; Mid and Cent keep the quotient its
+        verification built."""
+        if kind not in self.radicals:
+            rad, built = self.ring(kind)._radical()
+            self.radicals[kind] = (rad, built if kind in LIFTED_KINDS else None)
+        return self.radicals[kind][0]
+
     def radical(self, kind: str) -> tuple:
         """(A, J, A/J, lift) of the associative ring A of ``kind``; A/J and
         its lift are built for the kinds whose idempotents are lifted, Mid
         and Cent, and are None for Left and Right."""
-        if kind not in self.radicals:
-            alg = self.ring(kind)
-            if kind in LIFTED_KINDS:
-                self.radicals[kind] = (alg,) + alg.radical_quotient()
-            else:
-                self.radicals[kind] = (alg, alg.radical(), None, None)
-        return self.radicals[kind]
+        alg, rad = self.ring(kind), self._jacobson(kind)
+        if kind not in LIFTED_KINDS:
+            return alg, rad, None, None
+        if self.radicals[kind][1] is None:
+            self.radicals[kind] = (rad, alg.quotient(rad))
+        return (alg, rad) + self.radicals[kind][1]
 
     def envelope(self, pos: int) -> AssocAlgebra:
         """The unital algebra generated by Der's action on side ``pos``."""
@@ -674,55 +688,80 @@ class BimapRings:
         """
         return all(d <= 1 or self.envelope(pos).dim == d * d for pos, d in enumerate(self.b.dims))
 
-    def emissions(self, rank: int) -> List[Emission]:
-        """The emissions of provenance rank ``rank``, unmerged, in merge order.
+    def der_invariant(self, emission: Emission) -> bool:
+        """True iff Der maps the subspace of ``emission`` into itself."""
+        return _der_invariant(emission, self.rings["Der"].side_stacks(), self.b.p)
+
+    def emissions(self, rank: int) -> Iterator[Emission]:
+        """The emissions of provenance rank ``rank``, unmerged, in merge
+        order, yielded one by one.
 
         Rank 0 is the radical of Der's envelope on each side; ranks 1 to 4
         are the radical elements of Mid, Left, Right and Cent acting on
         their sides, then for Mid and Cent the images of the idempotents
         that A/J lifts (Cent's A/J must be commutative); rank 5 is the bimap
-        radicals.
+        radicals.  The call builds the ring of an associative rank and its
+        J, and checks Cent's A/J; each emission is built when it is reached,
+        and A/J and the lift when the first idempotent image is.  So a
+        consumer that stops early builds no later emission.
+
+        A ring A of dimension 1 emits with no radical, quotient or lift.  A
+        holds the identity of M_n (checked at build, so n >= 1): A =
+        GF(p) 1.  The identity is not nilpotent, so J = 0 and A/J = A, which
+        has the one primitive idempotent 1, lifted to 1.  So Left and Right
+        emit nothing, and Mid and Cent emit the image of 1 on each side, the
+        whole side, as their idempotent image; Cent's check reads J = 0.
         """
-        b, p = self.b, self.b.p
-        dims = dict(zip("UVW", b.dims))
-        out: List[Emission] = []
-
-        def emit(side: str, rows: np.ndarray, prov: str):  # the row space of ``rows``
-            d = dims[side]
-            rows = np.reshape(rows, (-1, d)) if np.size(rows) else np.zeros((0, d), dtype=np.int64)
-            basis, piv = linalg.echelon(rows, p)
-            out.append(Emission(side, basis, [prov], piv))
-
-        def emit_action(side: str, mats: List[np.ndarray], prov: str):
-            # images and kernels of radical elements acting on one side
-            emit(side, np.concatenate(mats), prov)
-            emit(side, linalg.nullspace(np.concatenate([m.T for m in mats]), p), prov)
-            for m in mats:
-                emit(side, m, prov)
-                emit(side, linalg.nullspace(m.T, p), prov)
-
         if rank == 0:
-            for pos, side in enumerate("UVW"):
-                if dims[side]:
-                    rad = self.envelope(pos).radical()
-                    if rad.dim:
-                        emit_action(side, list(rad.basis), "der")
-        elif rank > len(ASSOC_KINDS):
-            for axis, side in enumerate("UV"):
-                emit(side, b.radical(axis), "bimap-radical")
-        else:
-            kind = ASSOC_KINDS[rank - 1]
-            alg, rad, quot, lift = self.radical(kind)
-            if rad.dim:
-                for side, mats in zip(KIND_SIDES[kind], alg.from_rep(rad.stack)):
-                    emit_action(side, list(mats), kind.lower())
-            if kind == "Cent":
-                _check_commutative_quotient(alg, rad)
-            if kind in LIFTED_KINDS:
-                for e in _lift_central_idempotents(alg, quot, lift):
-                    for pos, side in enumerate(KIND_SIDES[kind]):
-                        emit(side, e[pos], kind.lower() + "-idem")
-        return out
+            return self._der_emissions()
+        if rank > len(ASSOC_KINDS):
+            return (self._emission(s, self.b.radical(axis), "bimap-radical") for axis, s in enumerate("UV"))
+        kind = ASSOC_KINDS[rank - 1]
+        alg = self.ring(kind)
+        unit = alg.dim == 1  # A = GF(p) 1, J = 0
+        rad = AssocAlgebra(alg.p, alg.n, []) if unit else self._jacobson(kind)
+        if kind == "Cent":
+            _check_commutative_quotient(alg, rad)
+        if not unit:
+            return self._assoc_emissions(kind, rad)
+        dims = dict(zip("UVW", self.b.dims))
+        sides = KIND_SIDES[kind] if kind in LIFTED_KINDS else ()
+        prov = kind.lower() + "-idem"
+        return iter([Emission(s, linalg.identity(dims[s]), [prov], np.arange(dims[s])) for s in sides])
+
+    def _emission(self, side: str, rows: np.ndarray, prov: str) -> Emission:
+        """The row space of ``rows`` on ``side``, echelonised."""
+        d = self.b.dims["UVW".index(side)]
+        rows = np.reshape(rows, (-1, d)) if np.size(rows) else np.zeros((0, d), dtype=np.int64)
+        basis, piv = linalg.echelon(rows, self.b.p)
+        return Emission(side, basis, [prov], piv)
+
+    def _action_emissions(self, side: str, mats: List[np.ndarray], prov: str) -> Iterator[Emission]:
+        """Images and kernels of radical elements acting on one side."""
+        p = self.b.p
+        yield self._emission(side, np.concatenate(mats), prov)
+        yield self._emission(side, linalg.nullspace(np.concatenate([m.T for m in mats]), p), prov)
+        for m in mats:
+            yield self._emission(side, m, prov)
+            yield self._emission(side, linalg.nullspace(m.T, p), prov)
+
+    def _der_emissions(self) -> Iterator[Emission]:
+        for pos, side in enumerate("UVW"):
+            if self.b.dims[pos]:
+                rad = self.envelope(pos).radical()
+                if rad.dim:
+                    yield from self._action_emissions(side, list(rad.basis), "der")
+
+    def _assoc_emissions(self, kind: str, rad: AssocAlgebra) -> Iterator[Emission]:
+        alg = self.ring(kind)
+        if rad.dim:
+            for side, mats in zip(KIND_SIDES[kind], alg.from_rep(rad.stack)):
+                yield from self._action_emissions(side, list(mats), kind.lower())
+        if kind in LIFTED_KINDS:
+            _, _, quot, lift = self.radical(kind)
+            for e in _lift_central_idempotents(alg, quot, lift):
+                for pos, side in enumerate(KIND_SIDES[kind]):
+                    yield self._emission(side, e[pos], kind.lower() + "-idem")
 
     def subspaces(self, ranks: Sequence[int]) -> List[Emission]:
         """The emissions of ``ranks``, in that order, merged and Der-invariant.

@@ -584,17 +584,17 @@ def test_n_graded_layering_paths_never_meet(corpus_groups, monkeypatch):
 
 
 def _count_radicals(monkeypatch):
-    """A list that gets one entry per radical built, through either entry
-    point: ``radical`` and ``radical_quotient`` do not call each other."""
+    """A list that gets one entry per radical built: ``radical``,
+    ``radical_quotient`` and ``BimapRings`` each certify J by one call of
+    ``AssocAlgebra._radical``."""
     calls = []
-    for name in ("radical", "radical_quotient"):
-        original = getattr(scalars.AssocAlgebra, name)
+    original = scalars.AssocAlgebra._radical
 
-        def counting(self, original=original):
-            calls.append(self)
-            return original(self)
+    def counting(self):
+        calls.append(self)
+        return original(self)
 
-        monkeypatch.setattr(scalars.AssocAlgebra, name, counting)
+    monkeypatch.setattr(scalars.AssocAlgebra, "_radical", counting)
     return calls
 
 
@@ -606,7 +606,10 @@ def test_characteristic_subspaces_build_each_radical_once(monkeypatch):
         rings.ring(kind)
     calls = _count_radicals(monkeypatch)
     scalars.characteristic_subspaces(b, rings)
-    assert len(calls) == 7  # Der on U, V, W; Mid, Left, Right, Cent
+    # Der on U, V, W; Mid.  Left, Right and Cent have dimension 1 and emit
+    # with no radical
+    assert [rings.ring(k).dim for k in ("Left", "Right", "Cent")] == [1, 1, 1]
+    assert len(calls) == 4
 
 
 def test_report_scalars_stage_builds_each_radical_once(monkeypatch):
@@ -631,4 +634,5 @@ def test_report_scalars_stage_lifts_the_cent_idempotents_once(monkeypatch):
     monkeypatch.setattr(scalars, "_lift_central_idempotents", counting)
     payload = _stage_payloads(load("g81_12_maxclass1"), ["scalars"])
     assert len(payload["scalars"]) == 3
-    assert len(calls) == 6 and calls.count("Cent") == 3  # per bimap: Cent, Mid
+    # per bimap: Mid; each Cent has dimension 1 and emits with no lift
+    assert len(calls) == 3 and calls.count("Mid") == 3

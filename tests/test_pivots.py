@@ -24,13 +24,15 @@ DERIVATIONS = 0
 # block-matrix layout, each ``nullspace`` call eliminates once, the kernel
 # rows of a centre, a Frobenius-fixed part or a radical are not echelonised
 # again (``AssocAlgebra._kernel_rows``), and a radical certified by its
-# trace form builds no quotient unless an idempotent lift reads it
-RREF_CALLS = 869
+# trace form builds no quotient unless an idempotent lift reads it; a census
+# flag stops at its first proper emission, and a ring of dimension 1 emits
+# with no radical, quotient or lift
+RREF_CALLS = 471
 
 # radicals of that pass, and those whose chain runs past its first level
 # because the trace-form kernel A_1 is not nilpotent
-RADICALS = 55
-PAST_FIRST_LEVEL = 19
+RADICALS = 41
+PAST_FIRST_LEVEL = 8
 
 # functions of the package that call ``row_coords`` or ``in_row_space``
 # without the pivots, so that each call derives them again

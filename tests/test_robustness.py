@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from filterlab import census, pcgroup, refine
+from filterlab import census, pcgroup, refine, scalars
 from filterlab.cli import main
 from filterlab.pcgroup import centralizer_mod, full_subgroup, trivial_subgroup
 
@@ -81,6 +81,23 @@ def test_other_refine_errors_are_recorded(tmp_path, monkeypatch, exc):
     out = census.run_census(d).to_json()
     assert out["skipped"] == [f"g16_01_c16: refine: {exc}"]
     assert out["groups"] == {}
+
+
+def test_a_flag_error_is_one_skipped_entry(tmp_path, monkeypatch):
+    """A ring built only to decide a census flag can fail as well: the group
+    is one skipped entry and the census goes on."""
+    d = _census_dir(tmp_path, [f"order16/{g}.pcg" for g in GROUPS])
+
+    def boom(b):
+        raise ArithmeticError("injected centroid failure")
+
+    monkeypatch.setattr(scalars, "centroid", boom)
+    out = census.run_census(d).to_json()
+    # the flagged groups, whose Cent flags build Cent; c16 builds no ring
+    skipped = ["g16_03_c2sq_rtimes_c4", "g16_07_d16"]
+    assert out["skipped"] == [f"{g}: refine: injected centroid failure" for g in skipped]
+    want = _artifact_groups()
+    assert out["groups"] == {g: want[g] for g in GROUPS if g not in skipped}
 
 
 def test_order_filter_skips_refining_other_orders(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -105,11 +105,19 @@ def aut_commutator(x: Elem, a: AutMap) -> Elem:
 
 
 def parse_aut_lines(G: PcGroup, lines: Sequence[str]) -> List[AutMap]:
-    """Parse `aut: g<i> -> <word>` lines into validated automorphisms.
+    """``parse_numbered_aut_lines`` on the lines of a sidecar, numbered
+    from 1."""
+    return parse_numbered_aut_lines(G, enumerate(lines, start=1))
+
+
+def parse_numbered_aut_lines(G: PcGroup, lines: Iterable[Tuple[int, str]]) -> List[AutMap]:
+    """Parse `aut: g<i> -> <word>` lines, each with its file line number,
+    into validated automorphisms; errors name the file line.
 
     Consecutive lines build one automorphism; a blank line, or a repeated
     generator index, starts the next one.  Generators without a line map to
-    themselves.
+    themselves.  A sidecar's lines and the inline lines of a .pcg file
+    (``PcGroup.aut_lines``, blank separators kept) both come here.
     """
     from .pcgroup import _parse_word
 
@@ -124,7 +132,7 @@ def parse_aut_lines(G: PcGroup, lines: Sequence[str]) -> List[AutMap]:
             maps.append(AutMap(G, images, check=True))
             current.clear()
 
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush()

@@ -18,7 +18,7 @@ from .autfilter import (
     central_automorphisms,
     delta_layer_dims,
     load_sidecar,
-    parse_aut_lines,
+    parse_numbered_aut_lines,
 )
 from .lie import NonElementaryAbelianError
 from .pcgroup import PcgError, parse_pcg_file
@@ -217,7 +217,7 @@ def cmd_aut(args) -> int:
         if args.sidecar:
             maps = load_sidecar(G, args.sidecar)
         else:
-            maps = parse_aut_lines(G, [l for _, l in getattr(G, "aut_lines", [])])
+            maps = parse_numbered_aut_lines(G, G.aut_lines)
     except PcgError as exc:
         print(f"automorphism error: {exc}", file=sys.stderr)
         return 1

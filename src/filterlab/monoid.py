@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 MonoidElem = Tuple[int, ...]
 
 POINTWISE = "pointwise"
@@ -43,18 +41,6 @@ class GradedMonoid:
 
     def preceq(self, a: MonoidElem, b: MonoidElem) -> bool:
         return preceq(a, b, self.order_kind)
-
-    def preceq_matrix(self, grades: List[MonoidElem]) -> np.ndarray:
-        """``le[i, j]`` iff grades[i] precedes-or-equals grades[j]; the grades
-        are distinct and in lex order."""
-        n = len(grades)
-        if self.order_kind == LEX:
-            return np.triu(np.ones((n, n), dtype=bool))
-        coords = np.array(grades, dtype=np.int32).reshape(n, self.dim)
-        le = np.ones((n, n), dtype=bool)
-        for k in range(self.dim):
-            le &= coords[:, k, None] <= coords[None, :, k]
-        return le
 
 
 def zero(dim: int) -> MonoidElem:

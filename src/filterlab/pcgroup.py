@@ -33,15 +33,18 @@ class PcgSyntaxError(PcgError):
         self.line_no = line_no
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+P_LIMIT = 2 ** 16
+
+
+def _prime_error(p: int) -> Optional[str]:
+    """Why p cannot be the prime of a presentation, or None.  The bound comes
+    first: each generator holds p - 2 power tables and trial division makes
+    sqrt(p) steps, so a huge p would hang before any check could fail."""
+    if p >= P_LIMIT:
+        return f"p = {p} is too large (the bound is p < {P_LIMIT})"
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        return f"p = {p} is not prime"
+    return None
 
 
 class PcGroup:
@@ -64,14 +67,19 @@ class PcGroup:
         comm_words: Optional[Dict[Tuple[int, int], Word]] = None,
         check: bool = True,
         name: str = "",
+        aut_lines: Sequence[Tuple[int, str]] = (),
     ):
-        if not _is_prime(p):
-            raise PcgError(f"p = {p} is not prime")
+        bad = _prime_error(p)
+        if bad:
+            raise PcgError(bad)
         if n < 0:
             raise PcgError("generator count must be non-negative")
         self.p = p
         self.n = n
         self.name = name
+        # (file line, text) of the inline `aut:` lines and their blank
+        # separators, read by autfilter.parse_numbered_aut_lines
+        self.aut_lines: List[Tuple[int, str]] = list(aut_lines)
         self.pow_words: Dict[int, Word] = {}
         self.comm_words: Dict[Tuple[int, int], Word] = {}
         for i, w in (pow_words or {}).items():
@@ -701,10 +709,12 @@ def parse_pcgroup(text: str, name: str = "", check: bool = True) -> PcGroup:
     aut_lines: List[Tuple[int, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("aut:"):
+        if line.startswith("aut:") or (aut_lines and not line):
+            # past the first `aut:` line a blank line separates two
+            # automorphisms, as in a sidecar
             aut_lines.append((line_no, line))
+            continue
+        if not line:
             continue
         parts = line.split()
         head = parts[0]
@@ -715,8 +725,9 @@ def parse_pcgroup(text: str, name: str = "", check: bool = True) -> PcGroup:
                 p = int(parts[1])
             except ValueError:
                 raise PcgSyntaxError(line_no, "p must be an integer") from None
-            if not _is_prime(p):
-                raise PcgSyntaxError(line_no, f"p = {p} is not prime")
+            bad = _prime_error(p)
+            if bad:
+                raise PcgSyntaxError(line_no, bad)
         elif head == "n":
             if p is None:
                 raise PcgSyntaxError(line_no, "'n' line before 'p' line")
@@ -759,9 +770,7 @@ def parse_pcgroup(text: str, name: str = "", check: bool = True) -> PcGroup:
             raise PcgSyntaxError(line_no, f"unknown directive {head!r}")
     if p is None or n is None:
         raise PcgError("missing 'p' or 'n' line")
-    G = PcGroup(p, n, pow_words, comm_words, check=check, name=name)
-    G.aut_lines = aut_lines  # raw automorphism lines, parsed by autfilter
-    return G
+    return PcGroup(p, n, pow_words, comm_words, check=check, name=name, aut_lines=aut_lines)
 
 
 def _parse_rel_index(tok: str, n: int, line_no: int) -> int:

@@ -7,6 +7,9 @@ true value, so the axiom checks on the box grades are exact.  A lex filter,
 the output of ``refine.insert_refinement``, is stored as its chain of
 distinct values (``LexFilter``): ends u_0 <_lex ... <_lex u_k and values
 C_0 > ... > C_k, and its axioms are checked on the (k+1)^2 pairs of ends.
+
+The axiom verifiers walk the pairs of grades in grade order and decide each
+distinct triple or pair of values once, through a fresh ``SubgroupOps``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from . import monoid as mon
 from .monoid import GradedMonoid, MonoidElem
@@ -231,66 +232,49 @@ def _containment_witness(C: Subgroup, target: Subgroup) -> Optional[Elem]:
     return None
 
 
-def value_labels(values: List[Subgroup]):
-    """Int labels of ``values`` by igs, numbered in order of first
-    appearance, and one representative subgroup per label."""
-    label: Dict[tuple, int] = {}
-    reps: List[Subgroup] = []
-    out = np.empty(len(values), dtype=np.int32)
-    for i, H in enumerate(values):
-        got = label.get(H.igs)
-        if got is None:
-            got = label[H.igs] = len(reps)
-            reps.append(H)
-        out[i] = got
-    return out, reps
-
-
-def distinct_codes(codes: np.ndarray, size: int) -> np.ndarray:
-    """The distinct values of ``codes``, all in range(size), ascending."""
-    mark = np.zeros(size, dtype=bool)
-    mark[codes] = True
-    return np.flatnonzero(mark)
-
-
-def _listed(clause: str, grades, codes: np.ndarray, failed: Dict[int, Optional[Elem]]):
-    """The one per-pair listing: every grade pair (s, t) whose code failed,
-    in grade order, with the witness of its code."""
-    hit = np.argwhere(np.isin(codes, list(failed))).tolist() if failed else []
-    return [Violation(clause, grades[i], grades[j], failed[codes[i, j]]) for i, j in hit]
-
-
-def _commutator_clause(ops, clause, grades, reps, a, b, c, igs_first=False) -> List[Violation]:
-    """[A, B] <= C for the labels (a, b, c) of each grade pair (s, t), arrays
-    that broadcast to one (n, n) shape, decided once per distinct triple.
+def _commutator_clause(ops, clause, grades, triple, igs_first=False) -> List[Violation]:
+    """Every grade pair (s, t), in grade order, where [A, B] <= T fails for
+    (A, B, T) = triple(s, t); each distinct triple is decided once.
 
     A failing triple's witness is the first commutator of igs members
-    outside C when ``igs_first`` is set, else ``_containment_witness``.
+    outside T when ``igs_first`` is set, else ``_containment_witness``.  A
+    triple that passes is stored as None: one that fails always has a
+    witness, as [A, B] is generated by its igs.
     """
-    G, k, n = ops.group, len(reps), len(grades)
-    codes = np.broadcast_to((a.astype(np.int64) * k + b) * k + c, (n, n))
-    failed: Dict[int, Optional[Elem]] = {}
-    for code in distinct_codes(codes.ravel(), k**3).tolist():
-        rest, z = divmod(code, k)
-        A, B, T = reps[rest // k], reps[rest % k], reps[z]
-        C = ops.comm(A, B)
-        if not ops.is_subset(C, T):
-            pairs = itertools.product(A.igs, B.igs) if igs_first else ()
-            comms = (G.commutator(x, y) for x, y in pairs)
-            failed[code] = next((w for w in comms if not T.contains(w)), _containment_witness(C, T))
-    return _listed(clause, grades, codes, failed)
+    G = ops.group
+    witness: Dict[tuple, Optional[Elem]] = {}
+    out: List[Violation] = []
+    for s, t in itertools.product(grades, repeat=2):
+        A, B, T = triple(s, t)
+        key = (A.igs, B.igs, T.igs)
+        if key not in witness:
+            C = ops.comm(A, B)
+            w = None
+            if not ops.is_subset(C, T):
+                pairs = itertools.product(A.igs, B.igs) if igs_first else ()
+                comms = (G.commutator(x, y) for x, y in pairs)
+                w = next((c for c in comms if not T.contains(c)), _containment_witness(C, T))
+            witness[key] = w
+        if witness[key] is not None:
+            out.append(Violation(clause, s, t, witness[key]))
+    return out
 
 
-def _order_clause(ops, clause, grades, monoid, reps, lo, hi) -> List[Violation]:
-    """A <= B for the labels (lo, hi) of each grade pair (s, t) with s <= t,
-    arrays that broadcast to one (n, n) shape, decided once per distinct
-    pair; the violations carry no witness."""
-    k = len(reps)
-    le = monoid.preceq_matrix(grades)
-    codes = np.where(le, lo.astype(np.int64) * k + hi, -1)
-    pairs = distinct_codes(codes[le], k * k).tolist()
-    bad = [c for c in pairs if not ops.is_subset(reps[c // k], reps[c % k])]
-    return _listed(clause, grades, codes, dict.fromkeys(bad))
+def _order_clause(ops, clause, grades, monoid, pair) -> List[Violation]:
+    """Every grade pair (s, t) with s <= t, in grade order, where A <= B
+    fails for (A, B) = pair(s, t); each distinct pair is decided once, and
+    the violations carry no witness."""
+    holds: Dict[tuple, bool] = {}
+    out: List[Violation] = []
+    for s, t in itertools.product(grades, repeat=2):
+        if monoid.preceq(s, t):
+            A, B = pair(s, t)
+            key = (A.igs, B.igs)
+            if key not in holds:
+                holds[key] = ops.is_subset(A, B)
+            if not holds[key]:
+                out.append(Violation(clause, s, t, None))
+    return out
 
 
 def verify_filter(f: Filter | LexFilter) -> List[Violation]:
@@ -299,53 +283,51 @@ def verify_filter(f: Filter | LexFilter) -> List[Violation]:
     ``Filter``, the ends of a ``LexFilter`` (enough, proof there).
 
     A clause depends on the grades only through their values, so it is
-    decided once per distinct label triple (phi_s, phi_t, phi_{s+t}) and
-    once per distinct pair (phi_s, phi_t) with s <= t.
+    decided once per distinct triple (phi_s, phi_t, phi_{s+t}) and once per
+    distinct pair (phi_s, phi_t) with s <= t.
     """
-    ops = SubgroupOps(f.group)
-    grades = f.grades()
-    n = len(grades)
-    sums = [f.value(mon.add(s, t)) for s in grades for t in grades]
-    labels, reps = value_labels([f.value(m) for m in grades] + sums)
-    s, t, st = labels[:n, None], labels[None, :n], labels[n:].reshape(n, n)
+    ops, grades, phi = SubgroupOps(f.group), f.grades(), f.value
     return _commutator_clause(
-        ops, "[phi_s,phi_t] <= phi_{s+t}", grades, reps, s, t, st, igs_first=True
-    ) + _order_clause(ops, "s<t but phi_s < phi_t", grades, f.monoid, reps, t, s)
+        ops,
+        "[phi_s,phi_t] <= phi_{s+t}",
+        grades,
+        lambda s, t: (phi(s), phi(t), phi(mon.add(s, t))),
+        igs_first=True,
+    ) + _order_clause(
+        ops, "s<t but phi_s < phi_t", grades, f.monoid, lambda s, t: (phi(t), phi(s))
+    )
 
 
 def verify_layering(l: Layering) -> List[Violation]:
     """Every violation of [pi^s, d^t pi] <= pi^t, then of pi^s <= pi^t for
     s <= t, over the box grades in grade order.
 
-    The values and the boundaries, each taken once, share one label space;
-    the clauses are decided once per distinct triple (pi^s, d^t pi, pi^t)
-    and once per distinct pair (pi^s, pi^t) with s <= t.
+    Each boundary is taken once; the clauses are decided once per distinct
+    triple (pi^s, d^t pi, pi^t) and once per distinct pair (pi^s, pi^t)
+    with s <= t.
     """
-    ops = SubgroupOps(l.group)
-    grades = l.grades()
-    n = len(grades)
-    labels, reps = value_labels([l.value(m) for m in grades] + [l.boundary_at(t) for t in grades])
-    s, t = labels[:n, None], labels[None, :n]
+    ops, grades, pi = SubgroupOps(l.group), l.grades(), l.value
+    d = {t: l.boundary_at(t) for t in grades}
     return _commutator_clause(
-        ops, "[pi^s, d^t pi] <= pi^t", grades, reps, s, labels[None, n:], t
-    ) + _order_clause(ops, "s<t but pi^s > pi^t", grades, l.monoid, reps, s, t)
+        ops, "[pi^s, d^t pi] <= pi^t", grades, lambda s, t: (pi(s), d[t], pi(t))
+    ) + _order_clause(
+        ops, "s<t but pi^s > pi^t", grades, l.monoid, lambda s, t: (pi(s), pi(t))
+    )
 
 
 def verify_sift(f: Filter, l: Layering) -> List[Violation]:
     """Every violation of [phi_s, pi^{s+t}] <= pi^t over the box grades s, t
-    of f, in grade order, decided once per distinct label triple; phi's and
-    pi's values share one label space."""
+    of f, in grade order, decided once per distinct triple."""
     if f.group is not l.group:
         raise ValueError("filter and layering live on different groups")
     if f.monoid != l.monoid:
         raise ValueError("monoid mismatch between filter and layering")
-    ops = SubgroupOps(f.group)
-    grades = f.grades()
-    n = len(grades)
-    sums = [l.value(mon.add(s, t)) for s in grades for t in grades]
-    labels, reps = value_labels([f.value(m) for m in grades] + [l.value(t) for t in grades] + sums)
-    phi, pi, pi_sum = labels[:n, None], labels[None, n : 2 * n], labels[2 * n :].reshape(n, n)
-    return _commutator_clause(ops, "[phi_s, pi^{s+t}] <= pi^t", grades, reps, phi, pi_sum, pi)
+    return _commutator_clause(
+        SubgroupOps(f.group),
+        "[phi_s, pi^{s+t}] <= pi^t",
+        f.grades(),
+        lambda s, t: (f.value(s), l.value(mon.add(s, t)), l.value(t)),
+    )
 
 
 # -- products ---------------------------------------------------------------

@@ -22,9 +22,30 @@ import numpy as np
 from filterlab import monoid as mon, refine
 from filterlab.monoid import MonoidElem
 from filterlab.pcgroup import Subgroup, SubgroupOps, subgroup_from_gens, trivial_subgroup
-from filterlab.series import distinct_codes, value_labels
 
 Table = Dict[MonoidElem, Subgroup]
+
+
+def value_labels(values: List[Subgroup]):
+    """Int labels of ``values`` by igs, numbered in order of first
+    appearance, and one representative subgroup per label."""
+    label: Dict[tuple, int] = {}
+    reps: List[Subgroup] = []
+    out = np.empty(len(values), dtype=np.int32)
+    for i, H in enumerate(values):
+        got = label.get(H.igs)
+        if got is None:
+            got = label[H.igs] = len(reps)
+            reps.append(H)
+        out[i] = got
+    return out, reps
+
+
+def distinct_codes(codes: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``codes``, all in range(size), ascending."""
+    mark = np.zeros(size, dtype=bool)
+    mark[codes] = True
+    return np.flatnonzero(mark)
 
 
 def pair_index(box: MonoidElem):

@@ -5,7 +5,7 @@ import pytest
 
 from filterlab import cli, series
 from filterlab.cli import main
-from filterlab.pcgroup import direct_product
+from filterlab.pcgroup import direct_product, parse_pcg_file
 
 from conftest import CORPUS, load
 
@@ -162,6 +162,35 @@ def test_aut_with_sidecar(capsys):
     assert blob["generators"] == 2
     assert blob["dims_by_grade"] == {"1": 2}
     assert blob["pair_violations"] == []
+
+
+def test_inline_aut_block_matches_its_sidecar(tmp_path, capsys):
+    """Inline `aut:` lines keep their blank separators: appended to d8.pcg
+    the block gives the same two maps as the same lines in a sidecar."""
+    block = "aut: g1 -> g1 g3\n\naut: g2 -> g2 g3\n"
+    d8 = CORPUS / "basic" / "d8.pcg"
+    inline = tmp_path / "d8.pcg"
+    inline.write_text(d8.read_text() + block)
+    sidecar = tmp_path / "d8.aut"
+    sidecar.write_text(block)
+    got = run_cli(capsys, "aut", str(inline))
+    assert got == run_cli(capsys, "aut", str(d8), "--sidecar", str(sidecar))
+    assert got[0] == 0 and json.loads(got[1])["generators"] == 2
+
+
+def test_an_inline_aut_error_names_the_file_line(tmp_path, capsys):
+    text = (CORPUS / "basic" / "d8.pcg").read_text()
+    path = tmp_path / "d8.pcg"
+    path.write_text(text + "aut: g1 -> g1 g3\n\naut: g2 -> g2 gx\n")
+    last = len(text.splitlines()) + 3
+    assert parse_pcg_file(path).aut_lines == [
+        (last - 2, "aut: g1 -> g1 g3"),
+        (last - 1, ""),
+        (last, "aut: g2 -> g2 gx"),
+    ]
+    code, out, err = run_cli(capsys, "aut", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"automorphism error: line {last}: bad word token 'gx'\n"
 
 
 def test_report_aut_stage_above_two_to_the_fourteen():

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,6 +237,29 @@ def test_huge_word_exponents_give_the_output_of_the_cut_file(tmp_path, capsys, c
         outputs.append((code, capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and outputs[0][1].out
+
+
+# -- huge primes -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 1000003, 65537])
+@pytest.mark.parametrize("command", ["verify", "report", "aut"])
+def test_a_prime_past_the_bound_is_a_parse_error(tmp_path, capsys, command, p):
+    """p >= 2^16 is refused before the primality test and before any power
+    table is built, so the file fails at once instead of hanging."""
+    path = tmp_path / "big.pcg"
+    path.write_text(f"# a large prime\np {p}\nn 1\n")
+    t0 = time.monotonic()
+    assert main([command, str(path)]) == 2
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err == f"parse error: line 2: p = {p} is too large (the bound is p < 65536)\n"
+
+
+def test_the_prime_bound_holds_in_the_constructor():
+    with pytest.raises(pcgroup.PcgError, match="p = 65537 is too large"):
+        pcgroup.PcGroup(65537, 1)
+    assert pcgroup.parse_pcgroup("p 65521\nn 1\n").order == 65521
 
 
 # -- census workers ------------------------------------------------------------

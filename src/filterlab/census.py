@@ -11,8 +11,15 @@ or that flag asks for it (on orders 16 and 81: Mid and Cent of flagged
 groups).  Every such Cent there is GF(p) 1, which emits with no radical or
 lift, and a Mid flag builds A/J only where no radical emission of Mid is a
 candidate.  An error while deciding a flag skips the group, as one while
-refining does.  Workers share nothing; aggregation is a deterministic fold
-over results sorted by group id, so serial and parallel runs produce
+refining does.
+
+A run opens a fresh ring scope (``scalars.ring_scope``) and drops it on
+exit, so the groups of the run share each distinct bimap's rings, and
+nothing outlives the run.  With ``jobs > 1`` each worker opens its own
+scope when it starts and shares it with no other process.  A ring build
+that raises is not kept, so every group that meets that bimap raises and
+is skipped as it would be alone.  Aggregation is a deterministic fold over
+results sorted by group id, so serial and parallel runs produce
 byte-identical summaries.
 """
 
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import refine
+from . import refine, scalars
 from .pcgroup import PcgError, parse_pcg_file
 
 BREAKDOWN_RINGS = ("Der", "Mid", "Cent")
@@ -101,10 +108,11 @@ def run_census(
         else functools.partial(analyze_file, order_filter=order_filter)
     )
     if jobs > 1 and len(paths) > 1:
-        with multiprocessing.Pool(min(jobs, len(paths))) as pool:
+        with multiprocessing.Pool(min(jobs, len(paths)), initializer=scalars.open_ring_scope) as pool:
             results = pool.map(analyze, paths)
     else:
-        results = [analyze(p) for p in paths]
+        with scalars.ring_scope():
+            results = [analyze(p) for p in paths]
     per_order: Dict[int, dict] = {}
     groups: Dict[str, dict] = {}
     for res in sorted(results, key=lambda r: r.group):

@@ -109,7 +109,7 @@ def _delta_payload(rep):
     }
 
 
-def _stage_payloads(G, stages, sidecar_maps=()):
+def _stage_payloads(G, stages, aut_maps=()):
     out = {"group": G.name or "group", "order": G.order, "p": G.p}
     want = set(stages)
     # each series is built only for the stages that read it; refine builds
@@ -154,7 +154,7 @@ def _stage_payloads(G, stages, sidecar_maps=()):
             }
         out["scalars"] = pairs
     if "aut" in want:
-        gens = central_automorphisms(G) + list(sidecar_maps)
+        gens = central_automorphisms(G) + list(aut_maps)
         payload = {"central_generators": len(gens)}
         if gens:
             payload.update(_delta_payload(delta_layer_dims(gens, ep)))
@@ -175,14 +175,18 @@ def cmd_report(args) -> int:
         if s not in STAGES:
             print(f"unknown stage {s!r} (choose from {', '.join(STAGES)})", file=sys.stderr)
             return 2
-    sidecar_maps = []
-    if args.sidecar and "aut" in stages:
+    aut_maps = []
+    if "aut" in stages:
+        # the sidecar's maps, else the file's own aut: lines, as `aut` reads them
         try:
-            sidecar_maps = load_sidecar(G, args.sidecar)
+            if args.sidecar:
+                aut_maps = load_sidecar(G, args.sidecar)
+            else:
+                aut_maps = parse_numbered_aut_lines(G, G.aut_lines)
         except (PcgError, OSError) as exc:
-            print(f"sidecar error: {exc}", file=sys.stderr)
+            print(f"{'sidecar' if args.sidecar else 'automorphism'} error: {exc}", file=sys.stderr)
             return 2
-    payload = _stage_payloads(G, stages, sidecar_maps)
+    payload = _stage_payloads(G, stages, aut_maps)
     json.dump(payload, sys.stdout, sort_keys=True, indent=2)
     print()
     return 0

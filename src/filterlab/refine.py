@@ -207,7 +207,9 @@ class CandidateTable:
     stably over the products in loop order.  A product on which
     ``der_envelopes_full`` holds has no proper Der-invariant subspace (see
     its docstring): it adds no candidate, is left out of ``live``, and
-    builds no ring but Der here.
+    builds no ring but Der here.  Each product's rings come from
+    ``scalars.rings_for``, so inside a census run a bimap met before reuses
+    the rings built then.
 
     ``rank(r)`` merges each live product's rank-r emissions and sorts the
     proper ones; ``first()`` takes the ranks in order and stops at the
@@ -237,7 +239,7 @@ class CandidateTable:
             for t in L.comps:
                 if L.dim(mon.add(s, t)):
                     b = scalars.bimap_from_lie_pair(L, s, t)
-                    self.products.append((s, t, scalars.BimapRings(b)))
+                    self.products.append((s, t, scalars.rings_for(b)))
         self.live = [x for x in self.products if not x[2].der_envelopes_full()]
         self._ranks: Dict[int, list] = {}
 

@@ -22,10 +22,16 @@ A ring's emissions are yielded one by one (``BimapRings.emissions``), so a
 consumer that stops at the first one it needs builds no later one, and an
 A/J only when it reaches the idempotent images.  A ring of dimension 1 is
 GF(p) 1: it emits with no radical, quotient or lift.
+
+Inside a ring scope (``ring_scope``, which a census opens for each run)
+``rings_for`` gives every bimap with the same p and tensor one shared
+``BimapRings``, so the groups of the run build each distinct bimap's rings
+once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -778,6 +784,59 @@ class BimapRings:
                     first.provenances.append(e.provenance)
         der_sides = self.rings["Der"].side_stacks()
         return [e for e in merged.values() if _der_invariant(e, der_sides, self.b.p)]
+
+
+# -- rings shared within a scope ---------------------------------------------
+
+SHARED_RINGS_BOUND = 256  # entries a ring scope keeps; the oldest goes first
+
+_shared: Optional[Dict[tuple, BimapRings]] = None  # the open scope, if any
+
+
+def open_ring_scope() -> None:
+    """Start a fresh ring scope in this process, replacing any open one; a
+    census worker's pool initializer."""
+    global _shared
+    _shared = {}
+
+
+@contextlib.contextmanager
+def ring_scope():
+    """A fresh ring scope for the body, dropped on exit (the outer one, if
+    any, is restored)."""
+    global _shared
+    outer = _shared
+    open_ring_scope()
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def rings_for(b: Bimap) -> BimapRings:
+    """The ``BimapRings`` of ``b``: outside a ring scope a new one, inside it
+    the scope's instance for (p, tensor shape, tensor bytes), built on first
+    use.
+
+    Sharing is exact.  ``Bimap`` reduces its tensor mod p to int64, so equal
+    keys mean equal bimaps; every ``BimapRings`` method reads only ``self.b``
+    and its own lazy caches, which it fills with values of the bimap alone
+    and never changes in place; and each emission is built anew for its
+    caller, so a caller that merges provenances changes only its own.  A
+    build that raises is not stored, so a later bimap with that key raises
+    again.  The scope keeps at most ``SHARED_RINGS_BOUND`` entries, dropping
+    the oldest.
+    """
+    if _shared is None:
+        return BimapRings(b)
+    key = (b.p, b.tensor.shape, b.tensor.tobytes())
+    rings = _shared.get(key)
+    if rings is None:
+        rings = BimapRings(b)
+        if len(_shared) >= SHARED_RINGS_BOUND:
+            del _shared[next(iter(_shared))]
+        _shared[key] = rings
+    return rings
 
 
 def characteristic_subspaces(b: Bimap, rings: Optional[BimapRings] = None) -> List[Emission]:

@@ -178,6 +178,35 @@ def test_inline_aut_block_matches_its_sidecar(tmp_path, capsys):
     assert got[0] == 0 and json.loads(got[1])["generators"] == 2
 
 
+def test_report_aut_stage_reads_inline_aut_lines(tmp_path, capsys):
+    """Without a sidecar, ``report --stages aut`` adds the file's own
+    ``aut:`` maps to the central automorphisms, as ``aut`` reads them: an
+    inline block and the same lines as a sidecar give the same stage."""
+    block = "aut: g1 -> g1 g3\n\naut: g2 -> g2 g3\n"
+    d8 = CORPUS / "basic" / "d8.pcg"
+    inline = tmp_path / "d8.pcg"
+    inline.write_text(d8.read_text() + block)
+    sidecar = tmp_path / "d8.aut"
+    sidecar.write_text(block)
+    code, out, err = run_cli(capsys, "report", str(inline), "--stages", "aut")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "report", str(d8), "--stages", "aut", "--sidecar", str(sidecar))
+    plain = json.loads(run_cli(capsys, "report", str(d8), "--stages", "aut")[1])["aut"]
+    assert json.loads(out)["aut"]["central_generators"] == plain["central_generators"] + 2 == 4
+
+
+def test_report_names_the_line_of_a_bad_inline_aut_map(tmp_path, capsys):
+    text = (CORPUS / "basic" / "d8.pcg").read_text()
+    path = tmp_path / "d8.pcg"
+    path.write_text(text + "aut: g2 -> g2 gx\n")
+    last = len(text.splitlines()) + 1
+    code, out, err = run_cli(capsys, "report", str(path), "--stages", "aut")
+    assert (code, out) == (2, "")
+    assert err == f"automorphism error: line {last}: bad word token 'gx'\n"
+    # a stage list without aut does not read the maps
+    assert run_cli(capsys, "report", str(path), "--stages", "series")[0] == 0
+
+
 def test_an_inline_aut_error_names_the_file_line(tmp_path, capsys):
     text = (CORPUS / "basic" / "d8.pcg").read_text()
     path = tmp_path / "d8.pcg"

@@ -25,14 +25,15 @@ DERIVATIONS = 0
 # rows of a centre, a Frobenius-fixed part or a radical are not echelonised
 # again (``AssocAlgebra._kernel_rows``), and a radical certified by its
 # trace form builds no quotient unless an idempotent lift reads it; a census
-# flag stops at its first proper emission, and a ring of dimension 1 emits
-# with no radical, quotient or lift
-RREF_CALLS = 471
+# flag stops at its first proper emission, a ring of dimension 1 emits
+# with no radical, quotient or lift, and the groups of the pass share the
+# rings of each distinct bimap (``scalars.rings_for``)
+RREF_CALLS = 295
 
 # radicals of that pass, and those whose chain runs past its first level
 # because the trace-form kernel A_1 is not nilpotent
-RADICALS = 41
-PAST_FIRST_LEVEL = 8
+RADICALS = 37
+PAST_FIRST_LEVEL = 4
 
 # functions of the package that call ``row_coords`` or ``in_row_space``
 # without the pivots, so that each call derives them again

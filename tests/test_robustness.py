@@ -271,7 +271,7 @@ def _serial_pool(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None):
             sizes.append(processes)
 
         def __enter__(self):

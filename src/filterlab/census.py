@@ -14,11 +14,11 @@ candidate.  An error while deciding a flag skips the group, as one while
 refining does.
 
 A run opens a fresh ring scope (``scalars.ring_scope``) and drops it on
-exit, so the groups of the run share each distinct bimap's rings, and
-nothing outlives the run.  With ``jobs > 1`` each worker opens its own
-scope when it starts and shares it with no other process.  A ring build
-that raises is not kept, so every group that meets that bimap raises and
-is skipped as it would be alone.  Aggregation is a deterministic fold over
+exit, so the groups of the run share each distinct bimap's rings and the
+radicals those rings keep, and nothing outlives the run.  With ``jobs > 1``
+each worker opens its own scope when it starts and shares it with no other
+process.  A ring build or radical certification that raises is not kept,
+so every group that meets it raises and is skipped as it would be alone.  Aggregation is a deterministic fold over
 results sorted by group id, so serial and parallel runs produce
 byte-identical summaries.
 """

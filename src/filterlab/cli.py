@@ -147,9 +147,9 @@ def _stage_payloads(G, stages, aut_maps=()):
             ems = scalars.characteristic_subspaces(rings.b, rings)
             pairs[_key(s, t)] = {
                 "dims": {k: rings.ring(k).dim for k in scalars.KINDS},
-                "radical_dims": {k: rings.radical(k)[1].dim for k in scalars.ASSOC_KINDS},
+                "radical_dims": {k: rings.ring(k).radical().dim for k in scalars.ASSOC_KINDS},
                 # as many as dim B of Z(Cent/J), without a second lift
-                "cent_idempotents": rings.radical("Cent")[2].center().frobenius_fixed().dim,
+                "cent_idempotents": rings.ring("Cent").radical_quotient()[1].center().frobenius_fixed().dim,
                 "emitted": len(ems),
             }
         out["scalars"] = pairs

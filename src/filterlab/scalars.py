@@ -15,8 +15,9 @@ is the radical (Dickson; proof in ``AssocAlgebra._radical``), so it is
 returned after the two-sided-ideal and nilpotency checks, with no later
 level and no quotient.  Otherwise the chain runs to its end and the result
 is verified a posteriori: two-sided ideal, nilpotent, semisimple quotient.
-A/J and its lift are built only where that verification needs them or an
-idempotent lift reads them (Mid and Cent).
+Each algebra certifies its J once and keeps it; A/J and its lift are built
+only where that verification needs them or an idempotent lift reads them
+(Mid and Cent), and kept.
 
 A ring's emissions are yielded one by one (``BimapRings.emissions``), so a
 consumer that stops at the first one it needs builds no later one, and an
@@ -25,14 +26,13 @@ GF(p) 1: it emits with no radical, quotient or lift.
 
 Inside a ring scope (``ring_scope``, which a census opens for each run)
 ``rings_for`` gives every bimap with the same p and tensor one shared
-``BimapRings``, so the groups of the run build each distinct bimap's rings
-once.
+``BimapRings``, so the groups of the run build each distinct bimap's rings,
+and certify each of their radicals, once.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -89,7 +89,17 @@ def bimap_from_lie_pair(L, s, t) -> Bimap:
 
 
 class AssocAlgebra:
-    """Subalgebra of M_n(GF(p)) spanned by a basis of matrices."""
+    """Subalgebra of M_n(GF(p)) spanned by a basis of matrices.
+
+    It owns its radical: ``radical`` certifies J once and keeps it, and
+    ``radical_quotient`` keeps A/J and its lift once built.  Each memo is
+    written once, with values of this algebra alone, and a certification
+    that raises keeps nothing.
+    """
+
+    LAYOUT = ("p", "n")  # what a sub-algebra shares with its parent
+    _rad: Optional["AssocAlgebra"] = None  # J, once certified
+    _quot: Optional[tuple] = None  # (A/J, lift), once built
 
     def __init__(self, p: int, n: int, basis: Sequence[np.ndarray]):
         self.p = p
@@ -139,12 +149,14 @@ class AssocAlgebra:
         RREF with pivots P[Q], P those of ``flat``.  Its columns P[Q] are
         ker[:, Q] = I, as flat[:, P] = I.  Row i is flat[Q_i] plus multiples
         of the rows flat[j], j > Q_i, which are 0 up to their pivots P[j] >
-        P[Q_i] and 0 at P[Q_i]; so its leading 1 is at P[Q_i]."""
-        sub = AssocAlgebra.__new__(AssocAlgebra)
-        sub.p, sub.n = self.p, self.n
-        sub.flat = ker @ self.flat % self.p
+        P[Q_i] and 0 at P[Q_i]; so its leading 1 is at P[Q_i].
+
+        This is the one constructor of sub-algebras: the span is of this
+        class and ``LAYOUT``, and has no radical certified."""
         leading = (ker != 0).argmax(axis=1) if len(ker) else linalg.zeros(0, np.intp)
-        sub.pivots = self.pivots[leading]
+        sub = object.__new__(type(self))
+        sub.__dict__.update({name: getattr(self, name) for name in self.LAYOUT})
+        sub.flat, sub.pivots = ker @ self.flat % self.p, self.pivots[leading]
         return sub
 
     def _trace_level(self, pk: int) -> "AssocAlgebra":
@@ -201,16 +213,20 @@ class AssocAlgebra:
 
     def radical(self) -> "AssocAlgebra":
         """Jacobson radical via the characteristic-p integral trace chain,
-        certified as ``_radical`` says; A/J is built only if the
-        verification needs it."""
-        return self._radical()[0]
+        certified once as ``_radical`` says and kept, with the quotient its
+        verification built, if any."""
+        if self._rad is None:
+            self._rad, self._quot = self._radical()
+        return self._rad
 
     def radical_quotient(self):
         """(J, A/J, lift): the radical of ``radical`` with the quotient and
-        lift as ``quotient`` returns them, taken from the verification when
-        it built them."""
-        rad, built = self._radical()
-        return (rad,) + (self.quotient(rad) if built is None else built)
+        lift as ``quotient`` returns them, built once (taken from the
+        verification when it built them) and kept."""
+        rad = self.radical()
+        if self._quot is None:
+            self._quot = self.quotient(rad)
+        return (rad,) + self._quot
 
     def is_nilpotent(self) -> bool:
         """True iff J^k = 0 for some k, for J this algebra (closed under
@@ -361,6 +377,8 @@ class ScalarAlgebra(AssocAlgebra):
     (one matrix per side of ``KIND_SIDES``) is the block-diagonal matrix of
     its components, those of ``KIND_OPPOSITE`` transposed."""
 
+    LAYOUT = AssocAlgebra.LAYOUT + ("kind", "bimap", "sizes")
+
     def __init__(self, kind: str, bimap: Bimap, basis_flat: np.ndarray):
         """``basis_flat`` holds one tuple per row, its components flattened
         and concatenated."""
@@ -466,12 +484,9 @@ def scalar_ring(b: Bimap, kind: str) -> ScalarAlgebra:
 
 
 def centroid(b: Bimap) -> ScalarAlgebra:
-    """Cent(o): the centre of the double-condition triple ring; commutative."""
-    pre = ScalarAlgebra("Cent", b, linalg.nullspace(_condition_matrices(b, "Cent"), b.p))
-    zen = pre.center()
-    # the ring is the centre itself, its blocks read as Cent's tuples
-    alg = copy.copy(pre)
-    alg.flat, alg.pivots = zen.flat, zen.pivots
+    """Cent(o): the centre of the double-condition triple ring, its blocks
+    read as Cent's tuples; commutative."""
+    alg = ScalarAlgebra("Cent", b, linalg.nullspace(_condition_matrices(b, "Cent"), b.p)).center()
     if (_commutators(alg.stack) % b.p).any():
         raise ArithmeticError("centroid is not commutative")
     if not alg.has_identity():
@@ -640,43 +655,21 @@ def _der_invariant(emission: Emission, der_sides: List[np.ndarray], p: int) -> b
 
 class BimapRings:
     """The rings of one bimap: Der at once, the others on first use, each
-    built at most once.  So is each associative ring's checked radical J;
-    Mid's and Cent's A/J and its lift are built after J and only when asked
-    for (the quotient of J's verification, when it built one).  So is Der's
-    envelope on each side, which serves both the prune test and Der's
-    emissions.
+    built at most once, and so is Der's envelope on each side, which serves
+    both the prune test and Der's emissions.  Each ring and envelope keeps
+    its own radical J and, once asked for, A/J and its lift
+    (``AssocAlgebra.radical``); this class keeps no radical.
     """
 
     def __init__(self, b: Bimap):
         self.b = b
         self.rings: Dict[str, ScalarAlgebra] = {"Der": derivation_algebra(b)}
-        self.radicals: Dict[str, tuple] = {}  # kind -> (J, (A/J, lift) or None)
         self._envelopes: Dict[int, AssocAlgebra] = {}
 
     def ring(self, kind: str) -> ScalarAlgebra:
         if kind not in self.rings:
             self.rings[kind] = centroid(self.b) if kind == "Cent" else scalar_ring(self.b, kind)
         return self.rings[kind]
-
-    def _jacobson(self, kind: str) -> AssocAlgebra:
-        """J of the associative ring of ``kind``, certified as
-        ``AssocAlgebra._radical`` says; Mid and Cent keep the quotient its
-        verification built."""
-        if kind not in self.radicals:
-            rad, built = self.ring(kind)._radical()
-            self.radicals[kind] = (rad, built if kind in LIFTED_KINDS else None)
-        return self.radicals[kind][0]
-
-    def radical(self, kind: str) -> tuple:
-        """(A, J, A/J, lift) of the associative ring A of ``kind``; A/J and
-        its lift are built for the kinds whose idempotents are lifted, Mid
-        and Cent, and are None for Left and Right."""
-        alg, rad = self.ring(kind), self._jacobson(kind)
-        if kind not in LIFTED_KINDS:
-            return alg, rad, None, None
-        if self.radicals[kind][1] is None:
-            self.radicals[kind] = (rad, alg.quotient(rad))
-        return (alg, rad) + self.radicals[kind][1]
 
     def envelope(self, pos: int) -> AssocAlgebra:
         """The unital algebra generated by Der's action on side ``pos``."""
@@ -725,7 +718,7 @@ class BimapRings:
         kind = ASSOC_KINDS[rank - 1]
         alg = self.ring(kind)
         unit = alg.dim == 1  # A = GF(p) 1, J = 0
-        rad = AssocAlgebra(alg.p, alg.n, []) if unit else self._jacobson(kind)
+        rad = AssocAlgebra(alg.p, alg.n, []) if unit else alg.radical()
         if kind == "Cent":
             _check_commutative_quotient(alg, rad)
         if not unit:
@@ -764,7 +757,7 @@ class BimapRings:
             for side, mats in zip(KIND_SIDES[kind], alg.from_rep(rad.stack)):
                 yield from self._action_emissions(side, list(mats), kind.lower())
         if kind in LIFTED_KINDS:
-            _, _, quot, lift = self.radical(kind)
+            _, quot, lift = alg.radical_quotient()
             for e in _lift_central_idempotents(alg, quot, lift):
                 for pos, side in enumerate(KIND_SIDES[kind]):
                     yield self._emission(side, e[pos], kind.lower() + "-idem")
@@ -820,12 +813,13 @@ def rings_for(b: Bimap) -> BimapRings:
 
     Sharing is exact.  ``Bimap`` reduces its tensor mod p to int64, so equal
     keys mean equal bimaps; every ``BimapRings`` method reads only ``self.b``
-    and its own lazy caches, which it fills with values of the bimap alone
-    and never changes in place; and each emission is built anew for its
-    caller, so a caller that merges provenances changes only its own.  A
-    build that raises is not stored, so a later bimap with that key raises
-    again.  The scope keeps at most ``SHARED_RINGS_BOUND`` entries, dropping
-    the oldest.
+    and its lazy memos (its rings and envelopes, and their radicals and
+    quotients), each written once, with values of the bimap or of the
+    algebra alone, and never changed in place; and each emission is built
+    anew for its caller, so a caller that merges provenances changes only
+    its own.  A build or certification that raises is not stored, so a
+    later bimap with that key raises again.  The scope keeps at most
+    ``SHARED_RINGS_BOUND`` entries, dropping the oldest.
     """
     if _shared is None:
         return BimapRings(b)

@@ -26,13 +26,15 @@ DERIVATIONS = 0
 # again (``AssocAlgebra._kernel_rows``), and a radical certified by its
 # trace form builds no quotient unless an idempotent lift reads it; a census
 # flag stops at its first proper emission, a ring of dimension 1 emits
-# with no radical, quotient or lift, and the groups of the pass share the
-# rings of each distinct bimap (``scalars.rings_for``)
-RREF_CALLS = 295
+# with no radical, quotient or lift, the groups of the pass share the
+# rings of each distinct bimap (``scalars.rings_for``), and each ring and
+# Der envelope certifies its radical once (``AssocAlgebra.radical``)
+RREF_CALLS = 261
 
-# radicals of that pass, and those whose chain runs past its first level
-# because the trace-form kernel A_1 is not nilpotent
-RADICALS = 37
+# radicals of that pass, one per distinct ring or envelope that the pass
+# asks for one (15 of the 19 on Der's envelopes), and those whose chain runs
+# past its first level because the trace-form kernel A_1 is not nilpotent
+RADICALS = 19
 PAST_FIRST_LEVEL = 4
 
 # functions of the package that call ``row_coords`` or ``in_row_space``

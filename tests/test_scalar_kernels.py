@@ -327,15 +327,9 @@ def _fires(fn, exc, message):
 
 
 def _full_radical(rings, kind):
-    """(A, J, A/J, lift) of ``kind``: ``BimapRings.radical`` builds A/J for
-    Mid and Cent only, so for Left and Right it comes from
-    ``radical_quotient``, on the same J."""
-    A, J, quot, lift = rings.radical(kind)
-    if quot is None:
-        assert kind not in scalars.LIFTED_KINDS
-        J2, quot, lift = A.radical_quotient()
-        assert _equal_algebras(J, J2)
-    return A, J, quot, lift
+    """(A, J, A/J, lift) of the ring A of ``kind``, as A keeps them."""
+    A = rings.ring(kind)
+    return (A,) + A.radical_quotient()
 
 
 def _equal_algebras(A, B):
@@ -625,11 +619,52 @@ def test_a_certified_radical_builds_no_quotient_and_no_second_level(monkeypatch)
     assert calls == {"quotient": 2, "_radical_chain": 2, "_verify_radical": 1}
 
 
-def test_only_mid_and_cent_keep_their_quotient():
-    rings = scalars.BimapRings(Bimap(3, np.array([[[1], [0]], [[0], [1]]])))
-    for kind in scalars.ASSOC_KINDS:
-        A, J, quot, lift = rings.radical(kind)
-        assert (quot is None) == (lift is None) == (kind not in scalars.LIFTED_KINDS)
+def test_an_algebra_certifies_its_radical_and_builds_its_quotient_once(monkeypatch):
+    """GF(2) 1 in M_2 runs the chain past its first level, so its
+    verification builds A/J; ``radical_quotient`` then reuses that A/J."""
+    scalar = AssocAlgebra(2, 2, [I2])
+    calls = _counting(monkeypatch, ("_radical", "quotient"))
+    J = scalar.radical()
+    assert J.dim == 0 and calls == {"_radical": 1, "quotient": 1}
+    got_J, quot, lift = scalar.radical_quotient()
+    assert got_J is J and scalar.radical() is J and scalar.radical_quotient()[1] is quot
+    assert calls == {"_radical": 1, "quotient": 1}
+
+
+def test_sub_algebras_start_uncertified(corpus_groups, monkeypatch):
+    """The centre, a trace-chain level, a Frobenius-fixed part and a
+    radical of an algebra whose radical is certified certify their own:
+    each is of the parent's class and block layout, and its J is that of a
+    fresh algebra on its basis."""
+    calls = _counting(monkeypatch, ("_radical",))
+    upper = AssocAlgebra(3, 2, [E2[0, 0], E2[0, 1], E2[1, 1]])
+    algebras = [upper]
+    for b in _seed_bimaps(corpus_groups):
+        rings = scalars.BimapRings(b)
+        algebras += [rings.ring("Mid"), rings.envelope(0)]
+        if len(algebras) > 8:
+            break
+    for A in algebras:
+        A.radical()
+        for sub in (A.center(), A.center().frobenius_fixed(), A._trace_level(1), A.radical()):
+            assert type(sub) is type(A)
+            assert all(getattr(sub, name) is getattr(A, name) for name in A.LAYOUT)
+            before = calls["_radical"]
+            got = sub.radical()
+            assert calls["_radical"] == before + 1
+            assert _equal_algebras(got, AssocAlgebra(A.p, A.n, sub.basis).radical())
+    assert calls["_radical"] > len(algebras)
+
+
+def test_centroid_is_the_centre_of_its_double_condition_ring(corpus_groups):
+    for b in _seed_bimaps(corpus_groups):
+        pre = ScalarAlgebra("Cent", b, linalg.nullspace(scalars._condition_matrices(b, "Cent"), b.p))
+        cent = scalars.centroid(b)
+        assert type(cent) is ScalarAlgebra and cent.kind == "Cent" and cent.sizes == pre.sizes
+        assert cent.bimap is b
+        zen = pre.center()
+        assert np.array_equal(cent.flat, zen.flat) and np.array_equal(cent.pivots, zen.pivots)
+        assert _equal_algebras(cent, _loop_center(pre))
 
 
 # -- each batched check still fires ----------------------------------------------

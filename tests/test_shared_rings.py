@@ -22,6 +22,10 @@ ORDERS = (16, 81)
 # the builds are the distinct bimaps of the run
 TRAFFIC = {16: (45, 13), 81: (52, 16)}
 
+# ``AssocAlgebra._radical`` runs of one census run per order, one per distinct
+# ring or Der envelope whose radical the run asks for
+RADICALS = {16: 19, 81: 26}
+
 
 def _dir(order):
     return ROOT / "corpus" / f"order{order}"
@@ -74,6 +78,63 @@ def test_a_run_builds_each_distinct_bimap_once(traffic, order):
     assert (traffic["lookups"], traffic["builds"]) == TRAFFIC[order]
     assert traffic["builds"] == len(traffic["keys"])
     assert len(traffic["scopes"]) == 1 and scalars._shared is None
+
+
+def _certifications(monkeypatch):
+    """A list that gets each algebra that runs ``AssocAlgebra._radical``,
+    kept alive so that distinct algebras have distinct ids."""
+    certified = []
+    radical = scalars.AssocAlgebra._radical
+
+    def counting(self):
+        certified.append(self)
+        return radical(self)
+
+    monkeypatch.setattr(scalars.AssocAlgebra, "_radical", counting)
+    return certified
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_run_certifies_each_radical_once(monkeypatch, order):
+    certified = _certifications(monkeypatch)
+    assert _bytes(census.run_census(_dir(order))) == _artifact(order)
+    assert len(certified) == len({id(a) for a in certified}) == RADICALS[order]
+
+
+def test_a_failed_certification_is_not_kept(monkeypatch):
+    """A radical certification that raises keeps nothing: a second
+    ``radical`` on the shared ring runs ``_radical`` again and raises again,
+    as a failed ``BimapRings`` build does, so a census run that shares
+    rings skips the groups that one sharing nothing skips."""
+    certified = _certifications(monkeypatch)
+    check = scalars.AssocAlgebra._check_two_sided
+
+    def injected(self, rad):
+        raise ArithmeticError("injected")
+
+    def on_envelopes(self, rad):  # Der's envelopes of 2-dimensional sides
+        if type(self) is scalars.AssocAlgebra and self.n == 2:
+            injected(self, rad)
+        check(self, rad)
+
+    b = scalars.Bimap(3, [[[1]]])
+    with scalars.ring_scope():
+        with monkeypatch.context() as m:
+            m.setattr(scalars.AssocAlgebra, "_check_two_sided", injected)
+            for _ in range(2):
+                with pytest.raises(ArithmeticError, match="injected"):
+                    scalars.rings_for(b).ring("Mid").radical()
+        mid = scalars.rings_for(b).ring("Mid")
+        assert len(certified) == 2 and certified[0] is certified[1] is mid
+        assert mid.radical() is mid.radical() and len(certified) == 3
+    monkeypatch.setattr(scalars.AssocAlgebra, "_check_two_sided", on_envelopes)
+    certified.clear()
+    shared = census.run_census(_dir(16))
+    assert len(certified) > len({id(a) for a in certified}) > 0
+    monkeypatch.setattr(scalars, "rings_for", scalars.BimapRings)
+    unshared = census.run_census(_dir(16))
+    assert shared.skipped and all(": refine: injected" in s for s in shared.skipped)
+    assert shared.groups and _bytes(shared) == _bytes(unshared)
 
 
 def test_runs_share_nothing(traffic):
